@@ -1,6 +1,7 @@
 """Command-line surface: exact computations with machine-readable reports.
 
-Exit codes: 0 success, 1 a verified claim failed, 2 malformed input.
+Exit codes: 0 success, 1 a verified claim failed, 2 malformed input,
+3 an internal error (a failed re-verification or any other bug).
 Every command accepts --json PATH to persist a RunReport; reports are
 byte-deterministic apart from the elapsed_ms field.
 """
@@ -407,7 +408,7 @@ def _pf(flag: bool) -> str:
 
 
 def run(argv=None) -> int:
-    """Dispatch argv and return the exit code (0 ok, 1 failed claim, 2 bad input)."""
+    """Dispatch argv and return the exit code (see the module docstring)."""
     try:
         cli.main(args=argv, prog_name="schreier", standalone_mode=False)
         return 0
@@ -421,6 +422,9 @@ def run(argv=None) -> int:
     except (VectorFormatError, CutoffExceeded, SchreierError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        return 3
 
 
 def main():

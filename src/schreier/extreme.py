@@ -22,10 +22,9 @@ from itertools import combinations, permutations, product
 
 from . import cutoffs
 from .dd import DDPolytope
-from .errors import UnitNormRequired
-from .families import IndexSet, enumerate_admissible, index_set, maximal_members
+from .families import IndexSet, enumerate_admissible, maximal_members
 from .linalg import nullspace_vector, rank, solve_square
-from .vectors import Vector, norm, one_sets
+from .vectors import Vector, _require_unit, admissible_sums, covered_by, norm, one_sets
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -92,14 +91,13 @@ class ExtremenessCertificate:
     failed_conditions: list[str] = field(default_factory=list)
 
 
-def _require_unit(e: Vector, op: str) -> None:
-    value = norm(e, 1).value
-    if value != 1:
-        raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
-
-
 def _sign(q: Fraction) -> int:
     return 1 if q >= 0 else -1
+
+
+def _tight_sets(e: Vector, N: int) -> list[IndexSet]:
+    """The admissible sets within [1, N] on which |e| sums to exactly 1."""
+    return [F for F, total in admissible_sums(e, N) if total == 1]
 
 
 def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
@@ -112,28 +110,15 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
     out = []
-    for F in enumerate_admissible(1, N):
-        if not F:
-            continue
-        total = sum((abs(e[i]) for i in F), Fraction(0))
-        if total != 1:
-            continue
-        zero_positions = [i for i in F if i not in e]
-        for zero_signs in product((1, -1), repeat=len(zero_positions)):
-            signs = []
-            z = 0
-            for i in F:
-                if i in e:
-                    signs.append(_sign(e[i]))
-                else:
-                    signs.append(zero_signs[z])
-                    z += 1
-            out.append(SignedConstraint(F, tuple(signs)))
+    for F in _tight_sets(e, N):
+        choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
+        for signs in product(*choices):
+            out.append(SignedConstraint(F, signs))
     out.sort(key=lambda c: (c.indices, c.signs))
     return out
 
 
-def _active_rank_rows(e: Vector, N: int) -> list[list[int]]:
+def _active_rank_rows(e: Vector, tight: list[IndexSet], N: int) -> list[list[int]]:
     """Rank-equivalent compact basis of the active constraints at e.
 
     A tight set F spans its support-signed indicator plus a unit row per
@@ -141,12 +126,7 @@ def _active_rank_rows(e: Vector, N: int) -> list[list[int]]:
     """
     rows: list[list[int]] = []
     units: set[int] = set()
-    for F in enumerate_admissible(1, N):
-        if not F:
-            continue
-        total = sum((abs(e[i]) for i in F), Fraction(0))
-        if total != 1:
-            continue
+    for F in tight:
         row = [0] * N
         for i in F:
             if i in e:
@@ -166,28 +146,8 @@ def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
     _require_unit(e, "is_vertex")
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    rows = _active_rank_rows(e, N)
-    r = rank(rows)
+    r = rank(_active_rank_rows(e, _tight_sets(e, N), N))
     return r == N, r
-
-
-def _uncovered(e: Vector, upto: int) -> list[int]:
-    sets = one_sets(e)
-    out = []
-    for i in range(1, upto + 1):
-        hit = False
-        for G in sets:
-            if i in G:
-                hit = True
-                break
-            if i not in G:
-                merged = index_set(G + (i,))
-                if merged[0] >= len(merged):
-                    hit = True
-                    break
-        if not hit:
-            out.append(i)
-    return out
 
 
 def necessary_conditions(e: Vector) -> NecessaryConditions:
@@ -197,7 +157,7 @@ def necessary_conditions(e: Vector) -> NecessaryConditions:
     non_max = [F for F in sets if F[0] > len(F)]
     support = e.support
     max_supp = e.max_index
-    uncovered = _uncovered(e, max_supp + 1)
+    uncovered = [i for i in range(1, max_supp + 2) if not covered_by(sets, i)]
     if not non_max:
         return NecessaryConditions(
             has_non_maximal_one_set=False,
@@ -231,22 +191,35 @@ def perturbation_witness(e: Vector, window: int) -> Vector | None:
     Uses a null direction of the active constraints over [1, window]
     (preferring a plain uncovered coordinate), scaled by half the worst
     slack-to-action ratio, then re-verified against the norm oracle.
+
+    One scan of the window yields the tight sets (the rank rows), the slack
+    sets and the uncovered coordinates: the window indices in no tight set.
+    As S_1 is hereditary, i lies in a 1-set G or extends one admissibly
+    exactly when a tight set of the window contains i.  A tight set holds a
+    1-set plus zeros of e, and an admissible G + {i} with i outside G is
+    itself tight, since ||e|| = 1 keeps i off supp e.  If max supp e + 1 is
+    covered, so is every later index, so the first uncovered index is the
+    one that coverage over [1, max supp e + 1] finds.
     """
     _require_unit(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
-    rows = _active_rank_rows(e, window)
+    sums = admissible_sums(e, window)
+    tight = [F for F, total in sums if total == 1]
+    rows = _active_rank_rows(e, tight, window)
     if rank(rows) == window:
         return None
 
-    uncovered = _uncovered(e, min(window, e.max_index + 1))
+    covered = set().union(*tight)
+    uncovered = [i for i in range(1, window + 1) if i not in covered]
     direction: list[Fraction]
     if uncovered:
         direction = [Fraction(0)] * window
         direction[uncovered[0] - 1] = Fraction(1)
     else:
         kernel = nullspace_vector(rows, window)
-        assert kernel is not None, "rank deficit must yield a null direction"
+        if kernel is None:
+            raise RuntimeError("rank deficit must yield a null direction")
         direction = kernel
 
     # Scale: keep signed sums of tight sets exact (signs must not flip) and
@@ -255,10 +228,7 @@ def perturbation_witness(e: Vector, window: int) -> Vector | None:
     for i, q in enumerate(direction, start=1):
         if q != 0 and i in e:
             bounds.append(abs(e[i]) / (2 * abs(q)))
-    for F in enumerate_admissible(1, window):
-        if not F:
-            continue
-        total = sum((abs(e[i]) for i in F), Fraction(0))
+    for F, total in sums:
         if total == 1:
             continue
         action = sum((abs(direction[i - 1]) for i in F), Fraction(0))
@@ -288,18 +258,13 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     _require_unit(e, "certify_extreme")
     N = e.max_index
     sets = one_sets(e)
-    has_non_max = any(F[0] > len(F) for F in sets)
-    vertex, rank_n = is_vertex(e, N)
-    if vertex and has_non_max:
+    rank_n = rank(_active_rank_rows(e, _tight_sets(e, N), N))
+    if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
-    conditions = necessary_conditions(e)
-    failed = conditions.failed()
+    failed = necessary_conditions(e).failed()
     witness = perturbation_witness(e, N + 3)
-    if witness is not None:
-        return ExtremenessCertificate(NOT_EXTREME, rank_n, N, witness, failed)
-    if failed:
-        return ExtremenessCertificate(NOT_EXTREME, rank_n, N, None, failed)
-    return ExtremenessCertificate(VERTEX_ONLY, rank_n, N, None, failed)
+    verdict = NOT_EXTREME if witness is not None or failed else VERTEX_ONLY
+    return ExtremenessCertificate(verdict, rank_n, N, witness, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +315,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
         v = Vector({i + 1: q for i, q in enumerate(point)})
         if not v:
             continue
-        if rank(_active_rank_rows(v, N)) == N:
+        if rank(_active_rank_rows(v, _tight_sets(v, N), N)) == N:
             reps.append(v)
 
     out = []

@@ -21,8 +21,8 @@ from .extreme import (
     iter_extreme_in_space,
     positive_extreme_points,
 )
-from .families import IndexSet, enumerate_admissible, index_set, is_admissible
-from .vectors import Vector, covers_index, make_thm1_vector, norm, one_sets
+from .families import IndexSet, index_set, is_admissible
+from .vectors import Vector, admissible_sums, covers_index, make_thm1_vector, norm, one_sets
 
 
 @dataclass
@@ -47,13 +47,16 @@ def max_feasible_weight(x: Vector, e: Vector, oracle) -> tuple[Fraction, Vector 
     while True:
         value, g = oracle(x - lam * e)
         if value <= 1 - lam:
-            assert value == 1 - lam or binding is None
+            if value != 1 - lam and binding is not None:
+                raise RuntimeError(f"oracle value {value} is below its own minorant {1 - lam}")
             return lam, binding
         a = g.dot(x)
         b = g.dot(e)
-        assert b < 1, "a violated piece must have positive slope"
+        if b >= 1:
+            raise RuntimeError("a violated piece must have positive slope")
         new_lam = (1 - a) / (1 - b)
-        assert new_lam < lam
+        if new_lam >= lam:
+            raise RuntimeError(f"Newton step from {lam} did not decrease lambda")
         lam = new_lam
         binding = g
 
@@ -66,10 +69,7 @@ def _primal_oracle(v: Vector) -> tuple[Fraction, Vector]:
 
 def _tight_constraints(v: Vector, level: Fraction, window: int) -> list[SignedConstraint]:
     out = []
-    for F in enumerate_admissible(1, window):
-        if not F:
-            continue
-        total = sum((abs(v[i]) for i in F), Fraction(0))
+    for F, total in admissible_sums(v, window):
         if total == level:
             signs = tuple(1 if v[i] >= 0 else -1 for i in F)
             out.append(SignedConstraint(F, signs))

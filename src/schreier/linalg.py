@@ -4,6 +4,7 @@ Rank uses fraction-free (Bareiss) elimination on integer matrices; rational
 rows are cleared to integers first, which cannot change the rank.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -11,18 +12,9 @@ def _integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
         row = [Fraction(v) for v in row]
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm * d // _gcd(lcm, d)
+        lcm = math.lcm(*(v.denominator for v in row))
         out.append([int(v * lcm) for v in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank(rows) -> int:
@@ -100,22 +92,9 @@ def nullspace_vector(rows, dim: int) -> list[Fraction] | None:
 
 
 def solve_square(rows, rhs) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular."""
+    """Solve a square system exactly by row-reducing [A | b]; None when singular."""
     n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in reduced]

@@ -8,7 +8,6 @@ rationals are all rejected, which makes parse/serialize a bijection.
 import hashlib
 import json
 import re
-from fractions import Fraction
 
 from .errors import VectorFormatError
 from .extreme import ExtremenessCertificate, SignedConstraint
@@ -112,10 +111,6 @@ def certificate_to_payload(cert: ExtremenessCertificate) -> dict:
         "witness": None if cert.witness is None else vector_to_payload(cert.witness),
         "failed_conditions": list(cert.failed_conditions),
     }
-
-
-def rational(q: Fraction) -> str:
-    return format_rational(q)
 
 
 def sha256_file(path: str) -> str:

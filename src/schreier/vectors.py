@@ -4,7 +4,7 @@ The norm of order k is the supremum of |x| summed over a member of S_k.
 Order 1 is computed by a per-minimum greedy that is exact; higher orders
 fall back to windowed enumeration.  Also provides the 1-set inventory, the
 coverage predicate, the second-best gap, and the decay-witness constructor
-used by the theorem-1 verifier.
+used by the theorem-1 verifier, and the one scan of |x|-sums over a window.
 """
 
 from collections.abc import Iterable, Mapping
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
-from .families import IndexSet, enumerate_admissible, index_set
+from .families import IndexSet, enumerate_admissible, index_set, is_admissible
 
 
 class Vector:
@@ -190,6 +190,18 @@ def _require_unit(x: Vector, op: str) -> None:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
 
 
+def admissible_sums(x: Vector, window: int) -> list[tuple[IndexSet, Fraction]]:
+    """(F, sum of |x| over F) for every nonempty admissible F in [1, window].
+
+    Sets come in enumerate_admissible order, under its window cutoff.
+    """
+    return [
+        (F, sum((abs(x[i]) for i in F), Fraction(0)))
+        for F in enumerate_admissible(1, window)
+        if F
+    ]
+
+
 def _admissible_support_subsets(x: Vector):
     """Yield (subset, sum of |x| over it) for admissible subsets of supp x."""
     support = x.support
@@ -221,21 +233,17 @@ def one_sets(x: Vector) -> list[IndexSet]:
     return found
 
 
+def covered_by(sets: list[IndexSet], i: int) -> bool:
+    """True when i lies in one of the 1-sets or extends one admissibly."""
+    return any(i in G or is_admissible(G + (i,)) for G in sets)
+
+
 def covers_index(x: Vector, i: int) -> bool:
     """True when some admissible set containing i has |x|-sum exactly 1."""
     if i < 1:
         raise ValueError("indices are positive")
     _require_unit(x, "covers_index")
-    sets = one_sets(x)
-    for G in sets:
-        if i in G:
-            return True
-    for G in sets:
-        if i not in G:
-            merged = index_set(G + (i,))
-            if merged[0] >= len(merged):
-                return True
-    return False
+    return covered_by(one_sets(x), i)
 
 
 def eps_gap(x: Vector) -> Fraction:

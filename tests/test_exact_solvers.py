@@ -56,7 +56,7 @@ def test_lp_unbounded():
 def test_lp_degenerate_terminates():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     value, x = lp_max([1, 1, 1], rows, [1, 1, 1, 1])
-    assert value == Fraction(3, 2) or value <= Fraction(3, 2)
+    assert value == 1  # the row x1 + x2 + x3 <= 1 caps the pairwise optimum 3/2
     for row in rows:
         assert sum(a * b for a, b in zip(row, x)) <= 1
 

@@ -9,6 +9,7 @@ from schreier.lambdas import (
     gap_bound,
     lambda_lower,
     lambda_pair,
+    max_feasible_weight,
     verify_thm1,
 )
 from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
@@ -59,6 +60,17 @@ def test_lambda_pair_requires_ball_and_sphere():
         lambda_pair(Vector({1: 2}), E12)
     with pytest.raises(UnitNormRequired):
         lambda_pair(E1, Vector({1: Fraction(1, 2)}))
+
+
+@pytest.mark.parametrize("slope", [1, 2])
+def test_max_feasible_weight_rejects_a_piece_without_positive_slope(slope):
+    # A violated piece whose functional pairs to >= 1 with e has no root
+    # below the current weight; the invariant check must survive python -O.
+    def oracle(v):
+        return Fraction(2), Vector({2: slope})
+
+    with pytest.raises(RuntimeError, match="positive slope"):
+        max_feasible_weight(E1, Vector.unit(2), oracle)
 
 
 def test_lambda_pair_zero_vector():

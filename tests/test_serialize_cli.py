@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import schreier.cli as cli_mod
 from schreier.cli import lambda_table, run
 from schreier.errors import VectorFormatError
 from schreier.rationals import decimal_string, format_rational, parse_rational
@@ -90,6 +91,17 @@ def test_cli_malformed_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"space":"schreier","order":1,"coords":{"1":"2/4"}}')
     assert run(["norm", str(path)]) == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError("witness verification failed"),
+                                   ZeroDivisionError("division by zero")])
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    def boom(*args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "norm", boom)
+    assert run(["norm", _write(tmp_path, "x.json", Vector({1: 1}))]) == 3
+    assert capsys.readouterr().err.startswith(f"internal error: {type(error).__name__}")
 
 
 def test_cli_unknown_command_exits_2():
