@@ -1,12 +1,14 @@
-"""Golden RunReports for the certificate, coverage, 1-set and lambda commands.
+"""Golden RunReports for the certificate, coverage, 1-set, lambda,
+enumeration and theorem-1 commands.
 
 Each case runs ``cli.run`` with ``--json`` and compares the report's
 ``command``, ``params``, ``results`` and ``status`` with the stored copy in
 ``golden_reports.json``.  ``inputs`` is keyed by the temporary file path and
 ``elapsed_ms`` is a timing, so both are left out.  The stored reports pin
-the exact certificates, witnesses and binding lists, so a refactor of the
-tight-set scan or the coverage rule has to leave every one of them
-byte-identical.
+the exact certificates, witnesses, binding lists, extreme-point pools and
+the theorem-1 counterexample, so a refactor of the tight-set scan, the
+coverage rule or the pool construction has to leave every one of them
+byte-identical.  ``verify thm1`` honestly fails, so its case exits 1.
 
 Run this file as a script to rewrite the stored reports from the current
 code.
@@ -62,11 +64,14 @@ CASES.update({
     "one-sets-x5": ["one-sets", "x5"],
     "one-sets-uncovered": ["one-sets", "uncovered"],
     "one-sets-kernel": ["one-sets", "kernel"],
+    "extreme-enumerate-in-space-6": ["extreme", "enumerate", "--dim", "6"],
+    "verify-thm1-n4-w10": ["verify", "thm1", "--n", "4", "--window", "10"],
 })
+EXIT_CODES = {"verify-thm1-n4-w10": 1}
 
 
-def report_for(case: str, workdir: Path) -> dict:
-    """Run one case and return the compared fields of its RunReport."""
+def report_for(case: str, workdir: Path, exit_code: int) -> dict:
+    """Run one case, check its exit code and return the compared fields."""
     argv = []
     for arg in CASES[case]:
         if arg in VECTORS:
@@ -75,7 +80,7 @@ def report_for(case: str, workdir: Path) -> dict:
             arg = str(path)
         argv.append(arg)
     report_path = workdir / f"{case}.json"
-    assert run(argv + ["--json", str(report_path)]) == 0
+    assert run(argv + ["--json", str(report_path)]) == exit_code
     report = json.loads(report_path.read_text())
     return {key: report[key] for key in COMPARED}
 
@@ -83,7 +88,7 @@ def report_for(case: str, workdir: Path) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert report_for(case, tmp_path) == golden[case]
+    assert report_for(case, tmp_path, EXIT_CODES.get(case, 0)) == golden[case]
 
 
 def test_golden_cases_all_stored():
@@ -92,5 +97,6 @@ def test_golden_cases_all_stored():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        stored = {case: report_for(case, Path(tmp)) for case in sorted(CASES)}
+        stored = {case: report_for(case, Path(tmp), EXIT_CODES.get(case, 0))
+                  for case in sorted(CASES)}
     GOLDEN.write_text(canonical_json(stored), encoding="utf-8")
