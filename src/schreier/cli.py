@@ -50,6 +50,11 @@ def _finish(command, inputs, params, results, passed, lines, json_path, started)
         raise _VerificationFailed()
 
 
+def _load(path, space=serialize.SPACE_PRIMAL, order=1):
+    """Load a vector file, rejecting one declared at another norm order."""
+    return serialize.load_vector_file(path, space, order)
+
+
 _json_option = click.option("--json", "json_path", type=click.Path(), default=None,
                             help="Write a RunReport to this path.")
 
@@ -61,7 +66,7 @@ _json_option = click.option("--json", "json_path", type=click.Path(), default=No
 def norm_cmd(file, order, json_path):
     """Exact norm of the vector in FILE, with a norming witness."""
     started = time.monotonic()
-    x = serialize.load_vector_file(file, serialize.SPACE_PRIMAL)
+    x = _load(file, order=order)
     report = norm(x, order)
     results = {
         "order": order,
@@ -79,7 +84,7 @@ def norm_cmd(file, order, json_path):
 def one_sets_cmd(file, json_path):
     """List every 1-set of the unit vector in FILE."""
     started = time.monotonic()
-    x = serialize.load_vector_file(file, serialize.SPACE_PRIMAL)
+    x = _load(file)
     sets = one_sets(x)
     results = {"count": len(sets), "sets": [format_index_set(F) for F in sets]}
     lines = [f"{len(sets)} one-sets:"] + [f"  {format_index_set(F)}" for F in sets]
@@ -92,7 +97,7 @@ def one_sets_cmd(file, json_path):
 def eps_gap_cmd(file, json_path):
     """Gap between 1 and the best admissible sum short of 1."""
     started = time.monotonic()
-    x = serialize.load_vector_file(file, serialize.SPACE_PRIMAL)
+    x = _load(file)
     value = eps_gap(x)
     results = {"value": format_rational(value)}
     _finish("eps-gap", [file], {}, results, True,
@@ -106,7 +111,7 @@ def eps_gap_cmd(file, json_path):
 def covers_cmd(file, index, json_path):
     """Whether some norming set of the vector in FILE contains --index."""
     started = time.monotonic()
-    x = serialize.load_vector_file(file, serialize.SPACE_PRIMAL)
+    x = _load(file)
     covered = covers_index(x, index)
     results = {"index": index, "covered": covered}
     _finish("covers", [file], {"index": index}, results, True,
@@ -146,7 +151,7 @@ def extreme_group():
 def extreme_check_cmd(file, window, json_path):
     """Certify or refute extremality of the unit vector in FILE."""
     started = time.monotonic()
-    e = serialize.load_vector_file(file, serialize.SPACE_PRIMAL)
+    e = _load(file)
     cert = extreme_mod.certify_extreme(e)
     results = serialize.certificate_to_payload(cert)
     if window is not None:
@@ -196,8 +201,8 @@ def lambda_group():
 def lambda_pair_cmd(xfile, efile, json_path):
     """Exact maximal weight lambda with ||x - lambda e|| <= 1 - lambda."""
     started = time.monotonic()
-    x = serialize.load_vector_file(xfile, serialize.SPACE_PRIMAL)
-    e = serialize.load_vector_file(efile, serialize.SPACE_PRIMAL)
+    x = _load(xfile)
+    e = _load(efile)
     result = lambdas_mod.lambda_pair(x, e)
     results = {
         "lambda": format_rational(result.lam),
@@ -216,7 +221,7 @@ def lambda_pair_cmd(xfile, efile, json_path):
 def lambda_lower_cmd(xfile, window, json_path):
     """Best weight over the extreme points within [1, window]."""
     started = time.monotonic()
-    x = serialize.load_vector_file(xfile, serialize.SPACE_PRIMAL)
+    x = _load(xfile)
     lam, achiever = lambdas_mod.lambda_lower(x, window)
     results = {
         "lambda": format_rational(lam),
@@ -238,7 +243,7 @@ def dual_group():
 def dual_norm_cmd(file, json_path):
     """Exact dual norm of the functional in FILE."""
     started = time.monotonic()
-    f = serialize.load_vector_file(file, serialize.SPACE_DUAL)
+    f = _load(file, serialize.SPACE_DUAL)
     value = dual_mod.dual_norm(f)
     results = {"value": format_rational(value)}
     _finish("dual norm", [file], {}, results, True,
@@ -251,7 +256,7 @@ def dual_norm_cmd(file, json_path):
 def dual_check_cmd(file, json_path):
     """Whether the functional in FILE is a dual extreme point."""
     started = time.monotonic()
-    f = serialize.load_vector_file(file, serialize.SPACE_DUAL)
+    f = _load(file, serialize.SPACE_DUAL)
     value = dual_mod.is_dual_extreme(f)
     results = {"dual_extreme": value}
     _finish("dual check", [file], {}, results, True, [str(value).lower()],

@@ -16,14 +16,17 @@ EXTREME_ENUM_MAX = 12
 
 
 def _override() -> int | None:
+    """The positive integer in SCHREIER_MAX_DIM, None if unset or blank."""
     raw = os.environ.get("SCHREIER_MAX_DIM")
     if raw is None or raw.strip() == "":
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value >= 1 else None
+        value = 0
+    if value < 1:
+        raise ValueError(f"SCHREIER_MAX_DIM must be a positive integer, got {raw!r}")
+    return value
 
 
 def admissible_enum_limit(k: int) -> int:

@@ -110,10 +110,6 @@ def thm2_lambda_bound(G: IndexSet, n: int) -> Fraction:
     return bound if bound > 0 else Fraction(0)
 
 
-def _dual_oracle(v: Vector) -> tuple[Fraction, Vector]:
-    return dual_norm_witness(v)
-
-
 def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
     """Exact maximum lambda with dual-norm(x* - lambda e*) <= 1 - lambda."""
     nx = dual_norm(x_star)
@@ -121,7 +117,7 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
         raise UnitNormRequired(f"lambda_pair_dual needs dual norm <= 1; got {nx}")
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
-    lam, _ = max_feasible_weight(x_star, e_star, _dual_oracle)
+    lam, _ = max_feasible_weight(x_star, e_star, dual_norm_witness)
     if lam < 1:
         check = dual_norm(x_star - lam * e_star)
         if check > 1 - lam:

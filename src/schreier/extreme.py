@@ -11,8 +11,11 @@ In-space enumeration exploits the forced shape of extreme supports:
 supp e = [1, m] + F for the unique non-maximal 1-set F with |F| = m and
 min F > m.  For each m the fully-supported candidates form one polytope
 up to relabelling of the tail, which is enumerated once (double
-description over a sorted-tail fundamental domain) and then embedded
-into every legal support.
+description over a sorted-tail fundamental domain).  Each class is
+certified once, on its canonical embedding with the tail on [m+1, 2m];
+certification is invariant under moving the tail to any legal F and
+permuting it (see _positive_extreme_points), so every other embedding is
+extreme by construction.
 """
 
 from dataclasses import dataclass, field
@@ -43,12 +46,6 @@ class SignedConstraint:
             raise ValueError("one sign per index required")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs are +1 or -1")
-
-    def row(self, N: int) -> list[int]:
-        out = [0] * N
-        for i, s in zip(self.indices, self.signs):
-            out[i - 1] = s
-        return out
 
     def value_at(self, v: Vector) -> Fraction:
         return sum((s * v[i] for i, s in zip(self.indices, self.signs)), Fraction(0))
@@ -153,7 +150,11 @@ def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
 def necessary_conditions(e: Vector) -> NecessaryConditions:
     """Evaluate every known necessary condition for membership in E(X)."""
     _require_unit(e, "necessary_conditions")
-    sets = one_sets(e)
+    return _necessary_conditions(e, one_sets(e))
+
+
+def _necessary_conditions(e: Vector, sets: list[IndexSet]) -> NecessaryConditions:
+    """necessary_conditions for a unit vector e whose 1-sets are given."""
     non_max = [F for F in sets if F[0] > len(F)]
     support = e.support
     max_supp = e.max_index
@@ -261,7 +262,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     rank_n = rank(_active_rank_rows(e, _tight_sets(e, N), N))
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
-    failed = necessary_conditions(e).failed()
+    failed = _necessary_conditions(e, sets).failed()
     witness = perturbation_witness(e, N + 3)
     verdict = NOT_EXTREME if witness is not None or failed else VERTEX_ONLY
     return ExtremenessCertificate(verdict, rank_n, N, witness, failed)
@@ -338,45 +339,11 @@ def enumerate_vertices(N: int) -> list[Vector]:
 # each (t-1)-subset A of the later positions gives value(t) + sum(A) <= 1.
 
 
-def _class_candidate_rows(m: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(t, A) pairs: A is a (t-1)-subset of positions after t.
-
-    Positions are 0-based over (v_2..v_m, w_1..w_m): head position t sits at
-    t - 2, tail position j at (m - 1) + j.
-    """
-    out = []
-    for t in range(2, m + 1):
-        later = list(range(t - 1, m - 1)) + [m - 1 + j for j in range(m)]
-        for A in combinations(later, t - 1):
-            out.append((t, A))
-    return out
-
-
-def _class_rank_full(m: int, head: tuple[Fraction, ...], tail: tuple[Fraction, ...]) -> bool:
-    """Check the active constraints pin the candidate within its support.
-
-    Columns: head values at positions 1..m then tail values; rows are the
-    singleton {1}, the tail 1-set, and every tight candidate row.
-    """
-    dim = 2 * m
-    rows = []
-    row = [0] * dim
-    row[0] = 1
-    rows.append(row)  # {1}
-    row = [0] * dim
-    for j in range(m):
-        row[m + j] = 1
-    rows.append(row)  # the tail 1-set
-    values = list(head[1:]) + list(tail)  # aligned with candidate positions
-    for t, A in _class_candidate_rows(m):
-        total = head[t - 1] + sum((values[p] for p in A), Fraction(0))
-        if total == 1:
-            row = [0] * dim
-            row[t - 1] = 1
-            for p in A:
-                row[p + 2 - 1] = 1  # position p maps to column p + 1
-            rows.append(row)
-    return rank(rows) == dim
+def _embed(head: tuple[Fraction, ...], tail: tuple[Fraction, ...], F) -> Vector:
+    """The vector with head on [1, len(head)] and tail on F, in order."""
+    coords = dict(enumerate(head, start=1))
+    coords.update(zip(F, tail))
+    return Vector(coords)
 
 
 def _class_polytope_pieces(m: int):
@@ -457,7 +424,8 @@ def _class_reps_from_cut_order(m: int, cut_rows) -> tuple:
         if (head, ws) in seen:
             continue
         seen.add((head, ws))
-        if _class_rank_full(m, head, ws):
+        canonical = _embed(head, ws, range(m + 1, 2 * m + 1))
+        if certify_extreme(canonical).verdict == EXTREME:
             reps.append((head, ws))
     reps.sort()
     return tuple(reps)
@@ -465,11 +433,13 @@ def _class_reps_from_cut_order(m: int, cut_rows) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_positive_vertices(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...]:
-    """Fully-positive candidate vertices for tail size m.
+    """Fully-positive extreme classes for tail size m.
 
     Returns (head, tail) pairs with head[0] == 1 and tail sorted
     descending; tails are interchangeable, so each pair stands for its
-    whole arrangement orbit.
+    whole arrangement orbit.  For m >= 2 each pair is a vertex of the DD
+    output certified EXTREME on its canonical embedding (tail on
+    [m+1, 2m]); the one class of m = 1 is e_1 + e_2.
     """
     if m == 1:
         return (((Fraction(1),), (Fraction(1),)),)
@@ -484,6 +454,23 @@ def positive_extreme_points(N: int) -> list[Vector]:
 
 @lru_cache(maxsize=8)
 def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
+    """Every class embedded on every legal tail F in every arrangement.
+
+    No embedding is certified again: each is EXTREME because its class is.
+    Let e carry a class's head on [1, m] and an arrangement of its tail on
+    F, with min F > m.  An admissible set starting at a head index t holds
+    t and at most t - 1 later indices; one starting after m meets only F,
+    and every subset of F is admissible, since |F| = m < min F.  So
+    the traces of admissible sets on supp e, read as positions (head 1..m,
+    then tail 1..m), are the same family for every legal F, and a tail
+    permutation maps that family onto itself.  Norm, 1-sets and the
+    signed rows of tight sets restricted to the support therefore depend
+    only on the class.  Every gap index z in [m+1, max F] off F lies in
+    the tight admissible set F + {z}, so its unit row is active and the
+    rank on [1, max F] is the number of gaps plus the support rank.  F
+    stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
+    exactly when it holds for the canonical one.
+    """
     cutoffs.check("enumerate_extreme_in_space", N, cutoffs.extreme_enum_limit())
     out = []
     for m in range(1, N // 2 + 1):
@@ -494,12 +481,7 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
         for F in combinations(range(m + 1, N + 1), m):
             for head, tail in reps:
                 for arranged in arrangements[tail]:
-                    coords = {i + 1: head[i] for i in range(m)}
-                    for pos, value in zip(F, arranged):
-                        coords[pos] = value
-                    e = Vector(coords)
-                    if certify_extreme(e).verdict == EXTREME:
-                        out.append(e)
+                    out.append(_embed(head, arranged, F))
     out.sort(key=lambda v: canonical_key(v, N))
     return tuple(out)
 

@@ -28,7 +28,8 @@ def vector_to_payload(v: Vector, space: str = SPACE_PRIMAL, order: int = 1) -> d
     }
 
 
-def payload_to_vector(payload: dict, expect_space: str | None = None) -> Vector:
+def payload_to_vector(payload: dict, expect_space: str | None = None,
+                      expect_order: int | None = None) -> Vector:
     if not isinstance(payload, dict):
         raise VectorFormatError("vector payload must be a JSON object")
     unknown = set(payload) - {"space", "order", "coords"}
@@ -45,6 +46,8 @@ def payload_to_vector(payload: dict, expect_space: str | None = None) -> Vector:
     order = payload["order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise VectorFormatError("field 'order' must be a nonnegative integer")
+    if expect_order is not None and order != expect_order:
+        raise VectorFormatError(f"field 'order' is {order}, expected {expect_order}")
     coords = payload["coords"]
     if not isinstance(coords, dict):
         raise VectorFormatError("field 'coords' must be an object")
@@ -70,17 +73,19 @@ def _reject_duplicates(pairs):
     return out
 
 
-def loads_vector(text: str, expect_space: str | None = None) -> Vector:
+def loads_vector(text: str, expect_space: str | None = None,
+                 expect_order: int | None = None) -> Vector:
     try:
         payload = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise VectorFormatError(f"invalid JSON: {exc}") from None
-    return payload_to_vector(payload, expect_space)
+    return payload_to_vector(payload, expect_space, expect_order)
 
 
-def load_vector_file(path: str, expect_space: str | None = None) -> Vector:
+def load_vector_file(path: str, expect_space: str | None = None,
+                     expect_order: int | None = None) -> Vector:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_vector(handle.read(), expect_space)
+        return loads_vector(handle.read(), expect_space, expect_order)
 
 
 def dumps_vector(v: Vector, space: str = SPACE_PRIMAL, order: int = 1) -> str:

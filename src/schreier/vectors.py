@@ -108,10 +108,6 @@ class Vector:
     def __abs__(self) -> "Vector":
         return Vector({i: abs(q) for i, q in self._items})
 
-    def restrict(self, indices: Iterable[int]) -> "Vector":
-        keep = set(indices)
-        return Vector({i: q for i, q in self._items if i in keep})
-
     def without(self, indices: Iterable[int]) -> "Vector":
         drop = set(indices)
         return Vector({i: q for i, q in self._items if i not in drop})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +9,8 @@ from schreier.extreme import (
     EXTREME,
     NOT_EXTREME,
     SignedConstraint,
-    _class_candidate_rows,
     _class_positive_vertices,
-    _class_rank_full,
+    _embed,
     active_constraints,
     canonical_key,
     certify_extreme,
@@ -155,6 +155,16 @@ def test_in_space_supports_and_even_cardinality():
             assert e.support == tuple(range(1, m + 1)) + F
 
 
+def test_pool_members_certify_extreme():
+    # The pool is extreme by construction (one certificate per class); the
+    # full certificate of each embedding is kept here as a check.
+    for e in positive_extreme_points(10):
+        assert certify_extreme(e).verdict == EXTREME
+    pool = positive_extreme_points(12)
+    for e in random.Random(12).sample(pool, 200):
+        assert certify_extreme(e).verdict == EXTREME
+
+
 def test_sign_symmetry_of_certification(rng):
     for _ in range(30):
         e = random_unit_vector(rng, max_index=5)
@@ -181,16 +191,22 @@ def test_cross_validation_certify_vs_witness(rng):
 
 
 def _brute_class(m):
-    """Active-set search over the raw candidate rows; oracle for small m."""
+    """Active-set search over the raw candidate rows; oracle for small m.
+
+    Variables are (v_2..v_m, w_1..w_m).  Each row is a head position t in
+    [2, m] plus a (t-1)-subset A of the later positions; every vertex with
+    positive coordinates that certifies EXTREME on its canonical embedding
+    (tail on [m+1, 2m]) is a class, its tail sorted descending.
+    """
     nvars = 2 * m - 1
-    cand = _class_candidate_rows(m)
     rows = []
-    for t, A in cand:
-        row = [Fraction(0)] * nvars
-        row[t - 2] += 1
-        for p in A:
-            row[p] += 1
-        rows.append(row)
+    for t in range(2, m + 1):
+        for A in combinations(range(t - 1, nvars), t - 1):
+            row = [Fraction(0)] * nvars
+            row[t - 2] += 1
+            for p in A:
+                row[p] += 1
+            rows.append(row)
     wrow = [Fraction(0)] * nvars
     for j in range(m):
         wrow[m - 1 + j] = Fraction(1)
@@ -204,7 +220,7 @@ def _brute_class(m):
             continue
         head = (Fraction(1),) + tuple(sol[: m - 1])
         tail = tuple(sorted(sol[m - 1 :], reverse=True))
-        if _class_rank_full(m, head, tail):
+        if certify_extreme(_embed(head, tail, range(m + 1, 2 * m + 1))).verdict == EXTREME:
             sols.add((head, tail))
     return sorted(sols)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import schreier.cli as cli_mod
+from schreier import cutoffs
 from schreier.cli import lambda_table, run
 from schreier.errors import VectorFormatError
 from schreier.rationals import decimal_string, format_rational, parse_rational
@@ -91,6 +92,40 @@ def test_cli_malformed_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"space":"schreier","order":1,"coords":{"1":"2/4"}}')
     assert run(["norm", str(path)]) == 2
+
+
+def test_cli_rejects_a_file_of_another_order(tmp_path, capsys):
+    # The order field must match the order the command computes at:
+    # --order for norm, 1 for every other command.
+    path = tmp_path / "x2.json"
+    save_vector_file(str(path), Vector({1: 1, 2: 1}), order=2)
+    assert run(["norm", str(path)]) == 2
+    assert "field 'order' is 2, expected 1" in capsys.readouterr().err
+    assert run(["norm", str(path), "--order", "2"]) == 0
+    assert "norm (order 2) = " in capsys.readouterr().out
+    assert run(["one-sets", str(path)]) == 2
+    assert run(["extreme", "check", str(path)]) == 2
+    one = _write(tmp_path, "x1.json", Vector({1: 1}))
+    assert run(["norm", one, "--order", "2"]) == 2
+    with pytest.raises(VectorFormatError):
+        loads_vector(dumps_vector(Vector({1: 1}), order=2), expect_order=1)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_max_dim_override_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SCHREIER_MAX_DIM", raw)
+    with pytest.raises(ValueError, match="SCHREIER_MAX_DIM"):
+        cutoffs.extreme_enum_limit()
+    # The vertex enumeration is not cached, so it reads the cutoff each call.
+    assert run(["extreme", "enumerate", "--dim", "3", "--mode", "vertices"]) == 2
+    assert "SCHREIER_MAX_DIM" in capsys.readouterr().err
+
+
+def test_max_dim_override_applies(monkeypatch):
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "7")
+    assert cutoffs.vertex_enum_limit() == 7
+    monkeypatch.setenv("SCHREIER_MAX_DIM", " ")
+    assert cutoffs.vertex_enum_limit() == cutoffs.VERTEX_ENUM_MAX
 
 
 @pytest.mark.parametrize("error", [RuntimeError("witness verification failed"),
