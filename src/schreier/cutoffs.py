@@ -10,7 +10,7 @@ from .errors import CutoffExceeded
 
 ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
-EPS_GAP_SUPPORT_MAX = 24
+SUPPORT_SUBSET_MAX = 24  # support scans of one_sets and eps_gap
 VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12
 
@@ -45,9 +45,9 @@ def extreme_enum_limit() -> int:
     return forced if forced is not None else EXTREME_ENUM_MAX
 
 
-def eps_gap_support_limit() -> int:
+def support_subset_limit() -> int:
     forced = _override()
-    return forced if forced is not None else EPS_GAP_SUPPORT_MAX
+    return forced if forced is not None else SUPPORT_SUBSET_MAX
 
 
 def check(what: str, requested: int, limit: int) -> None:

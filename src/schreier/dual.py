@@ -27,29 +27,27 @@ def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
     N = f.max_index
     c = [abs(f[i]) for i in range(1, N + 1)]
     # The ball is sign-symmetric, so the optimum is attained at x >= 0 against
-    # |f|; constraints start at the singletons and grow lazily.
-    rows: list[list[Fraction]] = []
-    seen: set[IndexSet] = set()
+    # |f|; constraints start at the singletons and grow lazily on one live
+    # tableau, each cut being the admissible set the norm greedy finds.
+    seen: set[IndexSet] = {(i,) for i in range(1, N + 1)}
 
-    def add_set(F: IndexSet) -> None:
-        row = [Fraction(0)] * N
+    def indicator(F: IndexSet) -> list[int]:
+        row = [0] * N
         for i in F:
-            row[i - 1] = Fraction(1)
-        rows.append(row)
-        seen.add(F)
+            row[i - 1] = 1
+        return row
 
-    for i in range(1, N + 1):
-        add_set((i,))
-    while True:
-        value, xs = lp_max(c, rows, [Fraction(1)] * len(rows))
-        incumbent = Vector({i + 1: q for i, q in enumerate(xs)})
-        report = norm(incumbent, 1)
+    def separate(xs: list[Fraction]):
+        report = norm(Vector({i + 1: q for i, q in enumerate(xs)}), 1)
         if report.value <= 1:
-            break
+            return None
         if report.witness in seen:
             raise RuntimeError("separation oracle repeated a constraint")
-        add_set(report.witness)
-    signed = Vector({i: (1 if f[i] >= 0 else -1) * incumbent[i] for i in incumbent.support})
+        seen.add(report.witness)
+        return indicator(report.witness), 1
+
+    value, xs = lp_max(c, [indicator((i,)) for i in range(1, N + 1)], [1] * N, cut=separate)
+    signed = Vector({i + 1: (1 if f[i + 1] >= 0 else -1) * q for i, q in enumerate(xs)})
     return value, signed
 
 

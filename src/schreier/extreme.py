@@ -449,7 +449,13 @@ def _class_positive_vertices(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[
 
 def positive_extreme_points(N: int) -> list[Vector]:
     """Extreme points with nonnegative coordinates and support within [1, N]."""
+    _check_extreme_cutoff(N)
     return list(_positive_extreme_points(N))
+
+
+def _check_extreme_cutoff(N: int) -> None:
+    # Outside the cache, so a cached pool is refused once the cutoff drops.
+    cutoffs.check("enumerate_extreme_in_space", N, cutoffs.extreme_enum_limit())
 
 
 @lru_cache(maxsize=8)
@@ -471,7 +477,6 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
     stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
     exactly when it holds for the canonical one.
     """
-    cutoffs.check("enumerate_extreme_in_space", N, cutoffs.extreme_enum_limit())
     out = []
     for m in range(1, N // 2 + 1):
         reps = _class_positive_vertices(m)
@@ -489,6 +494,7 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
 def iter_extreme_in_space(N: int):
     """Yield every in-space extreme point: positive reps in canonical order,
     each expanded over all sign patterns.  Deterministic but unsorted."""
+    _check_extreme_cutoff(N)
     for v in _positive_extreme_points(N):
         support = v.support
         for signs in product((1, -1), repeat=len(support)):

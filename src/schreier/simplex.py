@@ -1,4 +1,4 @@
-"""Exact primal simplex for small LPs in standard form, on an integer tableau.
+"""Exact simplex for small LPs in standard form, on an integer tableau.
 
 Maximize c.x subject to A x <= b, x >= 0 with b >= 0, so the all-slack basis
 is feasible and no phase one is needed.  Bland's rule guarantees termination.
@@ -17,8 +17,26 @@ After pivoting to a basis B, d = det B and every entry is d times the rational
 tableau entry, that is, a minor of the starting integer matrix.  Sylvester's
 identity therefore makes the update
 ``T[i][j] = (T[i][j] * p - T[i][s] * T[r][j]) // d`` an exact division; the
-pivot row stays as it is and d becomes the pivot p, which the ratio test keeps
-positive.  Entries grow like determinants, and no gcd is taken while pivoting.
+pivot row stays as it is and d becomes the pivot p.  Entries grow like
+determinants, and no gcd is taken while pivoting.
+
+Constraints can also arrive while the tableau lives (lazy cuts,
+warm-started as in Applegate, Cook, Dash & Espinoza 2007).  A new row
+``a.x + s = b``, cleared like the others, gets its own slack column, zero in
+every other row, and is written in terms of the current basis as
+``d * row - sum(row[v] * T[i])`` over the basic variables v of rows i; that
+zeroes its basic columns and is an integer combination, so no division is
+needed.  The starting matrix grows by that row and column, and the new basis
+(old basis plus the new slack) has the same determinant d, because the slack
+column is a unit vector; so the entries are still d times the rational
+tableau and the divisions of later pivots stay exact.  A cut that the
+optimum x violates leaves a negative right-hand side in its row while the
+reduced costs stay nonnegative, so a dual-simplex phase restores primal
+feasibility: the leaving row is the infeasible one with the lowest basic
+variable, the entering column the smallest ratio of reduced cost to minus
+the (negative) row entry, ties to the lowest index.  That is Bland's rule on
+the dual, which terminates.  A dual pivot is negative; its row is negated
+before pivoting, which keeps the pivot, and so d, positive.
 """
 
 from fractions import Fraction
@@ -32,67 +50,142 @@ def _cleared(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def lp_max(c, rows, rhs) -> tuple[Fraction, list[Fraction]]:
-    """Return (optimal value, optimal x).  Raises on unbounded problems."""
-    n = len(c)
-    m = len(rows)
-    if any(Fraction(b) < 0 for b in rhs):
-        raise ValueError("simplex expects nonnegative right-hand sides")
-    # Tableau: columns = n structural + m slack + 1 rhs; last row = objective.
-    total_cols = n + m
-    tab = []
-    for i in range(m):
-        cleared, _ = _cleared([*rows[i], rhs[i]])
-        row = cleared[:n] + [0] * m + cleared[n:]
-        row[n + i] = 1
-        tab.append(row)
-    obj, c_scale = _cleared(c)
-    tab.append([-v for v in obj] + [0] * (m + 1))
-    basis = [n + i for i in range(m)]
+class _Tableau:
+    """Rows ``[rhs, x_1..x_n, slack_1..slack_m]`` of integers over d.
 
-    d = 1
+    Column j of a row holds variable j (1-based); ``basis[i]`` is the column
+    basic in row i, and ``obj`` is the objective row, whose rhs entry is
+    d * c_scale times the objective value.
+    """
+
+    def __init__(self, c):
+        cleared, self.c_scale = _cleared(c)
+        self.n = len(c)
+        self.obj = [0] + [-v for v in cleared]
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.d = 1
+
+    def add_row(self, row, b) -> None:
+        """Append a.x <= b with its own slack, written in the current basis."""
+        if len(row) != self.n:
+            raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
+        if Fraction(b) < 0:
+            raise ValueError("simplex expects nonnegative right-hand sides")
+        cleared, _ = _cleared([b, *row])
+        d = self.d
+        new = [d * v for v in cleared] + [0] * (len(self.obj) - len(cleared))
+        for i, var in enumerate(self.basis):
+            if var <= self.n and cleared[var]:
+                coeff = cleared[var]
+                new = [a - coeff * t for a, t in zip(new, self.rows[i])]
+        for other in self.rows:
+            other.append(0)
+        self.obj.append(0)
+        new.append(d)
+        self.rows.append(new)
+        self.basis.append(len(new) - 1)
+
+    def primal(self) -> None:
+        """Primal simplex with Bland's rule until no reduced cost is negative."""
+        basis = self.basis
+        while True:
+            rows, obj = self.rows, self.obj
+            enter = None
+            for j in range(1, len(obj)):
+                if obj[j] < 0:
+                    enter = j  # Bland: smallest index with negative reduced cost
+                    break
+            if enter is None:
+                return
+            leave = None
+            for i, row in enumerate(rows):
+                coeff = row[enter]
+                if coeff > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    # row[rhs] / coeff against the best ratio, both denominators > 0
+                    here = row[0] * rows[leave][enter]
+                    best = rows[leave][0] * coeff
+                    if here < best or (here == best and basis[i] < basis[leave]):
+                        leave = i
+            if leave is None:
+                raise ValueError("linear program is unbounded")
+            self.pivot(leave, enter)
+
+    def dual(self) -> None:
+        """Dual simplex with Bland's rule until no right-hand side is negative."""
+        basis = self.basis
+        while True:
+            rows, obj = self.rows, self.obj
+            leave = None
+            for i, row in enumerate(rows):
+                if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
+                    leave = i
+            if leave is None:
+                return
+            row = rows[leave]
+            enter = None
+            for j in range(1, len(row)):
+                if row[j] < 0:
+                    # obj[j] / -row[j] against the best ratio, both denominators > 0
+                    if enter is None or obj[j] * -row[enter] < obj[enter] * -row[j]:
+                        enter = j
+            if enter is None:
+                raise ValueError("linear program is infeasible")
+            self.pivot(leave, enter)
+
+    def pivot(self, r: int, s: int) -> None:
+        pivot_row = self.rows[r]
+        p = pivot_row[s]
+        if p < 0:
+            pivot_row = self.rows[r] = [-a for a in pivot_row]
+            p = -p
+        d = self.d
+        self.rows = [
+            other if i == r else _eliminate(other, pivot_row, s, p, d)
+            for i, other in enumerate(self.rows)
+        ]
+        self.obj = _eliminate(self.obj, pivot_row, s, p, d)
+        self.d = p
+        self.basis[r] = s
+
+    def solution(self) -> tuple[Fraction, list[Fraction]]:
+        x = [Fraction(0)] * self.n
+        for i, var in enumerate(self.basis):
+            if var <= self.n:
+                x[var - 1] = Fraction(self.rows[i][0], self.d)
+        return Fraction(self.obj[0], self.d * self.c_scale), x
+
+
+def _eliminate(other, pivot_row, col, p, d):
+    factor = other[col]
+    if factor:
+        return [(a * p - factor * b) // d for a, b in zip(other, pivot_row)]
+    if p != d:
+        return [a * p // d for a in other]
+    return other
+
+
+def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
+    """Return (optimal value, optimal x).  Raises on unbounded problems.
+
+    With ``cut``, each optimum x is passed to ``cut(x)``, which returns a
+    constraint ``(row, b)`` that x violates, with b >= 0, or None when x is
+    feasible.  The row joins the live tableau and dual simplex re-optimises
+    from the current basis; the optimum of all rows is returned.
+    """
+    tab = _Tableau(c)
+    for row, b in zip(rows, rhs, strict=True):
+        tab.add_row(row, b)
+    tab.primal()
     while True:
-        enter = None
-        for j in range(total_cols):
-            if tab[m][j] < 0:
-                enter = j  # Bland: smallest index with negative reduced cost
-                break
-        if enter is None:
-            break
-        leave = None
-        for i in range(m):
-            coeff = tab[i][enter]
-            if coeff > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # tab[i][rhs] / coeff against the best ratio, both denominators > 0
-                here = tab[i][total_cols] * tab[leave][enter]
-                best = tab[leave][total_cols] * coeff
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            raise ValueError("linear program is unbounded")
-        _pivot(tab, leave, enter, d)
-        d = tab[leave][enter]
-        basis[leave] = enter
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = Fraction(tab[i][total_cols], d)
-    value = Fraction(tab[m][total_cols], d * c_scale)
-    return value, x
-
-
-def _pivot(tab, row, col, d):
-    pivot_row = tab[row]
-    p = pivot_row[col]
-    for i, other in enumerate(tab):
-        if i == row:
-            continue
-        factor = other[col]
-        if factor:
-            tab[i] = [(a * p - factor * b) // d for a, b in zip(other, pivot_row)]
-        elif p != d:
-            tab[i] = [a * p // d for a in other]
+        value, x = tab.solution()
+        violated = cut(x) if cut is not None else None
+        if violated is None:
+            return value, x
+        tab.add_row(*violated)
+        if tab.rows[-1][0] >= 0:
+            raise ValueError("cut returned a constraint that x satisfies")
+        tab.dual()

@@ -10,6 +10,7 @@ used by the theorem-1 verifier, and the one scan of |x|-sums over a window.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
@@ -156,9 +157,11 @@ def norm(x: Vector, k: int = 1) -> NormReport:
 def _norm_order_one(x: Vector) -> NormReport:
     # For each candidate minimum m the best admissible sum is |x(m)| plus the
     # m-1 largest |x(i)| beyond m; ties in "largest" break to smaller index.
-    support = x.support
-    ranked = sorted(support, key=lambda i: (-abs(x[i]), i))
-    best_value = Fraction(-1)
+    # The sums run on |x| cleared to integers by the LCM of its denominators.
+    scale = lcm(*(q.denominator for _, q in x.items()))
+    size = {i: abs(q.numerator) * (scale // q.denominator) for i, q in x.items()}
+    ranked = sorted(size, key=lambda i: (-size[i], i))
+    best_value = -1
     best_witness: IndexSet = ()
     for m in range(1, x.max_index + 1):
         take = m - 1
@@ -169,15 +172,15 @@ def _norm_order_one(x: Vector) -> NormReport:
                     chosen.append(i)
                     if len(chosen) == take:
                         break
-        value = sum((abs(x[i]) for i in chosen), Fraction(0))
+        value = sum(size[i] for i in chosen)
         witness = chosen
-        if m in x:
-            value += abs(x[m])
+        if m in size:
+            value += size[m]
             witness = [m] + chosen
         if value > best_value:
             best_value = value
             best_witness = index_set(witness)
-    return NormReport(best_value, best_witness)
+    return NormReport(Fraction(best_value, scale), best_witness)
 
 
 def _require_unit(x: Vector, op: str) -> None:
@@ -198,8 +201,13 @@ def admissible_sums(x: Vector, window: int) -> list[tuple[IndexSet, Fraction]]:
     ]
 
 
-def _admissible_support_subsets(x: Vector):
-    """Yield (subset, sum of |x| over it) for admissible subsets of supp x."""
+def _admissible_support_subsets(x: Vector, op: str):
+    """(subset, sum of |x| over it) for admissible subsets of supp x, lazily.
+
+    Raises at once, before any subset is scanned, when the support is over
+    its cutoff.
+    """
+    cutoffs.check(f"{op} support size", len(x), cutoffs.support_subset_limit())
     support = x.support
     values = [abs(x[i]) for i in support]
     n = len(support)
@@ -218,13 +226,14 @@ def _admissible_support_subsets(x: Vector):
             yield from rec(pos + 1, chosen, total + values[pos], cap)
             chosen.pop()
 
-    yield from rec(0, [], Fraction(0), n + 1)
+    return rec(0, [], Fraction(0), n + 1)
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
     """The complete family of 1-sets: admissible, inside supp x, summing to 1."""
     _require_unit(x, "one_sets")
-    found = [F for F, total in _admissible_support_subsets(x) if F and total == 1]
+    found = [F for F, total in _admissible_support_subsets(x, "one_sets")
+             if F and total == 1]
     found.sort()
     return found
 
@@ -245,11 +254,8 @@ def covers_index(x: Vector, i: int) -> bool:
 def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
     _require_unit(x, "eps_gap")
-    limit = cutoffs.eps_gap_support_limit()
-    if len(x) > limit:
-        raise CutoffExceeded("eps_gap support size", len(x), limit)
     second = Fraction(0)
-    for _, total in _admissible_support_subsets(x):
+    for _, total in _admissible_support_subsets(x, "eps_gap"):
         if second < total < 1:
             second = total
     return 1 - second

@@ -49,8 +49,9 @@ def _brute_dual_norm(f: Vector) -> Fraction:
 
 
 def test_dual_norm_matches_full_lp(rng):
-    for _ in range(40):
-        f = random_vector(rng, max_index=5, max_num=10, max_den=10)
+    # The lazy cuts on one warm-started tableau against the cold LP over all rows.
+    for _ in range(400):
+        f = random_vector(rng, max_index=7, max_num=10, max_den=10)
         assert dual_norm(f) == _brute_dual_norm(f)
 
 

@@ -6,7 +6,8 @@ import pytest
 import schreier.cli as cli_mod
 from schreier import cutoffs
 from schreier.cli import lambda_table, run
-from schreier.errors import VectorFormatError
+from schreier.errors import CutoffExceeded, VectorFormatError
+from schreier.extreme import iter_extreme_in_space, positive_extreme_points
 from schreier.rationals import decimal_string, format_rational, parse_rational
 from schreier.serialize import (
     SPACE_DUAL,
@@ -15,7 +16,7 @@ from schreier.serialize import (
     loads_vector,
     save_vector_file,
 )
-from schreier.vectors import Vector, make_thm1_vector
+from schreier.vectors import Vector, covers_index, eps_gap, make_thm1_vector, one_sets
 
 
 def test_rational_parse_format_roundtrip():
@@ -126,6 +127,31 @@ def test_max_dim_override_applies(monkeypatch):
     assert cutoffs.vertex_enum_limit() == 7
     monkeypatch.setenv("SCHREIER_MAX_DIM", " ")
     assert cutoffs.vertex_enum_limit() == cutoffs.VERTEX_ENUM_MAX
+
+
+def test_cached_extreme_pool_honours_a_lowered_cutoff(monkeypatch):
+    assert positive_extreme_points(3)  # builds and caches the N = 3 pool
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "2")
+    with pytest.raises(CutoffExceeded):
+        positive_extreme_points(3)
+    with pytest.raises(CutoffExceeded):
+        next(iter_extreme_in_space(3))
+    assert run(["extreme", "enumerate", "--dim", "3"]) == 2
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "abc")
+    assert run(["extreme", "enumerate", "--dim", "3"]) == 2
+
+
+def test_support_scans_stop_at_their_cutoff(tmp_path, monkeypatch):
+    x = Vector({i: Fraction(1, 4) for i in (4, 5, 6, 7)})  # unit: {4..7} is admissible
+    path = _write(tmp_path, "x.json", x)
+    assert one_sets(x) == [(4, 5, 6, 7)]
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "3")
+    for scan in (one_sets, eps_gap, lambda v: covers_index(v, 4)):
+        with pytest.raises(CutoffExceeded, match="support size: requested 4 exceeds cutoff 3"):
+            scan(x)
+    assert run(["one-sets", path]) == 2
+    assert run(["covers", path, "--index", "4"]) == 2
+    assert run(["eps-gap", path]) == 2
 
 
 @pytest.mark.parametrize("error", [RuntimeError("witness verification failed"),
