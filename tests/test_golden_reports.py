@@ -65,6 +65,7 @@ CASES.update({
     "one-sets-uncovered": ["one-sets", "uncovered"],
     "one-sets-kernel": ["one-sets", "kernel"],
     "extreme-enumerate-in-space-6": ["extreme", "enumerate", "--dim", "6"],
+    "extreme-enumerate-vertices-6": ["extreme", "enumerate", "--dim", "6", "--mode", "vertices"],
     "verify-thm1-n4-w10": ["verify", "thm1", "--n", "4", "--window", "10"],
 })
 EXIT_CODES = {"verify-thm1-n4-w10": 1}
