@@ -8,7 +8,7 @@ with |F| = min F", which makes the decay bound a finite computation over
 traces of F inside the relevant initial segment.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -136,7 +136,7 @@ def dual_extreme_traces(n: int) -> list[IndexSet]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thm2Report:
     n: int
     window: int
@@ -145,7 +145,7 @@ class Thm2Report:
     bound_target: Fraction
     zero_trace_bound: Fraction
     unit_checks_ok: bool
-    spot_checks: list[tuple[IndexSet, Fraction, Fraction]] = field(default_factory=list)
+    spot_checks: tuple[tuple[IndexSet, Fraction, Fraction], ...] = ()
 
     @property
     def bounds_ok(self) -> bool:
@@ -171,7 +171,6 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
     Checks the averaged functional sits on the dual sphere, maximizes the
     closed-form bound over all traces, records the empty-trace branch, and
     spot-checks the first ten traces with exact pair computations.
-    Reports are cached; treat them as read-only.
     """
     if window is None:
         window = 2**n - 1
@@ -208,5 +207,5 @@ def _verify_thm2(n: int, window: int) -> Thm2Report:
         bound_target=Fraction(3, n),
         zero_trace_bound=thm2_lambda_bound((), n),
         unit_checks_ok=unit_ok,
-        spot_checks=spot_checks,
+        spot_checks=tuple(spot_checks),
     )

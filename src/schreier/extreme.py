@@ -24,10 +24,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import cutoffs
-from .dd import DDPolytope
+from .dd import DDPolytope, box_seed
 from .families import IndexSet, enumerate_admissible, maximal_members
-from .linalg import nullspace_vector, rank, solve_square
-from .vectors import Vector, _require_unit, admissible_sums, covered_by, norm, one_sets
+from .linalg import nullspace_vector, rank
+from .vectors import Vector, _one_sets, _require_unit, admissible_sums, covered_by, norm
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -150,7 +150,7 @@ def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
 def necessary_conditions(e: Vector) -> NecessaryConditions:
     """Evaluate every known necessary condition for membership in E(X)."""
     _require_unit(e, "necessary_conditions")
-    return _necessary_conditions(e, one_sets(e))
+    return _necessary_conditions(e, _one_sets(e))
 
 
 def _necessary_conditions(e: Vector, sets: list[IndexSet]) -> NecessaryConditions:
@@ -258,7 +258,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     """
     _require_unit(e, "certify_extreme")
     N = e.max_index
-    sets = one_sets(e)
+    sets = _one_sets(e)
     rank_n = rank(_active_rank_rows(e, _tight_sets(e, N), N))
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
@@ -269,7 +269,8 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration for the full section polytope (small windows).
+# Vertex enumeration for the full section polytope (small windows): double
+# description of its nonnegative part, then every sign pattern.
 
 
 def canonical_key(v: Vector, N: int):
@@ -278,45 +279,24 @@ def canonical_key(v: Vector, N: int):
 
 
 def enumerate_vertices(N: int) -> list[Vector]:
-    """All vertices of the section polytope on [1, N], exactly."""
+    """All vertices of the section polytope on [1, N], exactly.
+
+    Double description cuts the unit box with sum(v over F) <= 1 for every
+    maximal admissible F, which gives the nonnegative part of the section.
+    A vertex of that part is a vertex of the section when its active rows
+    have full rank; the sign patterns of those vertices are the rest.
+    """
     cutoffs.check("enumerate_vertices", N, cutoffs.vertex_enum_limit())
     if N < 1:
         return []
-    sum_sets = maximal_members([F for F in enumerate_admissible(1, N) if F])
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for F in sum_sets:
-        row = [Fraction(0)] * N
-        for i in F:
-            row[i - 1] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for i in range(N):
-        row = [Fraction(0)] * N
-        row[i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-
-    candidates: set[tuple[Fraction, ...]] = set()
-    for combo in combinations(range(len(rows)), N):
-        sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-        if sol is None:
-            continue
-        if any(v < 0 for v in sol):
-            continue
-        point = tuple(sol)
-        if all(
-            sum((row[j] * point[j] for j in range(N)), Fraction(0)) <= b
-            for row, b in zip(rows, rhs)
-        ):
-            candidates.add(point)
+    poly = DDPolytope(N, *box_seed([(0, 1)] * N))
+    for F in maximal_members([F for F in enumerate_admissible(1, N) if F]):
+        poly.add_constraint([1 if i in F else 0 for i in range(1, N + 1)], 1)
 
     reps = []
-    for point in candidates:
-        v = Vector({i + 1: q for i, q in enumerate(point)})
-        if not v:
-            continue
-        if rank(_active_rank_rows(v, _tight_sets(v, N), N)) == N:
+    for vert in poly.vertices:
+        v = Vector(dict(enumerate(vert.point, start=1)))
+        if v and rank(_active_rank_rows(v, _tight_sets(v, N), N)) == N:
             reps.append(v)
 
     out = []

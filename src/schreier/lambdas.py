@@ -9,9 +9,11 @@ answer is re-verified against the norm oracle and comes with the binding
 constraint whose positive slope certifies infeasibility above the answer.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import UnitNormRequired
 from .extreme import (
@@ -135,7 +137,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     return best_lam, best_e
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thm1Report:
     n: int
     window: int
@@ -144,14 +146,14 @@ class Thm1Report:
     one_sets_ok: bool
     covers_ok: bool
     not_extreme_ok: bool
-    claims: dict[str, bool]
+    claims: Mapping[str, bool]
     pool_size: int
     max_pair_lambda: Fraction
     pool_bound_ok: bool
     gap_bound_value: Fraction
     gap_bound_ok: bool
     alpha_candidate_in_pool: bool
-    violations: list[tuple[Vector, Fraction]] = field(default_factory=list)
+    violations: tuple[tuple[Vector, Fraction], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -189,7 +191,6 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     Builds the construction, checks its norm, 1-set inventory and
     non-extremality, then evaluates the exact pair lambda against the
     (n+1)/n^2 bound for every nonnegative extreme point in the window.
-    Reports are cached; treat them as read-only.
     """
     if window is None:
         window = 2 * n + 2
@@ -245,12 +246,12 @@ def _verify_thm1(n: int, window: int) -> Thm1Report:
         one_sets_ok=one_sets_ok,
         covers_ok=covers_ok,
         not_extreme_ok=not_extreme_ok,
-        claims=claims,
+        claims=MappingProxyType(claims),
         pool_size=len(pool),
         max_pair_lambda=max_lam,
         pool_bound_ok=not violations,
         gap_bound_value=gap_value,
         gap_bound_ok=gap_value == bound,
         alpha_candidate_in_pool=e_alpha in pool,
-        violations=violations,
+        violations=tuple(violations),
     )

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: rank, kernel, square solve.
+"""Exact linear algebra over the rationals: rank, row reduction, kernel.
 
 Rank uses fraction-free (Bareiss) elimination on integer matrices; rational
 rows are cleared to integers first, which cannot change the rank.
@@ -90,11 +90,3 @@ def nullspace_vector(rows, dim: int) -> list[Fraction] | None:
         vec[col] = -row[j_free]
     return vec
 
-
-def solve_square(rows, rhs) -> list[Fraction] | None:
-    """Solve a square system exactly by row-reducing [A | b]; None when singular."""
-    n = len(rows)
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n] for row in reduced]

@@ -232,6 +232,11 @@ def _admissible_support_subsets(x: Vector, op: str):
 def one_sets(x: Vector) -> list[IndexSet]:
     """The complete family of 1-sets: admissible, inside supp x, summing to 1."""
     _require_unit(x, "one_sets")
+    return _one_sets(x)
+
+
+def _one_sets(x: Vector) -> list[IndexSet]:
+    """one_sets for a vector already checked to be a unit vector."""
     found = [F for F, total in _admissible_support_subsets(x, "one_sets")
              if F and total == 1]
     found.sort()
@@ -248,7 +253,7 @@ def covers_index(x: Vector, i: int) -> bool:
     if i < 1:
         raise ValueError("indices are positive")
     _require_unit(x, "covers_index")
-    return covered_by(one_sets(x), i)
+    return covered_by(_one_sets(x), i)
 
 
 def eps_gap(x: Vector) -> Fraction:

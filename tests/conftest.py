@@ -1,9 +1,10 @@
 """Shared helpers: random rational vectors and independent brute-force oracles.
 
 The oracles deliberately avoid the production code paths: admissibility is
-re-derived from the raw min >= size condition over power sets, so the greedy
-norm, the enumerators, and the certification logic are checked against
-arithmetic that cannot share their bugs.
+re-derived from the raw min >= size condition over power sets and vertices
+come from solving every square subsystem with plain Gauss-Jordan
+elimination, so the greedy norm, the enumerators, and the certification
+logic are checked against arithmetic that cannot share their bugs.
 """
 
 import random
@@ -34,6 +35,39 @@ def brute_norm(x: Vector) -> Fraction:
         if total > best:
             best = total
     return best
+
+
+def solve_square(rows, rhs) -> list[Fraction] | None:
+    """Solve a square system exactly by Gauss-Jordan elimination; None when singular."""
+    n = len(rows)
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
+def vertices_by_combination_search(dim, rows):
+    """Vertices of {x : coeffs.x <= b for (coeffs, b) in rows}, a polytope.
+
+    Every dim-subset of the rows is solved as equalities; a unique solution
+    that satisfies all rows is a vertex.
+    """
+    found = set()
+    for combo in combinations(rows, dim):
+        sol = solve_square([coeffs for coeffs, _ in combo], [b for _, b in combo])
+        if sol is None:
+            continue
+        if all(sum(a * v for a, v in zip(coeffs, sol)) <= b for coeffs, b in rows):
+            found.add(tuple(sol))
+    return found
 
 
 def random_fraction(rng, max_num=100, max_den=100, allow_zero=True):

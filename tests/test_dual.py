@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,13 @@ def test_verify_thm2_small():
     assert report.max_bound == Fraction(1, 2)
     assert report.zero_trace_bound == 0
     assert report.bound_target == Fraction(3, 2)
+
+
+def test_verify_thm2_report_is_frozen():
+    report = verify_thm2(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.max_bound = Fraction(0)
+    assert isinstance(report.spot_checks, tuple)
 
 
 def test_verify_thm2_n1_degenerate():

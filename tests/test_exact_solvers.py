@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from schreier.dd import DDPolytope, box_seed
-from schreier.linalg import nullspace_vector, rank, rref, solve_square
+from schreier.linalg import nullspace_vector, rank, rref
 from schreier.simplex import lp_max
+
+from conftest import solve_square, vertices_by_combination_search
 
 
 def test_rank_basics():
@@ -107,26 +109,6 @@ def test_dd_empty_intersection_face():
     assert points == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
-def _vertices_by_combination_search(dim, rows):
-    """Independent oracle: rank-dim active subsets, solved and filtered."""
-    from itertools import combinations
-
-    from schreier.linalg import solve_square
-
-    found = set()
-    for combo in combinations(range(len(rows)), dim):
-        system = [rows[i][0] for i in combo]
-        rhs = [rows[i][1] for i in combo]
-        sol = solve_square(system, rhs)
-        if sol is None:
-            continue
-        if all(
-            sum(a * v for a, v in zip(coeffs, sol)) <= b for coeffs, b in rows
-        ):
-            found.add(tuple(sol))
-    return found
-
-
 def test_dd_fuzz_against_combination_search(rng):
     for trial in range(30):
         dim = rng.randint(2, 4)
@@ -140,7 +122,7 @@ def test_dd_fuzz_against_combination_search(rng):
             b = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             poly.add_constraint(coeffs, b)
             all_rows.append((tuple(coeffs), b))
-        expected = _vertices_by_combination_search(dim, all_rows)
+        expected = vertices_by_combination_search(dim, all_rows)
         got = {v.point for v in poly.vertices}
         assert got == expected, f"trial {trial}: DD {len(got)} vs oracle {len(expected)}"
 

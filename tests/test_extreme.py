@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,10 +21,14 @@ from schreier.extreme import (
     perturbation_witness,
     positive_extreme_points,
 )
-from schreier.linalg import solve_square
 from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
 
-from conftest import random_unit_vector
+from conftest import (
+    powerset_admissible,
+    random_unit_vector,
+    solve_square,
+    vertices_by_combination_search,
+)
 
 E1 = Vector.unit(1)
 E12 = Vector({1: 1, 2: 1})
@@ -118,6 +122,25 @@ def test_enumerate_vertices_censuses():
 def test_enumerate_vertices_cutoff():
     with pytest.raises(CutoffExceeded):
         enumerate_vertices(7)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_enumerate_vertices_match_combination_search(N):
+    # The section polytope from the definition: every sign pattern on every
+    # maximal admissible set of [1, N], each summing to at most 1.
+    family = [F for F in powerset_admissible(N) if F]
+    maximal = [F for F in family if not any(set(F) < set(G) for G in family)]
+    rows = []
+    for F in maximal:
+        for signs in product((1, -1), repeat=len(F)):
+            coeffs = [0] * N
+            for i, s in zip(F, signs):
+                coeffs[i - 1] = s
+            rows.append((coeffs, 1))
+    expected = vertices_by_combination_search(N, rows)
+    got = [tuple(v[i] for i in range(1, N + 1)) for v in enumerate_vertices(N)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
 
 
 def test_in_space_censuses():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -289,3 +290,15 @@ def test_verify_thm1_n4_report_contents():
     assert [e for e, _ in report.violations] == [BAD4]
     assert report.claims["iii"] is False  # BAD4 has e(3) = e(2)
     assert report.passed is False
+
+
+def test_verify_thm1_report_is_frozen():
+    # The report is served from a cache, so a caller must not be able to
+    # change what the next caller reads.
+    report = verify_thm1(4, 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pool_size = 0
+    with pytest.raises(TypeError):
+        report.claims["iii"] = True
+    assert isinstance(report.violations, tuple)
+    assert verify_thm1(4, 10).claims["iii"] is False

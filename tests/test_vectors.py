@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from schreier.errors import UnitNormRequired
+from schreier.extreme import certify_extreme, necessary_conditions
 from schreier.vectors import (
     Vector,
     covers_index,
@@ -107,6 +108,27 @@ def test_covers_examples():
     assert covers_index(X5, 4) is False
     assert covers_index(X5, 1) is True
     assert covers_index(X5, 13) is True
+
+
+@pytest.mark.parametrize("op, call, x", [
+    ("covers_index", lambda x: covers_index(x, 4), X5),
+    ("necessary_conditions", necessary_conditions, X5),
+    ("certify_extreme", certify_extreme, Vector({1: 1, 2: 1})),
+])
+def test_unit_norm_is_checked_once_per_call(monkeypatch, op, call, x):
+    import schreier.vectors
+
+    calls = []
+
+    def counted(v, k=1):
+        calls.append(v)
+        return norm(v, k)
+
+    monkeypatch.setattr(schreier.vectors, "norm", counted)
+    call(x)
+    assert calls == [x]
+    with pytest.raises(UnitNormRequired, match=op):
+        call(2 * x)
 
 
 def test_eps_gap_examples():
