@@ -4,7 +4,13 @@ The polytope is maintained as an exact vertex list; each inserted halfspace
 keeps the satisfied vertices and introduces the cut points of violated edges.
 Edges are recognized combinatorially: u, v are adjacent iff no third vertex
 is tight on every constraint tight at both u and v.  Tight sets are bitmasks
-over the constraint list, so the adjacency scan is cheap.
+over the constraint list, so the adjacency scan is cheap.  Before the scan,
+a pair sharing fewer than dim - 1 tight constraints is dropped: two vertices
+of a dim-dimensional polyhedron can only be adjacent if they do (Fukuda &
+Prodon 1996, "Double description method revisited").  The face of their
+midpoint has dimension dim minus the rank of the shared constraints, so for
+such a pair it has a third vertex and the scan would reject the pair too;
+the vertex list and its order are unchanged.
 
 Seeding requires a starting polytope whose vertices and tight masks are
 known; callers here use boxes, simplices, and their products.
@@ -71,7 +77,7 @@ class DDPolytope:
         for i in plus:
             for j in minus:
                 common = masks[i] & masks[j]
-                if not self._adjacent(i, j, common, masks):
+                if common.bit_count() < self.dim - 1 or not self._adjacent(i, j, common, masks):
                     continue
                 si, sj = slack[i], slack[j]
                 t = si / (si - sj)  # sj < 0 < si

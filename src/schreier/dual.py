@@ -124,7 +124,16 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
 
 
 def dual_extreme_traces(n: int) -> list[IndexSet]:
-    """All G inside [1, 2^n - 1] with |G| = min G, lexicographically."""
+    """All G inside [1, 2^n - 1] with |G| = min G, lexicographically.
+
+    These are the traces of full length only.  The trace of a dual extreme
+    support can be any admissible G' in [1, 2^n - 1] (for example {3} from
+    {3, 4, 5} at n = 2), but each such G' lies in a listed G: pad G' above
+    min G' to min G' elements when min G' <= 2^(n-1); otherwise
+    |G'| < 2^(n-1) < min G' and {|G'| + 1} + G' is listed.  The bound
+    1 - T(G)/n never falls as G grows, so its maximum over this list is its
+    maximum over every admissible trace.
+    """
     top = 2**n - 1
     out: list[IndexSet] = []
     for m in range(1, top + 1):
@@ -169,8 +178,11 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
     """Evaluate the dual decay bound over every realizable trace at order n.
 
     Checks the averaged functional sits on the dual sphere, maximizes the
-    closed-form bound over all traces, records the empty-trace branch, and
-    spot-checks the first ten traces with exact pair computations.
+    closed-form bound over the traces with |G| = min G only, records the
+    empty-trace branch, and spot-checks the first ten traces with exact pair
+    computations.  That maximum covers every admissible trace, since each
+    lies in a listed one and the bound never falls as G grows
+    (dual_extreme_traces).
     """
     if window is None:
         window = 2**n - 1

@@ -138,12 +138,17 @@ def _active_rank_rows(e: Vector, tight: list[IndexSet], N: int) -> list[list[int
     return rows
 
 
+def _active_rank(e: Vector, N: int) -> int:
+    """Rank of the active constraints at e on the window [1, N]."""
+    return rank(_active_rank_rows(e, _tight_sets(e, N), N))
+
+
 def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
     """Whether the active constraints pin e within the section [1, N]."""
     _require_unit(e, "is_vertex")
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    r = rank(_active_rank_rows(e, _tight_sets(e, N), N))
+    r = _active_rank(e, N)
     return r == N, r
 
 
@@ -201,27 +206,25 @@ def perturbation_witness(e: Vector, window: int) -> Vector | None:
     itself tight, since ||e|| = 1 keeps i off supp e.  If max supp e + 1 is
     covered, so is every later index, so the first uncovered index is the
     one that coverage over [1, max supp e + 1] finds.
+
+    An uncovered index is a zero column of the rank rows, so the rows are
+    rank-deficient whenever one exists.  Otherwise their kernel is trivial
+    exactly when they have full rank, and then no witness exists.
     """
     _require_unit(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
     sums = admissible_sums(e, window)
     tight = [F for F, total in sums if total == 1]
-    rows = _active_rank_rows(e, tight, window)
-    if rank(rows) == window:
-        return None
-
     covered = set().union(*tight)
     uncovered = [i for i in range(1, window + 1) if i not in covered]
-    direction: list[Fraction]
     if uncovered:
         direction = [Fraction(0)] * window
         direction[uncovered[0] - 1] = Fraction(1)
     else:
-        kernel = nullspace_vector(rows, window)
-        if kernel is None:
-            raise RuntimeError("rank deficit must yield a null direction")
-        direction = kernel
+        direction = nullspace_vector(_active_rank_rows(e, tight, window), window)
+        if direction is None:
+            return None
 
     # Scale: keep signed sums of tight sets exact (signs must not flip) and
     # keep every slack set slack.
@@ -259,7 +262,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     _require_unit(e, "certify_extreme")
     N = e.max_index
     sets = _one_sets(e)
-    rank_n = rank(_active_rank_rows(e, _tight_sets(e, N), N))
+    rank_n = _active_rank(e, N)
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _necessary_conditions(e, sets).failed()
@@ -296,7 +299,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
     reps = []
     for vert in poly.vertices:
         v = Vector(dict(enumerate(vert.point, start=1)))
-        if v and rank(_active_rank_rows(v, _tight_sets(v, N), N)) == N:
+        if v and _active_rank(v, N) == N:
             reps.append(v)
 
     out = []

@@ -1,84 +1,85 @@
-"""Exact linear algebra over the rationals: rank, row reduction, kernel.
+"""Exact linear algebra over the rationals: the one integer-preserving pivot.
 
-Rank uses fraction-free (Bareiss) elimination on integer matrices; rational
-rows are cleared to integers first, which cannot change the rank.
+Rational rows are cleared to integers by the LCM of their denominators,
+which changes neither rank nor kernel.  Elimination then pivots fraction-free
+(Edmonds 1967, Bareiss 1968): after each pivot every entry is d times its
+rational value, d the last pivot, and the division by the previous d is exact
+by Sylvester's identity.  ``rank``, ``nullspace_vector`` and the simplex
+tableau all pivot with ``pivot_rows``.
 """
 
-import math
 from fractions import Fraction
+from math import lcm
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        lcm = math.lcm(*(v.denominator for v in row))
-        out.append([int(v * lcm) for v in row])
-    return out
+def cleared(values) -> tuple[list[int], int]:
+    """The values times the LCM of their denominators, and that LCM."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def eliminate(other, pivot_row, col, p, d):
+    """Row ``other`` after the pivot p = ``pivot_row[col]``; over d before, p after."""
+    factor = other[col]
+    if factor:
+        return [(a * p - factor * b) // d for a, b in zip(other, pivot_row)]
+    if p != d:
+        return [a * p // d for a in other]
+    return other
+
+
+def pivot_rows(rows, r, col, d) -> tuple[list[list[int]], int]:
+    """The rows over d after pivoting on ``rows[r][col]``, and the pivot p > 0.
+
+    A negative pivot row is negated first, which keeps p, the new common
+    denominator, positive.  Every other row goes through ``eliminate``.
+    """
+    pivot_row = rows[r]
+    if pivot_row[col] < 0:
+        pivot_row = [-a for a in pivot_row]
+    p = pivot_row[col]
+    return [pivot_row if i == r else eliminate(row, pivot_row, col, p, d)
+            for i, row in enumerate(rows)], p
+
+
+def _reduce(rows) -> tuple[list[list[int]], list[int], int]:
+    """Integer Gauss-Jordan elimination: (rows, pivot columns, d).
+
+    Pivots go left to right, each on the first remaining row that is nonzero
+    in its column.  Row i of the result holds d > 0 in column ``pivots[i]``
+    and 0 in every other pivot column; the rows after the last pivot row are
+    zero.
+    """
+    m = [cleared(row)[0] for row in rows]
+    pivots: list[int] = []
+    d = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        found = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m, d = pivot_rows(m, r, col, d)
+        pivots.append(col)
+    return m, pivots, d
 
 
 def rank(rows) -> int:
-    """Exact rank via Bareiss fraction-free elimination."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][col]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return m[:r], pivots
+    """Exact rank: the number of pivots of the integer elimination."""
+    return len(_reduce(rows)[1])
 
 
 def nullspace_vector(rows, dim: int) -> list[Fraction] | None:
-    """One nonzero kernel element of the row system, or None if trivial."""
-    reduced, pivots = rref(rows)
+    """One nonzero kernel element of the row system, or None if trivial.
+
+    With j the first free column, the vector is 1 at j, -row[j]/d at the
+    pivot column of each reduced row and 0 elsewhere: the vector that reduced
+    row echelon form gives, since its free coordinates fix it.
+    """
+    reduced, pivots, d = _reduce(rows)
     pivot_set = set(pivots)
     free = [j for j in range(dim) if j not in pivot_set]
     if not free:
@@ -87,6 +88,5 @@ def nullspace_vector(rows, dim: int) -> list[Fraction] | None:
     vec = [Fraction(0)] * dim
     vec[j_free] = Fraction(1)
     for row, col in zip(reduced, pivots):
-        vec[col] = -row[j_free]
+        vec[col] = Fraction(-row[j_free], d)
     return vec
-

@@ -4,14 +4,15 @@ Maximize c.x subject to A x <= b, x >= 0 with b >= 0, so the all-slack basis
 is feasible and no phase one is needed.  Bland's rule guarantees termination.
 
 The tableau holds integers over one common denominator d, the last pivot
-(integer-preserving pivoting: Edmonds 1967, Bareiss 1968; ``linalg.rank``
-eliminates the same way).  Each constraint row and its right-hand side are
-cleared to integers by the LCM of their denominators, and that row's slack is
-scaled by the same factor, so the slack columns start as the identity with
-d = 1.  The objective row is cleared by its own LCM.  A positive rescaling of
-a row or of a slack changes no reduced-cost sign and no ratio, so Bland's rule
-takes the same pivots as on the rational tableau; ratios are compared by
-cross-multiplication.
+(integer-preserving pivoting: Edmonds 1967, Bareiss 1968).  Pivots are
+``linalg.pivot_rows`` and the clearing is ``linalg.cleared``, the same code
+that ``linalg.rank`` and ``linalg.nullspace_vector`` run.  Each constraint row
+and its right-hand side are cleared to integers by the LCM of their
+denominators, and that row's slack is scaled by the same factor, so the slack
+columns start as the identity with d = 1.  The objective row is cleared by
+its own LCM.  A positive rescaling of a row or of a slack changes no
+reduced-cost sign and no ratio, so Bland's rule takes the same pivots as on
+the rational tableau; ratios are compared by cross-multiplication.
 
 After pivoting to a basis B, d = det B and every entry is d times the rational
 tableau entry, that is, a minor of the starting integer matrix.  Sylvester's
@@ -40,14 +41,8 @@ before pivoting, which keeps the pivot, and so d, positive.
 """
 
 from fractions import Fraction
-from math import lcm
 
-
-def _cleared(values) -> tuple[list[int], int]:
-    """The values times the LCM of their denominators, and that LCM."""
-    values = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+from .linalg import cleared, eliminate, pivot_rows
 
 
 class _Tableau:
@@ -59,9 +54,9 @@ class _Tableau:
     """
 
     def __init__(self, c):
-        cleared, self.c_scale = _cleared(c)
+        obj, self.c_scale = cleared(c)
         self.n = len(c)
-        self.obj = [0] + [-v for v in cleared]
+        self.obj = [0] + [-v for v in obj]
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
         self.d = 1
@@ -72,12 +67,12 @@ class _Tableau:
             raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
         if Fraction(b) < 0:
             raise ValueError("simplex expects nonnegative right-hand sides")
-        cleared, _ = _cleared([b, *row])
+        ints, _ = cleared([b, *row])
         d = self.d
-        new = [d * v for v in cleared] + [0] * (len(self.obj) - len(cleared))
+        new = [d * v for v in ints] + [0] * (len(self.obj) - len(ints))
         for i, var in enumerate(self.basis):
-            if var <= self.n and cleared[var]:
-                coeff = cleared[var]
+            if var <= self.n and ints[var]:
+                coeff = ints[var]
                 new = [a - coeff * t for a, t in zip(new, self.rows[i])]
         for other in self.rows:
             other.append(0)
@@ -137,17 +132,8 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def pivot(self, r: int, s: int) -> None:
-        pivot_row = self.rows[r]
-        p = pivot_row[s]
-        if p < 0:
-            pivot_row = self.rows[r] = [-a for a in pivot_row]
-            p = -p
-        d = self.d
-        self.rows = [
-            other if i == r else _eliminate(other, pivot_row, s, p, d)
-            for i, other in enumerate(self.rows)
-        ]
-        self.obj = _eliminate(self.obj, pivot_row, s, p, d)
+        self.rows, p = pivot_rows(self.rows, r, s, self.d)
+        self.obj = eliminate(self.obj, self.rows[r], s, p, self.d)
         self.d = p
         self.basis[r] = s
 
@@ -157,15 +143,6 @@ class _Tableau:
             if var <= self.n:
                 x[var - 1] = Fraction(self.rows[i][0], self.d)
         return Fraction(self.obj[0], self.d * self.c_scale), x
-
-
-def _eliminate(other, pivot_row, col, p, d):
-    factor = other[col]
-    if factor:
-        return [(a * p - factor * b) // d for a, b in zip(other, pivot_row)]
-    if p != d:
-        return [a * p // d for a in other]
-    return other
 
 
 def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:

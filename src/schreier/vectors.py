@@ -2,9 +2,10 @@
 
 The norm of order k is the supremum of |x| summed over a member of S_k.
 Order 1 is computed by a per-minimum greedy that is exact; higher orders
-fall back to windowed enumeration.  Also provides the 1-set inventory, the
-coverage predicate, the second-best gap, and the decay-witness constructor
-used by the theorem-1 verifier, and the one scan of |x|-sums over a window.
+take the best of the one scan of |x|-sums over a window (admissible_sums)
+on [1, max supp x].  Also provides the 1-set inventory, the coverage
+predicate, the second-best gap, and the decay-witness constructor used by
+the theorem-1 verifier.
 """
 
 from collections.abc import Iterable, Mapping
@@ -147,8 +148,7 @@ def norm(x: Vector, k: int = 1) -> NormReport:
     if N > limit:
         raise CutoffExceeded(f"norm(order={k})", N, limit)
     best = NormReport(Fraction(0), ())
-    for F in enumerate_admissible(k, N):
-        total = sum((abs(x[i]) for i in F), Fraction(0))
+    for F, total in admissible_sums(x, N, k):
         if total > best.value:
             best = NormReport(total, F)
     return best
@@ -189,14 +189,14 @@ def _require_unit(x: Vector, op: str) -> None:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
 
 
-def admissible_sums(x: Vector, window: int) -> list[tuple[IndexSet, Fraction]]:
-    """(F, sum of |x| over F) for every nonempty admissible F in [1, window].
+def admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[IndexSet, Fraction]]:
+    """(F, sum of |x| over F) for every nonempty F of S_order in [1, window].
 
     Sets come in enumerate_admissible order, under its window cutoff.
     """
     return [
         (F, sum((abs(x[i]) for i in F), Fraction(0)))
-        for F in enumerate_admissible(1, window)
+        for F in enumerate_admissible(order, window)
         if F
     ]
 

@@ -15,6 +15,7 @@ from schreier.dual import (
     verify_thm2,
 )
 from schreier.extreme import enumerate_vertices
+from schreier.families import enumerate_admissible
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
@@ -187,6 +188,14 @@ def test_verify_thm2_small():
     assert report.max_bound == Fraction(1, 2)
     assert report.zero_trace_bound == 0
     assert report.bound_target == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_thm2_max_bound_covers_every_admissible_trace(n):
+    # Only traces with |G| = min G are listed; the bound over every
+    # admissible trace in [1, 2^n - 1] must still peak at max_bound.
+    everything = max(thm2_lambda_bound(G, n) for G in enumerate_admissible(1, 2**n - 1))
+    assert everything == verify_thm2(n).max_bound
 
 
 def test_verify_thm2_report_is_frozen():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from schreier.dd import DDPolytope, box_seed
-from schreier.linalg import nullspace_vector, rank, rref
+from schreier.linalg import nullspace_vector, rank
 from schreier.simplex import lp_max
 
 from conftest import solve_square, vertices_by_combination_search
@@ -17,26 +17,51 @@ def test_rank_basics():
     assert rank([[Fraction(1, 2), 0], [0, Fraction(1, 3)], [1, 1]]) == 2
 
 
-def test_rank_matches_rref(rng):
+def _random_rational_rows(rng, n_rows, n_cols):
+    """Small rational matrices: integer entries, with halves and thirds among them."""
+    return [
+        [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3])) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+
+
+def _sympy_matrix(sympy, rows, dim):
+    entries = [sympy.Rational(q.numerator, q.denominator) for row in rows for q in row]
+    return sympy.Matrix(len(rows), dim, entries)
+
+
+def test_rank_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
     for _ in range(100):
         n_rows = rng.randint(1, 6)
         n_cols = rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n_cols)] for _ in range(n_rows)]
-        reduced, pivots = rref(rows)
-        assert rank(rows) == len(pivots) == len(reduced)
+        rows = _random_rational_rows(rng, n_rows, n_cols)
+        assert rank(rows) == _sympy_matrix(sympy, rows, n_cols).rank()
 
 
 def test_nullspace_vector(rng):
+    # The kernel vector is pinned, not just checked: it must be sympy's first
+    # nullspace basis vector (1 at the first free column, 0 at the others).
+    # Perturbation witnesses and the golden reports depend on that choice.
+    sympy = pytest.importorskip("sympy")
+    assert nullspace_vector([], 3) == [1, 0, 0]
+    assert nullspace_vector([[0, 2, 4]], 3) == [1, 0, 0]
+    assert nullspace_vector([[1, 2, 4]], 3) == [-2, 1, 0]
+    assert nullspace_vector([[-2, 1]], 2) == [Fraction(1, 2), 1]
+    assert nullspace_vector([[1, 0], [0, Fraction(1, 3)]], 2) is None
     for _ in range(100):
         dim = rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(rng.randint(0, dim + 1))]
+        rows = _random_rational_rows(rng, rng.randint(0, dim + 1), dim)
         kernel = nullspace_vector(rows, dim)
+        basis = _sympy_matrix(sympy, rows, dim).nullspace()
         if kernel is None:
+            assert not basis
             assert rank(rows) == dim
-        else:
-            assert any(v != 0 for v in kernel)
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, kernel)) == 0
+            continue
+        assert kernel == [Fraction(int(q.p), int(q.q)) for q in basis[0]]
+        assert all(type(v) is Fraction for v in kernel)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, kernel)) == 0
 
 
 def test_solve_square():

@@ -279,6 +279,13 @@ def test_class_reps_known_members():
     assert bad5 in m5
 
 
+def test_class_counts():
+    # Extreme classes per tail size m; m = 6 needs the DD adjacency pre-filter
+    # to stay at desk speed.
+    counts = [len(_class_positive_vertices(m)) for m in range(1, 7)]
+    assert counts == [1, 1, 1, 4, 12, 49]
+
+
 def test_signed_constraint_validation():
     with pytest.raises(ValueError):
         SignedConstraint((1, 2), (1,))

@@ -3,7 +3,8 @@
 The integer order-1 greedy is checked against the power-set norm and against
 the greedy on Fractions it replaced; the warm-started simplex against the
 same LP given every row up front and against sympy's exact ``lpmax``; the
-lazy-cut dual norm by its witness.  Examples are derandomized so a run is
+lazy-cut dual norm by its witness; the vector file format by its
+parse/serialize round trip.  Examples are derandomized so a run is
 reproducible.
 """
 
@@ -17,6 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from schreier.dual import dual_norm_witness  # noqa: E402
 from schreier.families import index_set, is_admissible  # noqa: E402
+from schreier.rationals import format_rational, parse_rational  # noqa: E402
+from schreier.serialize import SPACE_DUAL, SPACE_PRIMAL, dumps_vector, loads_vector  # noqa: E402
 from schreier.simplex import lp_max  # noqa: E402
 from schreier.vectors import NormReport, Vector, norm  # noqa: E402
 
@@ -155,3 +158,21 @@ def test_dual_norm_witness_norms_the_functional(f):
     assert norm(x, 1).value <= 1
     assert f.dot(x) == value
     assert value >= max(abs(q) for _, q in f.items())  # each unit vector is in the ball
+
+
+@PROPERTY
+@given(st.fractions())
+def test_rational_format_then_parse_is_identity(q):
+    assert parse_rational(format_rational(q)) == q
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(1, 10**12), _rationals(10**12, 10**12), max_size=8).map(Vector),
+    st.sampled_from([SPACE_PRIMAL, SPACE_DUAL]),
+    st.integers(0, 5),
+)
+def test_vector_dump_then_load_is_identity(v, space, order):
+    text = dumps_vector(v, space, order)
+    assert loads_vector(text, space, order) == v
+    assert dumps_vector(loads_vector(text), space, order) == text
