@@ -92,11 +92,6 @@ def _sign(q: Fraction) -> int:
     return 1 if q >= 0 else -1
 
 
-def _tight_sets(e: Vector, N: int) -> list[IndexSet]:
-    """The admissible sets within [1, N] on which |e| sums to exactly 1."""
-    return [F for F, total in admissible_sums(e, N) if total == 1]
-
-
 def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     """All signed admissible sets within [1, N] that are tight at e.
 
@@ -106,8 +101,9 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     _require_unit(e, "active_constraints")
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
+    tight = [F for F, total in admissible_sums(e, N) if total == 1]
     out = []
-    for F in _tight_sets(e, N):
+    for F in tight:
         choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
         for signs in product(*choices):
             out.append(SignedConstraint(F, signs))
@@ -115,32 +111,34 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     return out
 
 
-def _active_rank_rows(e: Vector, tight: list[IndexSet], N: int) -> list[list[int]]:
-    """Rank-equivalent compact basis of the active constraints at e.
+def _active_rank_rows(e: Vector, sets: list[IndexSet], N: int) -> list[list[int]]:
+    """Rank-equivalent compact basis of the active constraints at e on [1, N].
 
-    A tight set F spans its support-signed indicator plus a unit row per
-    index of F off the support (both signs are tight there).
+    ``sets`` are the 1-sets of e.  A tight set of the window is a 1-set plus
+    zeros of e that the 1-set covers, and both signs are tight at a zero, so
+    the rows are the signed indicator of each 1-set and a unit row for each
+    zero of e in [1, N] that ``covered_by`` the 1-sets.
     """
     rows: list[list[int]] = []
-    units: set[int] = set()
-    for F in tight:
+    for F in sets:
         row = [0] * N
         for i in F:
-            if i in e:
-                row[i - 1] = _sign(e[i])
-            else:
-                units.add(i)
+            row[i - 1] = _sign(e[i])
         rows.append(row)
-    for z in sorted(units):
-        row = [0] * N
-        row[z - 1] = 1
-        rows.append(row)
+    for z in range(1, N + 1):
+        if z not in e and covered_by(sets, z):
+            row = [0] * N
+            row[z - 1] = 1
+            rows.append(row)
     return rows
 
 
-def _active_rank(e: Vector, N: int) -> int:
+def _active_rank(e: Vector, sets: list[IndexSet], N: int) -> int:
     """Rank of the active constraints at e on the window [1, N]."""
-    return rank(_active_rank_rows(e, _tight_sets(e, N), N))
+    # The rows grow with the window, not with the support: bound the window
+    # as a window scan would.
+    cutoffs.check("active rank window", N, cutoffs.admissible_enum_limit(1))
+    return rank(_active_rank_rows(e, sets, N))
 
 
 def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
@@ -148,7 +146,7 @@ def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
     _require_unit(e, "is_vertex")
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    r = _active_rank(e, N)
+    r = _active_rank(e, _one_sets(e), N)
     return r == N, r
 
 
@@ -198,31 +196,23 @@ def perturbation_witness(e: Vector, window: int) -> Vector | None:
     (preferring a plain uncovered coordinate), scaled by half the worst
     slack-to-action ratio, then re-verified against the norm oracle.
 
-    One scan of the window yields the tight sets (the rank rows), the slack
-    sets and the uncovered coordinates: the window indices in no tight set.
-    As S_1 is hereditary, i lies in a 1-set G or extends one admissibly
-    exactly when a tight set of the window contains i.  A tight set holds a
-    1-set plus zeros of e, and an admissible G + {i} with i outside G is
-    itself tight, since ||e|| = 1 keeps i off supp e.  If max supp e + 1 is
-    covered, so is every later index, so the first uncovered index is the
-    one that coverage over [1, max supp e + 1] finds.
-
-    An uncovered index is a zero column of the rank rows, so the rows are
-    rank-deficient whenever one exists.  Otherwise their kernel is trivial
-    exactly when they have full rank, and then no witness exists.
+    The 1-sets give the rank rows and the uncovered coordinates; one scan
+    of the window gives the slack sets.  An uncovered index is a zero column
+    of the rank rows, so the rows are rank-deficient whenever one exists.
+    Otherwise their kernel is trivial exactly when they have full rank, and
+    then no witness exists.
     """
     _require_unit(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
-    sums = admissible_sums(e, window)
-    tight = [F for F, total in sums if total == 1]
-    covered = set().union(*tight)
-    uncovered = [i for i in range(1, window + 1) if i not in covered]
+    sums = admissible_sums(e, window)  # first, so its cutoff bounds the window
+    sets = _one_sets(e)
+    uncovered = [i for i in range(1, window + 1) if not covered_by(sets, i)]
     if uncovered:
         direction = [Fraction(0)] * window
         direction[uncovered[0] - 1] = Fraction(1)
     else:
-        direction = nullspace_vector(_active_rank_rows(e, tight, window), window)
+        direction = nullspace_vector(_active_rank_rows(e, sets, window), window)
         if direction is None:
             return None
 
@@ -262,7 +252,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     _require_unit(e, "certify_extreme")
     N = e.max_index
     sets = _one_sets(e)
-    rank_n = _active_rank(e, N)
+    rank_n = _active_rank(e, sets, N)
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _necessary_conditions(e, sets).failed()
@@ -279,6 +269,13 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
 def canonical_key(v: Vector, N: int):
     """Deterministic vector order: by magnitude then sign, coordinatewise."""
     return tuple((abs(v[i]), 0 if v[i] >= 0 else 1) for i in range(1, N + 1))
+
+
+def _sign_patterns(v: Vector):
+    """v under every sign pattern of its support, all signs kept first."""
+    support = v.support
+    for signs in product((1, -1), repeat=len(support)):
+        yield Vector({i: s * v[i] for i, s in zip(support, signs)})
 
 
 def enumerate_vertices(N: int) -> list[Vector]:
@@ -299,15 +296,10 @@ def enumerate_vertices(N: int) -> list[Vector]:
     reps = []
     for vert in poly.vertices:
         v = Vector(dict(enumerate(vert.point, start=1)))
-        if v and _active_rank(v, N) == N:
+        if v and _active_rank(v, _one_sets(v), N) == N:
             reps.append(v)
 
-    out = []
-    for v in reps:
-        support = v.support
-        for signs in product((1, -1), repeat=len(support)):
-            flipped = Vector({i: s * v[i] for i, s in zip(support, signs)})
-            out.append(flipped)
+    out = [u for v in reps for u in _sign_patterns(v)]
     out.sort(key=lambda u: canonical_key(u, N))
     return out
 
@@ -479,9 +471,7 @@ def iter_extreme_in_space(N: int):
     each expanded over all sign patterns.  Deterministic but unsorted."""
     _check_extreme_cutoff(N)
     for v in _positive_extreme_points(N):
-        support = v.support
-        for signs in product((1, -1), repeat=len(support)):
-            yield Vector({i: s * v[i] for i, s in zip(support, signs)})
+        yield from _sign_patterns(v)
 
 
 def enumerate_extreme_in_space(N: int) -> list[Vector]:

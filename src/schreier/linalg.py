@@ -14,7 +14,7 @@ from math import lcm
 
 def cleared(values) -> tuple[list[int], int]:
     """The values times the LCM of their denominators, and that LCM."""
-    values = [Fraction(v) for v in values]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 

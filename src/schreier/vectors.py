@@ -11,11 +11,11 @@ the theorem-1 verifier.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
 from .families import IndexSet, enumerate_admissible, index_set, is_admissible
+from .linalg import cleared
 
 
 class Vector:
@@ -158,8 +158,8 @@ def _norm_order_one(x: Vector) -> NormReport:
     # For each candidate minimum m the best admissible sum is |x(m)| plus the
     # m-1 largest |x(i)| beyond m; ties in "largest" break to smaller index.
     # The sums run on |x| cleared to integers by the LCM of its denominators.
-    scale = lcm(*(q.denominator for _, q in x.items()))
-    size = {i: abs(q.numerator) * (scale // q.denominator) for i, q in x.items()}
+    values, scale = cleared(q for _, q in x.items())
+    size = {i: abs(n) for (i, _), n in zip(x.items(), values)}
     ranked = sorted(size, key=lambda i: (-size[i], i))
     best_value = -1
     best_witness: IndexSet = ()

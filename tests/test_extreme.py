@@ -4,11 +4,13 @@ from itertools import combinations, product
 
 import pytest
 
+from schreier.cutoffs import admissible_enum_limit
 from schreier.errors import CutoffExceeded
 from schreier.extreme import (
     EXTREME,
     NOT_EXTREME,
     SignedConstraint,
+    _active_rank_rows,
     _class_positive_vertices,
     _embed,
     active_constraints,
@@ -21,6 +23,8 @@ from schreier.extreme import (
     perturbation_witness,
     positive_extreme_points,
 )
+from schreier.families import enumerate_admissible
+from schreier.linalg import nullspace_vector, rank
 from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
 
 from conftest import (
@@ -56,6 +60,48 @@ def test_active_constraints_hold_at_the_point(rng):
         e = random_unit_vector(rng, max_index=5)
         for c in active_constraints(e, 6):
             assert c.value_at(e) == 1
+
+
+def test_active_rank_rows_match_the_signed_active_constraints():
+    # The rows built from the 1-sets and covered zeros span the same space as
+    # the full signed rows of every tight set in the window, so the rank and
+    # the reduced-echelon kernel vector agree.
+    rng = random.Random(808)
+    checked = 0
+    while checked < 150:
+        e = random_unit_vector(rng, max_index=6)
+        if len(e) == e.max_index:
+            continue  # no zero inside [1, max supp e]
+        checked += 1
+        sets = one_sets(e)
+        for N in range(e.max_index, e.max_index + 4):
+            full = []
+            for c in active_constraints(e, N):
+                row = [0] * N
+                for i, s in zip(c.indices, c.signs):
+                    row[i - 1] = s
+                full.append(row)
+            compact = _active_rank_rows(e, sets, N)
+            assert rank(compact) == rank(full)
+            assert nullspace_vector(compact, N) == nullspace_vector(full, N)
+
+
+def test_extreme_certificates_scan_no_window(monkeypatch):
+    import schreier.vectors
+
+    head, tail = _class_positive_vertices(4)[0]  # built before counting
+    embedded = _embed(head, tail, (6, 8, 9, 11))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(schreier.vectors, "enumerate_admissible", counted)
+    assert certify_extreme(E12).verdict == EXTREME
+    assert certify_extreme(embedded).verdict == EXTREME
+    assert is_vertex(E12, 2) == (True, 2)
+    assert calls == []
 
 
 def test_is_vertex_examples():
@@ -122,6 +168,18 @@ def test_enumerate_vertices_censuses():
 def test_enumerate_vertices_cutoff():
     with pytest.raises(CutoffExceeded):
         enumerate_vertices(7)
+
+
+def test_far_windows_stop_at_the_window_cutoff():
+    # The rank rows grow with the window, so a far support index or window
+    # is refused rather than eliminated.
+    beyond = admissible_enum_limit(1) + 1
+    with pytest.raises(CutoffExceeded):
+        certify_extreme(Vector({1: 1, beyond: 1}))
+    with pytest.raises(CutoffExceeded):
+        is_vertex(E12, beyond)
+    with pytest.raises(CutoffExceeded):
+        perturbation_witness(E12, beyond)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
