@@ -115,7 +115,12 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
         raise UnitNormRequired(f"lambda_pair_dual needs dual norm <= 1; got {nx}")
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
-    lam, _ = max_feasible_weight(x_star, e_star, dual_norm_witness)
+
+    def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
+        value, g = dual_norm_witness(x_star - t * e_star)
+        return value, g, g.dot(x_star), g.dot(e_star)
+
+    lam, _ = max_feasible_weight(x_star, e_star, oracle)
     if lam < 1:
         check = dual_norm(x_star - lam * e_star)
         if check > 1 - lam:

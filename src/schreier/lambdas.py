@@ -4,7 +4,9 @@ decay-bound verifier for the theorem-1 construction.
 The feasibility function h(t) = ||x - t e|| + t - 1 is convex piecewise
 linear, so the largest feasible weight is found by Newton steps from the
 right: each step evaluates the norm, takes the achieved admissible signed
-sum as a global affine minorant, and jumps to that piece's root.  Every
+sum as a global affine minorant, and jumps to that piece's root.  For the
+primal norm the steps run on integers along the line x - t e: x and e are
+cleared once per pair and the order-1 greedy runs on q L (x - t e).  Every
 answer is re-verified against the norm oracle and comes with the binding
 constraint whose positive slope certifies infeasibility above the answer.
 """
@@ -24,7 +26,8 @@ from .extreme import (
     positive_extreme_points,
 )
 from .families import IndexSet, index_set, is_admissible
-from .vectors import Vector, admissible_sums, covers_index, make_thm1_vector, norm, one_sets
+from .linalg import cleared
+from .vectors import Vector, _greedy, admissible_sums, covers_index, make_thm1_vector, norm, one_sets
 
 
 @dataclass
@@ -38,8 +41,9 @@ class LambdaResult:
 def max_feasible_weight(x: Vector, e: Vector, oracle) -> tuple[Fraction, Vector | None]:
     """Largest t in [0, 1] with oracle-norm(x - t e) <= 1 - t.
 
-    oracle(v) returns (value, g) where g is a functional with <g, v> = value
-    and <g, u> <= oracle-norm(u) for every u.  Also returns the binding
+    oracle(t) returns (value, g, a, b): value is the norm of x - t e, g a
+    functional with <g, x - t e> = value and <g, u> <= oracle-norm(u) for
+    every u, a = <g, x> and b = <g, e>.  Also returns the binding
     functional certifying that no larger t is feasible (None when t = 1).
     """
     if x == e:
@@ -47,13 +51,11 @@ def max_feasible_weight(x: Vector, e: Vector, oracle) -> tuple[Fraction, Vector 
     lam = Fraction(1)
     binding = None
     while True:
-        value, g = oracle(x - lam * e)
+        value, g, a, b = oracle(lam)
         if value <= 1 - lam:
             if value != 1 - lam and binding is not None:
                 raise RuntimeError(f"oracle value {value} is below its own minorant {1 - lam}")
             return lam, binding
-        a = g.dot(x)
-        b = g.dot(e)
         if b >= 1:
             raise RuntimeError("a violated piece must have positive slope")
         new_lam = (1 - a) / (1 - b)
@@ -63,10 +65,28 @@ def max_feasible_weight(x: Vector, e: Vector, oracle) -> tuple[Fraction, Vector 
         binding = g
 
 
-def _primal_oracle(v: Vector) -> tuple[Fraction, Vector]:
-    report = norm(v, 1)
-    g = Vector({i: (1 if v[i] > 0 else -1) for i in report.witness if v[i] != 0})
-    return report.value, g
+def _primal_line(x: Vector, e: Vector):
+    """The order-1 norm along x - t e, as an oracle(t) for max_feasible_weight.
+
+    x and e are cleared once over one LCM L.  At t = p/q the greedy runs on
+    the integers q L (x - t e), a positive rescaling of |x - t e|, so value
+    and witness are those of norm(x - t e); a and b are integer sums over L.
+    """
+    indices = sorted(set(x.support) | set(e.support))
+    values, scale = cleared([x[i] for i in indices] + [e[i] for i in indices])
+    cx = dict(zip(indices, values))
+    ce = dict(zip(indices, values[len(indices):]))
+
+    def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
+        p, q = t.numerator, t.denominator
+        line = {i: q * cx[i] - p * ce[i] for i in indices}
+        value, witness = _greedy({i: abs(v) for i, v in line.items() if v})
+        signs = {i: 1 if line[i] > 0 else -1 for i in witness}
+        a = sum(s * cx[i] for i, s in signs.items())
+        b = sum(s * ce[i] for i, s in signs.items())
+        return Fraction(value, q * scale), Vector(signs), Fraction(a, scale), Fraction(b, scale)
+
+    return oracle
 
 
 def _tight_constraints(v: Vector, level: Fraction, window: int) -> list[SignedConstraint]:
@@ -86,7 +106,7 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     ne = norm(e, 1).value
     if ne != 1:
         raise UnitNormRequired(f"lambda_pair needs ||e|| = 1; got {ne}")
-    lam, _ = max_feasible_weight(x, e, _primal_oracle)
+    lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])
     v = x - lam * e
@@ -128,7 +148,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     best_lam = Fraction(-1)
     best_e = None
     for e in iter_extreme_in_space(window):
-        lam, _ = max_feasible_weight(x, e, _primal_oracle)
+        lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
         if lam > best_lam:
             best_lam = lam
             best_e = e
@@ -216,7 +236,7 @@ def _verify_thm1(n: int, window: int) -> Thm1Report:
     violations: list[tuple[Vector, Fraction]] = []
     max_lam = Fraction(0)
     for e in pool:
-        lam, _ = max_feasible_weight(x, e, _primal_oracle)
+        lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
         if lam > max_lam:
             max_lam = lam
         if lam > bound:

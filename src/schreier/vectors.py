@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
-from .families import IndexSet, enumerate_admissible, index_set, is_admissible
+from .families import IndexSet, enumerate_admissible, index_set
 from .linalg import cleared
 
 
@@ -155,15 +155,25 @@ def norm(x: Vector, k: int = 1) -> NormReport:
 
 
 def _norm_order_one(x: Vector) -> NormReport:
-    # For each candidate minimum m the best admissible sum is |x(m)| plus the
-    # m-1 largest |x(i)| beyond m; ties in "largest" break to smaller index.
-    # The sums run on |x| cleared to integers by the LCM of its denominators.
+    # The greedy runs on |x| cleared to integers by the LCM of its denominators.
     values, scale = cleared(q for _, q in x.items())
-    size = {i: abs(n) for (i, _), n in zip(x.items(), values)}
+    value, witness = _greedy({i: abs(n) for (i, _), n in zip(x.items(), values)})
+    return NormReport(Fraction(value, scale), witness)
+
+
+def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
+    """The order-1 norm of the nonzero integer sizes {i: |x(i)|} and its set.
+
+    For each candidate minimum m the best admissible sum is size[m] plus the
+    m-1 largest sizes beyond m; ties in "largest" break to smaller index.
+    A positive rescaling of every size keeps the ranking, ties and witness.
+    """
+    if not size:
+        return 0, ()
     ranked = sorted(size, key=lambda i: (-size[i], i))
     best_value = -1
     best_witness: IndexSet = ()
-    for m in range(1, x.max_index + 1):
+    for m in range(1, max(size) + 1):
         take = m - 1
         chosen = []
         if take > 0:
@@ -180,7 +190,7 @@ def _norm_order_one(x: Vector) -> NormReport:
         if value > best_value:
             best_value = value
             best_witness = index_set(witness)
-    return NormReport(Fraction(best_value, scale), best_witness)
+    return best_value, best_witness
 
 
 def _require_unit(x: Vector, op: str) -> None:
@@ -202,17 +212,19 @@ def admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[IndexS
 
 
 def _admissible_support_subsets(x: Vector, op: str):
-    """(subset, sum of |x| over it) for admissible subsets of supp x, lazily.
+    """(scale, subsets): the LCM of the denominators of x, and a lazy scan of
+    (subset, sum of scale * |x| over it) over the admissible subsets of supp x.
 
-    Raises at once, before any subset is scanned, when the support is over
-    its cutoff.
+    The sums are integers.  Raises at once, before any subset is scanned,
+    when the support is over its cutoff.
     """
     cutoffs.check(f"{op} support size", len(x), cutoffs.support_subset_limit())
     support = x.support
-    values = [abs(x[i]) for i in support]
+    values, scale = cleared(q for _, q in x.items())
+    values = [abs(v) for v in values]
     n = len(support)
 
-    def rec(start: int, chosen: list[int], total: Fraction, capacity: int):
+    def rec(start: int, chosen: list[int], total: int, capacity: int):
         yield tuple(chosen), total
         if len(chosen) >= capacity and chosen:
             return
@@ -226,7 +238,7 @@ def _admissible_support_subsets(x: Vector, op: str):
             yield from rec(pos + 1, chosen, total + values[pos], cap)
             chosen.pop()
 
-    return rec(0, [], Fraction(0), n + 1)
+    return scale, rec(0, [], 0, n + 1)
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
@@ -237,15 +249,19 @@ def one_sets(x: Vector) -> list[IndexSet]:
 
 def _one_sets(x: Vector) -> list[IndexSet]:
     """one_sets for a vector already checked to be a unit vector."""
-    found = [F for F, total in _admissible_support_subsets(x, "one_sets")
-             if F and total == 1]
+    scale, subsets = _admissible_support_subsets(x, "one_sets")
+    found = [F for F, total in subsets if F and total == scale]
     found.sort()
     return found
 
 
 def covered_by(sets: list[IndexSet], i: int) -> bool:
-    """True when i lies in one of the 1-sets or extends one admissibly."""
-    return any(i in G or is_admissible(G + (i,)) for G in sets)
+    """True when i lies in one of the 1-sets or extends one admissibly.
+
+    For i outside a nonempty G, G + {i} is admissible exactly when its
+    minimum min(G[0], i) exceeds len(G).
+    """
+    return any(i in G or min(G[0], i) > len(G) for G in sets)
 
 
 def covers_index(x: Vector, i: int) -> bool:
@@ -259,11 +275,12 @@ def covers_index(x: Vector, i: int) -> bool:
 def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
     _require_unit(x, "eps_gap")
-    second = Fraction(0)
-    for _, total in _admissible_support_subsets(x, "eps_gap"):
-        if second < total < 1:
+    scale, subsets = _admissible_support_subsets(x, "eps_gap")
+    second = 0
+    for _, total in subsets:
+        if second < total < scale:
             second = total
-    return 1 - second
+    return 1 - Fraction(second, scale)
 
 
 def make_thm1_vector(n: int) -> Vector:

@@ -70,6 +70,30 @@ def vertices_by_combination_search(dim, rows):
     return found
 
 
+def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vector | None, list[Fraction]]:
+    """Newton search on Fraction Vectors with norm(x - t e) as the oracle.
+
+    The reference the integer line oracle of schreier.lambdas is checked
+    against: every step forms x - t e and takes its order-1 norm and two
+    Fraction dot products.  Returns the weight, the binding functional and
+    the Newton iterates.
+    """
+    if x == e:
+        return Fraction(1), None, [Fraction(1)]
+    lam = Fraction(1)
+    binding = None
+    iterates = [lam]
+    while True:
+        v = x - lam * e
+        report = norm(v, 1)
+        if report.value <= 1 - lam:
+            return lam, binding, iterates
+        g = Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
+        lam = (1 - g.dot(x)) / (1 - g.dot(e))
+        binding = g
+        iterates.append(lam)
+
+
 def random_fraction(rng, max_num=100, max_den=100, allow_zero=True):
     num = rng.randint(-max_num, max_num)
     if not allow_zero and num == 0:

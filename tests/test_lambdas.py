@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from schreier.errors import UnitNormRequired
+from schreier.extreme import iter_extreme_in_space, positive_extreme_points
 from schreier.lambdas import (
+    _primal_line,
     alpha_pattern_vector,
     expected_one_sets,
     gap_bound,
@@ -15,7 +17,7 @@ from schreier.lambdas import (
 )
 from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
 
-from conftest import random_unit_vector
+from conftest import random_unit_vector, random_vector, reference_max_feasible_weight
 
 E1 = Vector.unit(1)
 E12 = Vector({1: 1, 2: 1})
@@ -67,8 +69,9 @@ def test_lambda_pair_requires_ball_and_sphere():
 def test_max_feasible_weight_rejects_a_piece_without_positive_slope(slope):
     # A violated piece whose functional pairs to >= 1 with e has no root
     # below the current weight; the invariant check must survive python -O.
-    def oracle(v):
-        return Fraction(2), Vector({2: slope})
+    def oracle(t):
+        g = Vector({2: slope})
+        return Fraction(2), g, g.dot(E1), g.dot(Vector.unit(2))
 
     with pytest.raises(RuntimeError, match="positive slope"):
         max_feasible_weight(E1, Vector.unit(2), oracle)
@@ -192,6 +195,58 @@ def test_lambda_pair_matches_root_scan_oracle(rng):
         x = random_unit_vector(rng, max_index=4) * Fraction(2, 3)
         e = random_unit_vector(rng, max_index=4)
         assert lambda_pair(x, e).lam == _lambda_oracle(x, e)
+
+
+def _norm_functional(v):
+    """norm(v) and the sign functional on its witness."""
+    report = norm(v, 1)
+    return report.value, Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
+
+
+def test_primal_line_oracle_matches_the_norm_along_the_line(rng):
+    # Small numerators and denominators force ties in the greedy's ranking.
+    checked = 0
+    for _ in range(150):
+        x = random_vector(rng, max_index=7, max_num=3, max_den=4)
+        if x:
+            x = x * (Fraction(rng.randint(1, 3), 3) / norm(x, 1).value)
+        e = random_unit_vector(rng, max_index=7)
+        _, _, iterates = reference_max_feasible_weight(x, e)
+        zeroing = [x[i] / e[i] for i in e.support if i in x]
+        oracle = _primal_line(x, e)
+        for t in iterates + zeroing:
+            value, g, a, b = oracle(t)
+            assert (value, g) == _norm_functional(x - t * e)
+            assert a == g.dot(x) and b == g.dot(e)
+            checked += 1
+    assert checked > 300
+
+
+def test_newton_weights_and_bindings_match_the_reference(rng):
+    for _ in range(80):
+        x = random_unit_vector(rng, max_index=5) * Fraction(rng.randint(1, 4), 4)
+        e = random_unit_vector(rng, max_index=5)
+        lam, binding, _ = reference_max_feasible_weight(x, e)
+        assert max_feasible_weight(x, e, _primal_line(x, e)) == (lam, binding)
+        assert lambda_pair(x, e).lam == lam
+
+
+def test_lambda_lower_matches_the_reference(rng):
+    for x in [E1, X4, random_unit_vector(rng, max_index=6)]:
+        best_lam, best_e = Fraction(-1), None
+        for e in iter_extreme_in_space(6):
+            lam, _, _ = reference_max_feasible_weight(x, e)
+            if lam > best_lam:
+                best_lam, best_e = lam, e
+        assert lambda_lower(x, 6) == (best_lam, best_e)
+
+
+def test_thm1_pool_weights_and_bindings_match_the_reference():
+    pool = positive_extreme_points(10)
+    assert len(pool) == 365
+    for e in pool:
+        lam, binding, _ = reference_max_feasible_weight(X4, e)
+        assert max_feasible_weight(X4, e, _primal_line(X4, e)) == (lam, binding)
 
 
 def test_lambda_lower_examples():

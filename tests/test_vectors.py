@@ -6,6 +6,7 @@ from schreier.errors import UnitNormRequired
 from schreier.extreme import certify_extreme, necessary_conditions
 from schreier.vectors import (
     Vector,
+    _greedy,
     covers_index,
     eps_gap,
     make_thm1_vector,
@@ -60,6 +61,10 @@ def test_norm_examples():
 def test_norm_zero_vector():
     assert norm(Vector.zero(), 1).value == 0
     assert norm(Vector.zero(), 1).witness == ()
+
+
+def test_greedy_of_no_sizes_is_the_zero_norm():
+    assert _greedy({}) == (0, ())
 
 
 def test_norm_order_zero():
