@@ -26,8 +26,8 @@ from itertools import combinations, permutations, product
 from . import cutoffs
 from .dd import DDPolytope, box_seed
 from .families import IndexSet, enumerate_admissible, maximal_members
-from .linalg import nullspace_vector, rank
-from .vectors import Vector, _one_sets, _require_unit, admissible_sums, covered_by, norm
+from .linalg import cleared, nullspace_vector, rank
+from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -101,9 +101,8 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     _require_unit(e, "active_constraints")
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    tight = [F for F, total in admissible_sums(e, N) if total == 1]
     out = []
-    for F in tight:
+    for F in _tight_sets(e, N):
         choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
         for signs in product(*choices):
             out.append(SignedConstraint(F, signs))
@@ -189,7 +188,9 @@ def _necessary_conditions(e: Vector, sets: list[IndexSet]) -> NecessaryCondition
     )
 
 
-def perturbation_witness(e: Vector, window: int) -> Vector | None:
+def perturbation_witness(
+    e: Vector, window: int, *, sets: list[IndexSet] | None = None
+) -> Vector | None:
     """Nonzero w with ||e+w|| <= 1 and ||e-w|| <= 1, if one exists.
 
     Uses a null direction of the active constraints over [1, window]
@@ -200,38 +201,47 @@ def perturbation_witness(e: Vector, window: int) -> Vector | None:
     of the window gives the slack sets.  An uncovered index is a zero column
     of the rank rows, so the rows are rank-deficient whenever one exists.
     Otherwise their kernel is trivial exactly when they have full rank, and
-    then no witness exists.
+    then no witness exists.  A caller that has checked that e is a unit
+    vector and found its 1-sets passes them as ``sets``; both steps are
+    then skipped.
     """
-    _require_unit(e, "perturbation_witness")
+    if sets is None:
+        _require_unit(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
-    sums = admissible_sums(e, window)  # first, so its cutoff bounds the window
-    sets = _one_sets(e)
+    scale, sums = admissible_sums(e, window)  # first, so its cutoff bounds the window
+    if sets is None:
+        sets = _one_sets(e)
     uncovered = [i for i in range(1, window + 1) if not covered_by(sets, i)]
     if uncovered:
-        direction = [Fraction(0)] * window
-        direction[uncovered[0] - 1] = Fraction(1)
+        direction = [0] * window
+        direction[uncovered[0] - 1] = 1
     else:
-        direction = nullspace_vector(_active_rank_rows(e, sets, window), window)
-        if direction is None:
+        kernel = nullspace_vector(_active_rank_rows(e, sets, window), window)
+        if kernel is None:
             return None
+        direction, _ = cleared(kernel)
 
-    # Scale: keep signed sums of tight sets exact (signs must not flip) and
-    # keep every slack set slack.
-    bounds = [Fraction(1)]
-    for i, q in enumerate(direction, start=1):
-        if q != 0 and i in e:
-            bounds.append(abs(e[i]) / (2 * abs(q)))
+    # w = s * direction.  Bound s so that no sign of e flips (the signed sums
+    # of tight sets stay exact) and every slack set stays slack.  The slack
+    # bound of F is (scale - total) / (2 scale action), with the integer
+    # action of the direction on F; the least (scale - total) / action is
+    # found on integers.  A nonzero coordinate j of the direction always
+    # gives a bound, from e_j or from the slack singleton {j}.
+    bounds = [abs(e[i]) / (2 * abs(d)) for i, d in enumerate(direction, start=1) if d and i in e]
+    act = [0] + [abs(d) for d in direction]
+    at = act.__getitem__
+    least = None  # (slack, action) with the least ratio so far
     for F, total in sums:
-        if total == 1:
+        if total == scale:
             continue
-        action = sum((abs(direction[i - 1]) for i in F), Fraction(0))
-        if action > 0:
-            bounds.append((1 - total) / (2 * action))
-    t = min(bounds)
-    w = Vector({i: t * q for i, q in enumerate(direction, start=1) if q != 0})
-    if not w:
-        return None
+        a = sum(map(at, F))
+        if a and (least is None or (scale - total) * least[1] < least[0] * a):
+            least = (scale - total, a)
+    if least is not None:
+        bounds.append(Fraction(least[0], 2 * scale * least[1]))
+    s = min(bounds)
+    w = Vector({i: s * d for i, d in enumerate(direction, start=1) if d})
     plus = norm(e + w, 1).value
     minus = norm(e - w, 1).value
     if plus > 1 or minus > 1:
@@ -256,7 +266,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _necessary_conditions(e, sets).failed()
-    witness = perturbation_witness(e, N + 3)
+    witness = perturbation_witness(e, N + 3, sets=sets)
     verdict = NOT_EXTREME if witness is not None or failed else VERTEX_ONLY
     return ExtremenessCertificate(verdict, rank_n, N, witness, failed)
 

@@ -27,7 +27,7 @@ from .extreme import (
 )
 from .families import IndexSet, index_set, is_admissible
 from .linalg import cleared
-from .vectors import Vector, _greedy, admissible_sums, covers_index, make_thm1_vector, norm, one_sets
+from .vectors import Vector, _greedy, _tight_sets, covers_index, make_thm1_vector, norm, one_sets
 
 
 @dataclass
@@ -89,15 +89,6 @@ def _primal_line(x: Vector, e: Vector):
     return oracle
 
 
-def _tight_constraints(v: Vector, level: Fraction, window: int) -> list[SignedConstraint]:
-    out = []
-    for F, total in admissible_sums(v, window):
-        if total == level:
-            signs = tuple(1 if v[i] >= 0 else -1 for i in F)
-            out.append(SignedConstraint(F, signs))
-    return out
-
-
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda."""
     nx = norm(x, 1).value
@@ -114,8 +105,14 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     if check > 1 - lam:
         raise RuntimeError(f"lambda verification failed: ||x-le|| = {check} > {1 - lam}")
     residual = v / (1 - lam)
+    # v sums to 1 - lam over F exactly when the residual sums to 1 over F.
+    # Signs follow v; a zero of v gets +1.
     window = max(x.max_index, e.max_index, 1)
-    binding = _tight_constraints(v, 1 - lam, window)
+    sign = {i: 1 if q > 0 else -1 for i, q in residual.items()}
+    binding = [
+        SignedConstraint(F, tuple(sign.get(i, 1) for i in F))
+        for F in _tight_sets(residual, window)
+    ]
     return LambdaResult(lam, e, residual, binding)
 
 

@@ -3,9 +3,12 @@
 The norm of order k is the supremum of |x| summed over a member of S_k.
 Order 1 is computed by a per-minimum greedy that is exact; higher orders
 take the best of the one scan of |x|-sums over a window (admissible_sums)
-on [1, max supp x].  Also provides the 1-set inventory, the coverage
-predicate, the second-best gap, and the decay-witness constructor used by
-the theorem-1 verifier.
+on [1, max supp x].  Both scans of sums, over the sets of a window and over
+the admissible subsets of the support, clear |x| once by the LCM of its
+denominators and sum integers, so a caller compares a total with that scale
+where it would compare a rational sum with 1.  Also provides the 1-set
+inventory, the coverage predicate, the second-best gap, and the
+decay-witness constructor used by the theorem-1 verifier.
 """
 
 from collections.abc import Iterable, Mapping
@@ -16,6 +19,9 @@ from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
 from .families import IndexSet, enumerate_admissible, index_set
 from .linalg import cleared
+
+
+_ZERO = Fraction(0)
 
 
 class Vector:
@@ -65,7 +71,7 @@ class Vector:
         return self._items
 
     def __getitem__(self, i: int) -> Fraction:
-        return self._coords.get(i, Fraction(0))
+        return self._coords.get(i, _ZERO)
 
     def __contains__(self, i: int) -> bool:
         return i in self._coords
@@ -89,7 +95,7 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         coords = dict(self._coords)
         for i, q in other._items:
-            coords[i] = coords.get(i, Fraction(0)) + q
+            coords[i] = coords.get(i, _ZERO) + q
         return Vector(coords)
 
     def __sub__(self, other: "Vector") -> "Vector":
@@ -147,11 +153,12 @@ def norm(x: Vector, k: int = 1) -> NormReport:
     limit = cutoffs.admissible_enum_limit(k)
     if N > limit:
         raise CutoffExceeded(f"norm(order={k})", N, limit)
-    best = NormReport(Fraction(0), ())
-    for F, total in admissible_sums(x, N, k):
-        if total > best.value:
-            best = NormReport(total, F)
-    return best
+    scale, sums = admissible_sums(x, N, k)
+    best, witness = 0, ()
+    for F, total in sums:
+        if total > best:
+            best, witness = total, F
+    return NormReport(Fraction(best, scale), witness)
 
 
 def _norm_order_one(x: Vector) -> NormReport:
@@ -199,16 +206,27 @@ def _require_unit(x: Vector, op: str) -> None:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
 
 
-def admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[IndexSet, Fraction]]:
-    """(F, sum of |x| over F) for every nonempty F of S_order in [1, window].
+def admissible_sums(x: Vector, window: int, order: int = 1) -> tuple[int, list[tuple[IndexSet, int]]]:
+    """(scale, sums): the LCM of the denominators of x, and (F, sum of
+    scale * |x| over F) for every nonempty F of S_order in [1, window].
 
-    Sets come in enumerate_admissible order, under its window cutoff.
+    The sums are integers: |x| sums to exactly 1 over F when its total is
+    scale.  Sets come in enumerate_admissible order, under its window cutoff.
     """
-    return [
-        (F, sum((abs(x[i]) for i in F), Fraction(0)))
-        for F in enumerate_admissible(order, window)
-        if F
-    ]
+    sets = enumerate_admissible(order, window)
+    values, scale = cleared(q for _, q in x.items())
+    size = [0] * (window + 1)
+    for (i, _), v in zip(x.items(), values):
+        if i <= window:
+            size[i] = abs(v)
+    at = size.__getitem__
+    return scale, [(F, sum(map(at, F))) for F in sets if F]
+
+
+def _tight_sets(x: Vector, window: int) -> list[IndexSet]:
+    """The nonempty sets of S_1 in [1, window] on which |x| sums to exactly 1."""
+    scale, sums = admissible_sums(x, window)
+    return [F for F, total in sums if total == scale]
 
 
 def _admissible_support_subsets(x: Vector, op: str):

@@ -9,6 +9,7 @@ logic are checked against arithmetic that cannot share their bugs.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,45 @@ def powerset_admissible(N):
             if cand[0] >= size:
                 out.append(cand)
     return out
+
+
+@lru_cache(maxsize=None)
+def in_schreier_family(F: tuple[int, ...], k: int) -> bool:
+    """Membership of the increasing tuple F in S_k from the definition.
+
+    S_0 holds the sets of size at most one, S_1 those with min F >= |F|, and
+    F is in S_(k+1) when it splits into at most min F consecutive blocks,
+    each in S_k.
+    """
+    if not F:
+        return True
+    if k == 0:
+        return len(F) <= 1
+    if k == 1:
+        return F[0] >= len(F)
+
+    def tiles(rest, blocks):
+        if not rest:
+            return True
+        return blocks > 0 and any(
+            in_schreier_family(rest[:j], k - 1) and tiles(rest[j:], blocks - 1)
+            for j in range(1, len(rest) + 1)
+        )
+
+    return tiles(F, F[0])
+
+
+def reference_admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(F, sum of |x| over F) in Fractions for every nonempty F of S_order
+    in [1, window], in lexicographic order: the sums admissible_sums clears."""
+    universe = range(1, window + 1)
+    sets = sorted(
+        F
+        for size in range(1, window + 1)
+        for F in combinations(universe, size)
+        if in_schreier_family(F, order)
+    )
+    return [(F, sum((abs(x[i]) for i in F), Fraction(0))) for F in sets]
 
 
 def brute_norm(x: Vector) -> Fraction:

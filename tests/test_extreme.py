@@ -24,12 +24,14 @@ from schreier.extreme import (
     positive_extreme_points,
 )
 from schreier.families import enumerate_admissible
+from schreier.lambdas import lambda_pair
 from schreier.linalg import nullspace_vector, rank
-from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
+from schreier.vectors import Vector, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
     powerset_admissible,
     random_unit_vector,
+    reference_admissible_sums,
     solve_square,
     vertices_by_combination_search,
 )
@@ -130,6 +132,64 @@ def test_perturbation_witness_examples():
     assert w is not None and w[4] != 0
 
 
+def _reference_witness(e, window):
+    """perturbation_witness in Fractions: the same direction q, scaled by the
+    least of 1, |e_i| / (2 |q_i|) and (1 - sum) / (2 action) over the slack
+    sets of reference_admissible_sums."""
+    sets = one_sets(e)
+    uncovered = [i for i in range(1, window + 1) if not covered_by(sets, i)]
+    if uncovered:
+        q = [Fraction(0)] * window
+        q[uncovered[0] - 1] = Fraction(1)
+    else:
+        q = nullspace_vector(_active_rank_rows(e, sets, window), window)
+        if q is None:
+            return None
+    bounds = [Fraction(1)]
+    bounds += [abs(e[i]) / (2 * abs(qi)) for i, qi in enumerate(q, start=1) if qi and i in e]
+    for F, total in reference_admissible_sums(e, window):
+        action = sum(abs(q[i - 1]) for i in F)
+        if total != 1 and action:
+            bounds.append((1 - total) / (2 * action))
+    t = min(bounds)
+    return Vector({i: t * qi for i, qi in enumerate(q, start=1) if qi})
+
+
+def test_perturbation_witness_scale_is_the_fraction_slack_minimum():
+    rng = random.Random(909)
+    found = 0
+    for _ in range(300):
+        e = random_unit_vector(rng, max_index=6)
+        window = e.max_index + rng.randint(0, 3)
+        w = perturbation_witness(e, window)
+        assert w == _reference_witness(e, window)
+        found += w is not None
+    assert found > 200
+
+
+def test_not_extreme_path_checks_the_unit_norm_and_one_sets_once(monkeypatch):
+    import schreier.extreme
+    import schreier.vectors
+
+    norms, scans = [], []
+    find_one_sets = schreier.extreme._one_sets
+
+    def counted_norm(v, k=1):
+        norms.append(v)
+        return norm(v, k)
+
+    def counted_one_sets(v):
+        scans.append(v)
+        return find_one_sets(v)
+
+    monkeypatch.setattr(schreier.vectors, "norm", counted_norm)
+    monkeypatch.setattr(schreier.extreme, "_one_sets", counted_one_sets)
+    cert = certify_extreme(X5)
+    assert cert.verdict == NOT_EXTREME
+    assert norms == [X5] and scans == [X5]
+    assert cert.witness == _reference_witness(X5, X5.max_index + 3)
+
+
 def test_perturbation_witness_window_check():
     with pytest.raises(ValueError):
         perturbation_witness(X5, 5)
@@ -180,6 +240,10 @@ def test_far_windows_stop_at_the_window_cutoff():
         is_vertex(E12, beyond)
     with pytest.raises(CutoffExceeded):
         perturbation_witness(E12, beyond)
+    with pytest.raises(CutoffExceeded):
+        active_constraints(E12, beyond)
+    with pytest.raises(CutoffExceeded):
+        lambda_pair(E1, Vector({1: 1, beyond: 1}))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

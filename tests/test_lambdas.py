@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from schreier.errors import UnitNormRequired
-from schreier.extreme import iter_extreme_in_space, positive_extreme_points
+from schreier.extreme import (
+    SignedConstraint,
+    _class_positive_vertices,
+    _embed,
+    iter_extreme_in_space,
+    positive_extreme_points,
+)
 from schreier.lambdas import (
     _primal_line,
     alpha_pattern_vector,
@@ -17,7 +23,12 @@ from schreier.lambdas import (
 )
 from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
 
-from conftest import random_unit_vector, random_vector, reference_max_feasible_weight
+from conftest import (
+    random_unit_vector,
+    random_vector,
+    reference_admissible_sums,
+    reference_max_feasible_weight,
+)
 
 E1 = Vector.unit(1)
 E12 = Vector({1: 1, 2: 1})
@@ -229,6 +240,39 @@ def test_newton_weights_and_bindings_match_the_reference(rng):
         lam, binding, _ = reference_max_feasible_weight(x, e)
         assert max_feasible_weight(x, e, _primal_line(x, e)) == (lam, binding)
         assert lambda_pair(x, e).lam == lam
+
+
+def _placed_extreme_point(rng, index_max):
+    """A known extreme point: a class of tail size m placed on a random legal
+    tail in [m + 1, index_max], its tail values permuted and signs flipped."""
+    m = rng.randint(1, index_max // 2)
+    head, tail = rng.choice(_class_positive_vertices(m))
+    F = sorted(rng.sample(range(m + 1, index_max + 1), m))
+    e = _embed(head, rng.sample(tail, m), F)
+    return e.flip_signs(i for i in e.support if rng.random() < 0.5)
+
+
+def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
+    # The binding sets are the sets of the window on which |x - lam e| sums
+    # to 1 - lam, signed like x - lam e with +1 at a zero.
+    bound = 0
+    for n in range(150):
+        x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
+        e = _placed_extreme_point(rng, 8) if n % 2 else random_unit_vector(rng, max_index=7)
+        result = lambda_pair(x, e)
+        if result.lam == 1:
+            assert result.binding == []
+            continue
+        v = x - result.lam * e
+        window = max(x.max_index, e.max_index)
+        expected = [
+            SignedConstraint(F, tuple(1 if v[i] >= 0 else -1 for i in F))
+            for F, total in reference_admissible_sums(v, window)
+            if total == 1 - result.lam
+        ]
+        assert result.binding == expected
+        bound += bool(expected)
+    assert bound > 100
 
 
 def test_lambda_lower_matches_the_reference(rng):

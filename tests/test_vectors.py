@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from schreier.extreme import certify_extreme, necessary_conditions
 from schreier.vectors import (
     Vector,
     _greedy,
+    admissible_sums,
     covers_index,
     eps_gap,
     make_thm1_vector,
@@ -14,7 +16,7 @@ from schreier.vectors import (
     one_sets,
 )
 
-from conftest import brute_norm, random_unit_vector, random_vector
+from conftest import brute_norm, random_unit_vector, random_vector, reference_admissible_sums
 
 HALF = Fraction(1, 2)
 X5 = make_thm1_vector(5)
@@ -159,6 +161,24 @@ def test_eps_gap_is_second_best(rng):
             if second < total < 1:
                 second = total
         assert eps_gap(x) == 1 - second
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_admissible_sums_are_the_cleared_fraction_sums(order, rng):
+    # Windows end before, at and past max supp x, with zeros inside.
+    checked = 0
+    while checked < 25:
+        x = random_vector(rng, max_index=7)
+        if len(x) == x.max_index:
+            continue
+        checked += 1
+        for window in range(1, x.max_index + 3):
+            scale, sums = admissible_sums(x, window, order)
+            reference = reference_admissible_sums(x, window, order)
+            assert scale == lcm(*(q.denominator for _, q in x.items()))
+            assert [F for F, _ in sums] == [F for F, _ in reference]
+            for (_, total), (_, exact) in zip(sums, reference):
+                assert type(total) is int and total == scale * exact
 
 
 def test_greedy_matches_brute_force(rng):
