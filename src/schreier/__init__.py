@@ -24,7 +24,6 @@ from .extreme import (
     enumerate_extreme_in_space,
     enumerate_vertices,
     is_vertex,
-    iter_extreme_in_space,
     necessary_conditions,
     perturbation_witness,
     positive_extreme_points,

@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 from . import cutoffs
 from .dd import DDPolytope, box_seed
-from .families import IndexSet, enumerate_admissible, maximal_members
+from .families import IndexSet, enumerate_admissible
 from .linalg import cleared, nullspace_vector, rank
 from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
@@ -288,6 +288,19 @@ def _sign_patterns(v: Vector):
         yield Vector({i: s * v[i] for i, s in zip(support, signs)})
 
 
+def _maximal_in_window(N: int) -> list[IndexSet]:
+    """The nonempty admissible sets of [1, N] that no j in [1, N] extends.
+
+    If |F| = min F = m, no j extends F.  If |F| < m, each j > m off F does,
+    so F = [m, N]; then some j < m extends F exactly when |F| < m - 1.  So F
+    is maximal iff |F| = min F, or F = [N/2 + 1, N] and N is even.
+    """
+    sets = enumerate_admissible(1, N, maximal_only=True)
+    if N and N % 2 == 0:
+        sets = sorted(sets + [tuple(range(N // 2 + 1, N + 1))])
+    return sets
+
+
 def enumerate_vertices(N: int) -> list[Vector]:
     """All vertices of the section polytope on [1, N], exactly.
 
@@ -300,7 +313,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
     if N < 1:
         return []
     poly = DDPolytope(N, *box_seed([(0, 1)] * N))
-    for F in maximal_members([F for F in enumerate_admissible(1, N) if F]):
+    for F in _maximal_in_window(N):
         poly.add_constraint([1 if i in F else 0 for i in range(1, N + 1)], 1)
 
     reps = []
@@ -476,22 +489,15 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def iter_extreme_in_space(N: int):
-    """Yield every in-space extreme point: positive reps in canonical order,
-    each expanded over all sign patterns.  Deterministic but unsorted."""
-    _check_extreme_cutoff(N)
-    for v in _positive_extreme_points(N):
-        yield from _sign_patterns(v)
-
-
 def enumerate_extreme_in_space(N: int) -> list[Vector]:
     """All certified extreme points with support inside [1, N].
 
     The output is closed under sign flips (the norm is 1-unconditional), so
     it is the positive list expanded over all sign patterns.  The signed
-    list grows as 4^(|F|) per support; prefer positive_extreme_points for
-    large windows.
+    list grows as 4^(|F|) per support; lambda_lower and verify_thm1 scan
+    positive_extreme_points instead.
     """
-    out = list(iter_extreme_in_space(N))
+    _check_extreme_cutoff(N)
+    out = [u for v in _positive_extreme_points(N) for u in _sign_patterns(v)]
     out.sort(key=lambda u: canonical_key(u, N))
     return out

@@ -141,15 +141,3 @@ def enumerate_admissible(k: int, N: int, maximal_only: bool = False) -> list[Ind
         sets = [F for F in sets if F and is_maximal(F, k)]
     return sets
 
-
-def maximal_members(sets: list[IndexSet]) -> list[IndexSet]:
-    """Inclusion-maximal elements of a finite family (windowed domination)."""
-    out = []
-    as_sets = [set(F) for F in sets]
-    for i, F in enumerate(sets):
-        dominated = any(
-            j != i and as_sets[i] < as_sets[j] for j in range(len(sets))
-        )
-        if not dominated:
-            out.append(F)
-    return out

@@ -22,7 +22,6 @@ from .extreme import (
     EXTREME,
     SignedConstraint,
     certify_extreme,
-    iter_extreme_in_space,
     positive_extreme_points,
 )
 from .families import IndexSet, index_set, is_admissible
@@ -138,20 +137,26 @@ def gap_bound(x: Vector, e: Vector, F: IndexSet) -> Fraction:
 
 
 def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
-    """Certified lower bound for the lambda function over a finite window."""
+    """Best weight of x over the extreme points with support in [1, window].
+
+    |x_i - t e_i| >= ||x_i| - t |e_i|| and the norm is a lattice norm, so
+    lambda(x, e) <= lambda(|x|, |e|); sign flips are isometries that keep
+    extreme points extreme, so lambda(x, s |e|) = lambda(|x|, |e|) for
+    s = sign x (+1 where x is zero).  The scan therefore runs on |x| over the
+    positive pool and returns s e for its first achiever e in canonical order.
+    """
     nx = norm(x, 1).value
     if nx > 1:
         raise UnitNormRequired(f"lambda_lower needs ||x|| <= 1; got {nx}")
-    best_lam = Fraction(-1)
-    best_e = None
-    for e in iter_extreme_in_space(window):
-        lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
+    ax = abs(x)
+    best_lam, best_e = Fraction(-1), None
+    for e in positive_extreme_points(window):
+        lam, _ = max_feasible_weight(ax, e, _primal_line(ax, e))
         if lam > best_lam:
-            best_lam = lam
-            best_e = e
+            best_lam, best_e = lam, e
     if best_e is None:
         raise ValueError(f"no extreme points with support inside [1, {window}]")
-    return best_lam, best_e
+    return best_lam, best_e.flip_signs(i for i, q in x.items() if q < 0)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ logic are checked against arithmetic that cannot share their bugs.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from schreier.extreme import positive_extreme_points
 from schreier.vectors import Vector, norm
 
 
@@ -65,6 +66,12 @@ def reference_admissible_sums(x: Vector, window: int, order: int = 1) -> list[tu
         if in_schreier_family(F, order)
     )
     return [(F, sum((abs(x[i]) for i in F), Fraction(0))) for F in sets]
+
+
+def pairwise_maximal(sets):
+    """Inclusion-maximal members of a finite family, by pairwise subset tests."""
+    as_sets = [set(F) for F in sets]
+    return [F for F, S in zip(sets, as_sets) if not any(S < T for T in as_sets)]
 
 
 def brute_norm(x: Vector) -> Fraction:
@@ -132,6 +139,24 @@ def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vecto
         lam = (1 - g.dot(x)) / (1 - g.dot(e))
         binding = g
         iterates.append(lam)
+
+
+def signed_lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
+    """Best weight of x over every sign pattern of the window pool.
+
+    Each positive pool point, in canonical order, is expanded over the sign
+    patterns of its support with all signs kept first; the first pattern
+    that attains the maximum of reference_max_feasible_weight is returned.
+    """
+    best_lam, best_e = Fraction(-1), None
+    for v in positive_extreme_points(window):
+        support = v.support
+        for signs in product((1, -1), repeat=len(support)):
+            e = Vector({i: s * v[i] for i, s in zip(support, signs)})
+            lam, _, _ = reference_max_feasible_weight(x, e)
+            if lam > best_lam:
+                best_lam, best_e = lam, e
+    return best_lam, best_e
 
 
 def random_fraction(rng, max_num=100, max_den=100, allow_zero=True):

@@ -13,6 +13,7 @@ from schreier.extreme import (
     _active_rank_rows,
     _class_positive_vertices,
     _embed,
+    _maximal_in_window,
     active_constraints,
     canonical_key,
     certify_extreme,
@@ -29,6 +30,7 @@ from schreier.linalg import nullspace_vector, rank
 from schreier.vectors import Vector, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
+    pairwise_maximal,
     powerset_admissible,
     random_unit_vector,
     reference_admissible_sums,
@@ -250,10 +252,8 @@ def test_far_windows_stop_at_the_window_cutoff():
 def test_enumerate_vertices_match_combination_search(N):
     # The section polytope from the definition: every sign pattern on every
     # maximal admissible set of [1, N], each summing to at most 1.
-    family = [F for F in powerset_admissible(N) if F]
-    maximal = [F for F in family if not any(set(F) < set(G) for G in family)]
     rows = []
-    for F in maximal:
+    for F in pairwise_maximal([F for F in powerset_admissible(N) if F]):
         for signs in product((1, -1), repeat=len(F)):
             coeffs = [0] * N
             for i, s in zip(F, signs):
@@ -263,6 +263,12 @@ def test_enumerate_vertices_match_combination_search(N):
     got = [tuple(v[i] for i in range(1, N + 1)) for v in enumerate_vertices(N)]
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def test_maximal_in_window_matches_the_pairwise_filter():
+    for N in range(1, 15):
+        family = [F for F in powerset_admissible(N) if F]
+        assert _maximal_in_window(N) == sorted(pairwise_maximal(family))
 
 
 def test_in_space_censuses():

@@ -8,7 +8,6 @@ from schreier.extreme import (
     SignedConstraint,
     _class_positive_vertices,
     _embed,
-    iter_extreme_in_space,
     positive_extreme_points,
 )
 from schreier.lambdas import (
@@ -28,6 +27,7 @@ from conftest import (
     random_vector,
     reference_admissible_sums,
     reference_max_feasible_weight,
+    signed_lambda_lower,
 )
 
 E1 = Vector.unit(1)
@@ -276,13 +276,31 @@ def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
 
 
 def test_lambda_lower_matches_the_reference(rng):
-    for x in [E1, X4, random_unit_vector(rng, max_index=6)]:
-        best_lam, best_e = Fraction(-1), None
-        for e in iter_extreme_in_space(6):
-            lam, _, _ = reference_max_feasible_weight(x, e)
-            if lam > best_lam:
-                best_lam, best_e = lam, e
-        assert lambda_lower(x, 6) == (best_lam, best_e)
+    # The signed oracle scans every sign pattern of the pool.  The positive
+    # scan must reach the same weight at the same |achiever|, signed like x
+    # (+1 where x is zero), and x must reach that weight against it.
+    cases = [(x, 6) for x in (E1, X4, random_unit_vector(rng, max_index=6))]
+    cases += [
+        (random_unit_vector(rng, max_index=window) * Fraction(rng.randint(1, 4), 4), window)
+        for window, count in ((4, 20), (6, 10), (8, 3))
+        for _ in range(count)
+    ]
+    for x, window in cases:
+        best_lam, best_e = signed_lambda_lower(x, window)
+        lam, achiever = lambda_lower(x, window)
+        assert lam == best_lam
+        assert abs(achiever) == abs(best_e)
+        assert all((q < 0) == (x[i] < 0) for i, q in achiever.items())
+        assert reference_max_feasible_weight(x, achiever)[0] == lam
+
+
+def test_lambda_lower_meets_the_thm1_pool_maximum():
+    # Both pipelines scan the window-10 pool, one on |x|, one on x_4 itself.
+    x = X4.flip_signs(X4.support[1::2])
+    lam, achiever = lambda_lower(x, 10)
+    assert lam == verify_thm1(4, 10).max_pair_lambda == Fraction(15, 32)
+    shared = set(x.support) & set(achiever.support)
+    assert shared and all((x[i] < 0) == (achiever[i] < 0) for i in shared)
 
 
 def test_thm1_pool_weights_and_bindings_match_the_reference():

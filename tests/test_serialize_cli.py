@@ -7,7 +7,8 @@ import schreier.cli as cli_mod
 from schreier import cutoffs
 from schreier.cli import lambda_table, run
 from schreier.errors import CutoffExceeded, VectorFormatError
-from schreier.extreme import iter_extreme_in_space, positive_extreme_points
+from schreier.extreme import enumerate_extreme_in_space, positive_extreme_points
+from schreier.lambdas import lambda_lower
 from schreier.rationals import decimal_string, format_rational, parse_rational
 from schreier.serialize import (
     SPACE_DUAL,
@@ -135,7 +136,9 @@ def test_cached_extreme_pool_honours_a_lowered_cutoff(monkeypatch):
     with pytest.raises(CutoffExceeded):
         positive_extreme_points(3)
     with pytest.raises(CutoffExceeded):
-        next(iter_extreme_in_space(3))
+        lambda_lower(Vector.unit(1), 3)
+    with pytest.raises(CutoffExceeded):
+        enumerate_extreme_in_space(3)
     assert run(["extreme", "enumerate", "--dim", "3"]) == 2
     monkeypatch.setenv("SCHREIER_MAX_DIM", "abc")
     assert run(["extreme", "enumerate", "--dim", "3"]) == 2
@@ -189,6 +192,10 @@ def test_cli_extreme_and_lambda(tmp_path, capsys):
     assert "lambda = 1/2" in capsys.readouterr().out
     assert run(["lambda", "lower", e1f, "--window", "2"]) == 0
     assert "1/2" in capsys.readouterr().out
+    x4 = make_thm1_vector(4)
+    xf = _write(tmp_path, "x4.json", x4.flip_signs(x4.support[1::2]))
+    assert run(["lambda", "lower", xf, "--window", "10"]) == 0
+    assert "lambda >= 15/32" in capsys.readouterr().out
 
 
 def test_cli_extreme_enumerate(capsys):
