@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import click
 
+from . import cutoffs
 from . import dual as dual_mod
 from . import extreme as extreme_mod
 from . import lambdas as lambdas_mod
@@ -341,8 +342,6 @@ def lambda_table_cmd(n_from, n_to, json_path):
 def lambda_table(n_from: int, n_to: int) -> list[dict]:
     if not 4 <= n_from <= n_to:
         raise ValueError("need 4 <= n-from <= n-to")
-    from . import cutoffs
-
     rows = []
     for n in range(n_from, n_to + 1):
         bound = Fraction(n + 1, n * n)

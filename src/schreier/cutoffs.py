@@ -15,11 +15,11 @@ VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12
 
 
-def _override() -> int | None:
-    """The positive integer in SCHREIER_MAX_DIM, None if unset or blank."""
+def _limit(default: int) -> int:
+    """The positive integer in SCHREIER_MAX_DIM, default if unset or blank."""
     raw = os.environ.get("SCHREIER_MAX_DIM")
     if raw is None or raw.strip() == "":
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -30,24 +30,19 @@ def _override() -> int | None:
 
 
 def admissible_enum_limit(k: int) -> int:
-    limit = ADMISSIBLE_ENUM_MAX.get(k, ADMISSIBLE_ENUM_MAX_HIGHER)
-    forced = _override()
-    return forced if forced is not None else limit
+    return _limit(ADMISSIBLE_ENUM_MAX.get(k, ADMISSIBLE_ENUM_MAX_HIGHER))
 
 
 def vertex_enum_limit() -> int:
-    forced = _override()
-    return forced if forced is not None else VERTEX_ENUM_MAX
+    return _limit(VERTEX_ENUM_MAX)
 
 
 def extreme_enum_limit() -> int:
-    forced = _override()
-    return forced if forced is not None else EXTREME_ENUM_MAX
+    return _limit(EXTREME_ENUM_MAX)
 
 
 def support_subset_limit() -> int:
-    forced = _override()
-    return forced if forced is not None else SUPPORT_SUBSET_MAX
+    return _limit(SUPPORT_SUBSET_MAX)
 
 
 def check(what: str, requested: int, limit: int) -> None:

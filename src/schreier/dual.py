@@ -11,10 +11,9 @@ traces of F inside the relevant initial segment.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import UnitNormRequired
-from .families import IndexSet, index_set
+from .families import IndexSet, admissible_subsets, index_set
 from .lambdas import max_feasible_weight
 from .simplex import lp_max
 from .vectors import Vector, norm
@@ -139,15 +138,7 @@ def dual_extreme_traces(n: int) -> list[IndexSet]:
     1 - T(G)/n never falls as G grows, so its maximum over this list is its
     maximum over every admissible trace.
     """
-    top = 2**n - 1
-    out: list[IndexSet] = []
-    for m in range(1, top + 1):
-        if m - 1 > top - m:
-            break
-        for rest in combinations(range(m + 1, top + 1), m - 1):
-            out.append((m,) + rest)
-    out.sort()
-    return out
+    return list(admissible_subsets(range(1, 2**n), maximal=True))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 from . import cutoffs
 from .dd import DDPolytope, box_seed
-from .families import IndexSet, enumerate_admissible
+from .families import IndexSet, admissible_subsets
 from .linalg import cleared, nullspace_vector, rank
 from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
@@ -295,7 +295,7 @@ def _maximal_in_window(N: int) -> list[IndexSet]:
     so F = [m, N]; then some j < m extends F exactly when |F| < m - 1.  So F
     is maximal iff |F| = min F, or F = [N/2 + 1, N] and N is even.
     """
-    sets = enumerate_admissible(1, N, maximal_only=True)
+    sets = list(admissible_subsets(range(1, N + 1), maximal=True))
     if N and N % 2 == 0:
         sets = sorted(sets + [tuple(range(N // 2 + 1, N + 1))])
     return sets
@@ -405,9 +405,10 @@ def _class_polytope_pieces(m: int):
     return dim, seed_rows, seed_vertices, cut_rows
 
 
-def _class_reps_from_cut_order(m: int, cut_rows) -> tuple:
+def _class_reps(m: int, pieces) -> tuple:
+    """The certified classes of tail size m from its polytope pieces."""
     n_v = m - 1
-    dim, seed_rows, seed_vertices, _ = _class_polytope_pieces(m)
+    dim, seed_rows, seed_vertices, cut_rows = pieces
     poly = DDPolytope(dim, seed_rows, seed_vertices)
     for row, b in cut_rows:
         poly.add_constraint(row, b)
@@ -441,8 +442,7 @@ def _class_positive_vertices(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[
     """
     if m == 1:
         return (((Fraction(1),), (Fraction(1),)),)
-    _, _, _, cut_rows = _class_polytope_pieces(m)
-    return _class_reps_from_cut_order(m, cut_rows)
+    return _class_reps(m, _class_polytope_pieces(m))
 
 
 def positive_extreme_points(N: int) -> list[Vector]:

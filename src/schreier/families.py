@@ -1,10 +1,12 @@
-"""Schreier families S_k: membership, maximality, and windowed enumeration.
+"""Schreier families S_k: membership, maximality, and enumeration.
 
 An index set is a strictly increasing tuple of positive integers.  S_0 holds
 the sets of size at most one, S_1 the admissible sets (min F >= |F|), and
 S_{k+1} is built from S_k by constrained unions: F is in S_{k+1} when the
 sorted elements of F split into d consecutive blocks E_1 < ... < E_d with
 d <= min E_1 and every block in S_k.  The empty set belongs to every S_k.
+Every walk of S_1, over a window or over the support of a vector, is
+admissible_subsets.
 """
 
 from collections.abc import Iterable
@@ -113,31 +115,37 @@ def is_maximal(F: Iterable[int], k: int = 1) -> bool:
     return True
 
 
-def enumerate_admissible(k: int, N: int, maximal_only: bool = False) -> list[IndexSet]:
+def admissible_subsets(ground: Iterable[int], maximal: bool = False):
+    """Lazily, every admissible subset of the increasing positive integers
+    in ground: the empty set, then each minimum m with at most m - 1 later
+    elements of ground.  With maximal, exactly m - 1 later elements
+    (|F| = min F) and no empty set.  Lexicographic when maximal.
+    """
+    ground = tuple(ground)
+    if not maximal:
+        yield ()
+    for pos, m in enumerate(ground):
+        later = ground[pos + 1:]
+        for size in range(m - 1 if maximal else 0, min(m - 1, len(later)) + 1):
+            for rest in combinations(later, size):
+                yield (m,) + rest
+
+
+def enumerate_admissible(k: int, N: int) -> list[IndexSet]:
     """All members of S_k contained in [1, N], lexicographically sorted."""
     if N < 0:
         raise ValueError("window must be >= 0")
     limit = cutoffs.admissible_enum_limit(k)
     cutoffs.check(f"enumerate_admissible(k={k})", N, limit)
     if k == 0:
-        sets: list[IndexSet] = [()] + [(i,) for i in range(1, N + 1)]
-    elif k == 1:
-        sets = [()]
-        for m in range(1, N + 1):
-            above = range(m + 1, N + 1)
-            for size_above in range(0, min(m - 1, N - m) + 1):
-                for rest in combinations(above, size_above):
-                    sets.append((m,) + rest)
-        sets.sort()
-    else:
-        sets = []
-        universe = list(range(1, N + 1))
-        for size in range(0, N + 1):
-            for cand in combinations(universe, size):
-                if is_admissible(cand, k):
-                    sets.append(cand)
-        sets.sort()
-    if maximal_only:
-        sets = [F for F in sets if F and is_maximal(F, k)]
+        return [()] + [(i,) for i in range(1, N + 1)]
+    if k == 1:
+        return sorted(admissible_subsets(range(1, N + 1)))
+    sets = []
+    universe = list(range(1, N + 1))
+    for size in range(0, N + 1):
+        for cand in combinations(universe, size):
+            if is_admissible(cand, k):
+                sets.append(cand)
+    sets.sort()
     return sets
-

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import cutoffs
 from .errors import CutoffExceeded, UnitNormRequired
-from .families import IndexSet, enumerate_admissible, index_set
+from .families import IndexSet, admissible_subsets, enumerate_admissible, index_set
 from .linalg import cleared
 
 
@@ -237,26 +237,9 @@ def _admissible_support_subsets(x: Vector, op: str):
     when the support is over its cutoff.
     """
     cutoffs.check(f"{op} support size", len(x), cutoffs.support_subset_limit())
-    support = x.support
     values, scale = cleared(q for _, q in x.items())
-    values = [abs(v) for v in values]
-    n = len(support)
-
-    def rec(start: int, chosen: list[int], total: int, capacity: int):
-        yield tuple(chosen), total
-        if len(chosen) >= capacity and chosen:
-            return
-        for pos in range(start, n):
-            i = support[pos]
-            if not chosen:
-                cap = i  # min element bounds the final size
-            else:
-                cap = capacity
-            chosen.append(i)
-            yield from rec(pos + 1, chosen, total + values[pos], cap)
-            chosen.pop()
-
-    return scale, rec(0, [], 0, n + 1)
+    at = {i: abs(v) for i, v in zip(x.support, values)}.__getitem__
+    return scale, ((F, sum(map(at, F))) for F in admissible_subsets(x.support))
 
 
 def one_sets(x: Vector) -> list[IndexSet]:

@@ -15,7 +15,7 @@ from schreier.dual import (
     verify_thm2,
 )
 from schreier.extreme import enumerate_vertices
-from schreier.families import enumerate_admissible
+from schreier.families import enumerate_admissible, is_maximal
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
@@ -179,6 +179,12 @@ def test_dual_characterization_vs_section_perturbation(rng):
 def test_dual_extreme_traces_counts():
     assert dual_extreme_traces(2) == [(1,), (2, 3)]
     assert len(dual_extreme_traces(4)) == 610
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_extreme_traces_are_the_maximal_sets(n):
+    full = enumerate_admissible(1, 2**n - 1)
+    assert dual_extreme_traces(n) == [F for F in full if F and is_maximal(F, 1)]
 
 
 def test_verify_thm2_small():

@@ -385,14 +385,14 @@ def test_class_vertices_match_brute_force(m):
 def test_class_vertices_insertion_order_independent(m, rng):
     # Double-description output must not depend on the cut order; shuffled
     # and reversed insertions exercise different adjacency decisions.
-    from schreier.extreme import _class_polytope_pieces, _class_reps_from_cut_order
+    from schreier.extreme import _class_polytope_pieces, _class_reps
 
-    _, _, _, cut_rows = _class_polytope_pieces(m)
+    *seed, cut_rows = _class_polytope_pieces(m)
     baseline = _class_positive_vertices(m)
-    assert _class_reps_from_cut_order(m, list(reversed(cut_rows))) == baseline
+    assert _class_reps(m, (*seed, list(reversed(cut_rows)))) == baseline
     shuffled = list(cut_rows)
     rng.shuffle(shuffled)
-    assert _class_reps_from_cut_order(m, shuffled) == baseline
+    assert _class_reps(m, (*seed, shuffled)) == baseline
 
 
 def test_class_reps_known_members():

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from schreier.cutoffs import admissible_enum_limit
 from schreier.errors import CutoffExceeded, VectorFormatError
 from schreier.families import (
+    admissible_subsets,
     enumerate_admissible,
     format_index_set,
     index_set,
@@ -59,7 +62,7 @@ def test_maximality_higher_orders():
 
 
 def test_enumerate_examples():
-    assert enumerate_admissible(1, 3, maximal_only=True) == [(1,), (2, 3)]
+    assert list(admissible_subsets(range(1, 4), maximal=True)) == [(1,), (2, 3)]
     assert enumerate_admissible(1, 2) == [(), (1,), (2,)]
     assert enumerate_admissible(0, 3) == [(), (1,), (2,), (3,)]
 
@@ -70,8 +73,6 @@ def test_enumerate_matches_powerset_filter():
 
 
 def test_hereditary(rng):
-    from itertools import combinations
-
     for F in enumerate_admissible(1, 9):
         for size in range(len(F)):
             for G in combinations(F, size):
@@ -120,8 +121,29 @@ def test_index_set_parse_format():
         index_set([0, 1])
 
 
-def test_maximal_only_agrees_with_filter():
+def test_maximal_walk_agrees_with_filter():
     for N in (4, 6, 8):
         full = enumerate_admissible(1, N)
-        maximal = enumerate_admissible(1, N, maximal_only=True)
+        maximal = list(admissible_subsets(range(1, N + 1), maximal=True))
         assert maximal == [F for F in full if F and is_maximal(F, 1)]
+
+
+def _powerset_filter(ground, maximal):
+    """Admissible (or |F| = min F) subsets of ground, from the raw power set."""
+    subsets = [c for size in range(len(ground) + 1) for c in combinations(ground, size)]
+    if maximal:
+        return sorted(F for F in subsets if F and F[0] == len(F))
+    return sorted(F for F in subsets if not F or F[0] >= len(F))
+
+
+def test_admissible_subsets_match_the_powerset_filter(rng):
+    grounds = [(), (1,), (30, 31, 40), (2, 3, 4), (1, 2, 3, 4, 5, 6, 7)]
+    for _ in range(40):
+        grounds.append(tuple(sorted(rng.sample(range(1, 41), rng.randint(0, 9)))))
+    for ground in grounds:
+        for maximal in (False, True):
+            walk = list(admissible_subsets(ground, maximal=maximal))
+            assert len(set(walk)) == len(walk)
+            assert sorted(walk) == _powerset_filter(ground, maximal)
+            if maximal:
+                assert walk == sorted(walk)

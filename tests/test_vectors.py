@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -142,6 +143,36 @@ def test_eps_gap_examples():
     assert eps_gap(Vector.unit(1)) == 1
     assert eps_gap(HALVES) == Fraction(1, 2)
     assert eps_gap(X5) == Fraction(1, 25)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        {25: "1/2", 30: "-1/4", 31: "1/8", 40: "-1/8"},
+        {3: "1/2", 25: "1/4", 30: "-1/4", 31: "1/4", 40: "1/4"},
+    ],
+)
+def test_support_scan_runs_past_the_window_cutoff(coords):
+    # Indices beyond the order-1 window cutoff (24): the support scan walks
+    # the support, never the window [1, max supp x].
+    x = Vector(coords)
+    assert norm(x).value == 1
+
+    def admissible_sums_over(ground):
+        return {
+            F: sum(abs(x[i]) for i in F)
+            for size in range(1, len(ground) + 1)
+            for F in combinations(ground, size)
+            if F[0] >= size
+        }
+
+    sums = admissible_sums_over(x.support)
+    assert one_sets(x) == sorted(F for F, total in sums.items() if total == 1)
+    assert eps_gap(x) == 1 - max(total for total in sums.values() if total < 1)
+    for i in range(1, x.max_index + 3):
+        ground = tuple(sorted(set(x.support) | {i}))
+        brute = any(i in F and total == 1 for F, total in admissible_sums_over(ground).items())
+        assert covers_index(x, i) == brute
 
 
 def test_eps_gap_positive_on_sphere(rng):
