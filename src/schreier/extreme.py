@@ -255,9 +255,16 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     """Decide extremality with machine-checkable evidence.
 
     EXTREME iff e is a vertex of its own section and owns a non-maximal
-    1-set.  Otherwise a perturbation witness is searched three indices past
-    the support; VERTEX_ONLY is only emitted if that search unexpectedly
-    comes back empty for a section vertex.
+    1-set.  Otherwise a perturbation witness is searched one index past the
+    support, N = max supp e; VERTEX_ONLY is only emitted if that search
+    unexpectedly comes back empty for a section vertex.
+
+    A wider window gives the same witness.  An index j > N is uncovered
+    exactly when every 1-set is maximal, so the first uncovered index is the
+    same for every window past N.  Without one, the rank rows past N are
+    unit rows at the end, so the kernel vector is the window-N vector padded
+    with zeros.  Indices past N + 1 carry neither |e| nor the direction, so
+    dropping them from a slack set keeps it admissible and keeps its ratio.
     """
     _require_unit(e, "certify_extreme")
     N = e.max_index
@@ -266,7 +273,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _necessary_conditions(e, sets).failed()
-    witness = perturbation_witness(e, N + 3, sets=sets)
+    witness = perturbation_witness(e, N + 1, sets=sets)
     verdict = NOT_EXTREME if witness is not None or failed else VERTEX_ONLY
     return ExtremenessCertificate(verdict, rank_n, N, witness, failed)
 

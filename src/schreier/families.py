@@ -66,32 +66,22 @@ def is_admissible(F: Iterable[int], k: int = 1) -> bool:
 
 @lru_cache(maxsize=65536)
 def _in_family(F: IndexSet, k: int) -> bool:
-    # Recursive block-partition search; only reached for k >= 2.
-    if len(F) <= 1:
-        return True
-    n = len(F)
-    max_blocks = F[0]
+    """Membership of a nonempty F in S_k for k >= 2, by greedy blocks.
 
-    # reachable(i) = set of block counts that can tile the suffix F[i:].
-    @lru_cache(maxsize=None)
-    def reachable(i: int) -> frozenset[int]:
-        if i == n:
-            return frozenset([0])
-        counts = set()
-        for j in range(i + 1, n + 1):
-            block = F[i:j]
-            ok = block[0] >= len(block) if k - 1 == 1 else (
-                len(block) <= 1 if k - 1 == 0 else _in_family(block, k - 1)
-            )
-            if ok:
-                for c in reachable(j):
-                    if c + 1 <= max_blocks:
-                        counts.add(c + 1)
-        return frozenset(counts)
-
-    result = any(1 <= d <= max_blocks for d in reachable(0))
-    reachable.cache_clear()
-    return result
+    Each block grows until the next element would take it out of S_(k-1),
+    then a new block starts; F is in S_k when at most min F blocks result.
+    The greedy split has the fewest blocks: its t-th block ends no earlier
+    than the t-th block of any split.  By induction on t, the t-th greedy
+    block starts no earlier than that block, so up to that block's end it
+    is a subset of it, in S_(k-1) since S_(k-1) is hereditary, and the
+    greedy block does not end before there.
+    """
+    blocks, start = 1, 0
+    for end in range(2, len(F) + 1):
+        block = F[start:end]
+        if not (block[0] >= len(block) if k == 2 else _in_family(block, k - 1)):
+            blocks, start = blocks + 1, end - 1
+    return blocks <= F[0]
 
 
 def is_maximal(F: Iterable[int], k: int = 1) -> bool:

@@ -1,14 +1,14 @@
 """Finitely supported vectors with exact rational coordinates and their norms.
 
 The norm of order k is the supremum of |x| summed over a member of S_k.
-Order 1 is computed by a per-minimum greedy that is exact; higher orders
-take the best of the one scan of |x|-sums over a window (admissible_sums)
-on [1, max supp x].  Both scans of sums, over the sets of a window and over
-the admissible subsets of the support, clear |x| once by the LCM of its
-denominators and sum integers, so a caller compares a total with that scale
-where it would compare a rational sum with 1.  Also provides the 1-set
-inventory, the coverage predicate, the second-best gap, and the
-decay-witness constructor used by the theorem-1 verifier.
+Order 1 is computed by an exact greedy over the minima in the support;
+higher orders take the best of the one scan of |x|-sums over a window
+(admissible_sums) on [1, max supp x].  Both scans of sums, over the sets
+of a window and over the admissible subsets of the support, clear |x| once
+by the LCM of its denominators and sum integers, so a caller compares a
+total with that scale where it would compare a rational sum with 1.  Also
+provides the 1-set inventory, the coverage predicate, the second-best gap,
+and the decay-witness constructor used by the theorem-1 verifier.
 """
 
 from collections.abc import Iterable, Mapping
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cutoffs
-from .errors import CutoffExceeded, UnitNormRequired
+from .errors import UnitNormRequired
 from .families import IndexSet, admissible_subsets, enumerate_admissible, index_set
 from .linalg import cleared
 
@@ -148,12 +148,11 @@ def norm(x: Vector, k: int = 1) -> NormReport:
         best_i = min(x.support, key=lambda i: (-abs(x[i]), i))
         return NormReport(abs(x[best_i]), (best_i,))
     if k == 1:
-        return _norm_order_one(x)
-    N = x.max_index
-    limit = cutoffs.admissible_enum_limit(k)
-    if N > limit:
-        raise CutoffExceeded(f"norm(order={k})", N, limit)
-    scale, sums = admissible_sums(x, N, k)
+        # The greedy runs on |x| cleared to integers by the LCM of its denominators.
+        values, scale = cleared(q for _, q in x.items())
+        value, witness = _greedy({i: abs(n) for (i, _), n in zip(x.items(), values)})
+        return NormReport(Fraction(value, scale), witness)
+    scale, sums = admissible_sums(x, x.max_index, k)
     best, witness = 0, ()
     for F, total in sums:
         if total > best:
@@ -161,42 +160,35 @@ def norm(x: Vector, k: int = 1) -> NormReport:
     return NormReport(Fraction(best, scale), witness)
 
 
-def _norm_order_one(x: Vector) -> NormReport:
-    # The greedy runs on |x| cleared to integers by the LCM of its denominators.
-    values, scale = cleared(q for _, q in x.items())
-    value, witness = _greedy({i: abs(n) for (i, _), n in zip(x.items(), values)})
-    return NormReport(Fraction(value, scale), witness)
-
-
 def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
     """The order-1 norm of the nonzero integer sizes {i: |x(i)|} and its set.
 
-    For each candidate minimum m the best admissible sum is size[m] plus the
-    m-1 largest sizes beyond m; ties in "largest" break to smaller index.
-    A positive rescaling of every size keeps the ranking, ties and witness.
+    For each minimum m of the support, in increasing order, the best
+    admissible sum is size[m] plus the m - 1 largest sizes beyond m; ties in
+    "largest" break to the smaller index, and the first maximizer wins.  A
+    positive rescaling of every size keeps the ranking, ties and witness.
+
+    A minimum m off the support never wins.  Let C be the m - 1 largest
+    sizes beyond m and f the least index of C.  At minimum f the rule takes
+    f plus the f - 1 >= m largest sizes beyond f; they include C - {f}, a
+    prefix of the ranked indices beyond f.  So f does at least as well as m,
+    and it ties only when its set is C itself.  A support minimum m' with m < m' < f would
+    take m' and all of C and beat C.  So the first maximizer over the
+    support minima has the value and the witness of the first maximizer
+    over every minimum in [1, max supp].
     """
-    if not size:
-        return 0, ()
     ranked = sorted(size, key=lambda i: (-size[i], i))
-    best_value = -1
-    best_witness: IndexSet = ()
-    for m in range(1, max(size) + 1):
-        take = m - 1
-        chosen = []
-        if take > 0:
-            for i in ranked:
-                if i > m:
-                    chosen.append(i)
-                    if len(chosen) == take:
-                        break
-        value = sum(size[i] for i in chosen)
-        witness = chosen
-        if m in size:
-            value += size[m]
-            witness = [m] + chosen
+    best_value, best_witness = 0, ()
+    for m in sorted(size):
+        witness = [m]
+        for i in ranked:
+            if len(witness) == m:
+                break
+            if i > m:
+                witness.append(i)
+        value = sum(size[i] for i in witness)
         if value > best_value:
-            best_value = value
-            best_witness = index_set(witness)
+            best_value, best_witness = value, index_set(witness)
     return best_value, best_witness
 
 

@@ -192,6 +192,28 @@ def test_not_extreme_path_checks_the_unit_norm_and_one_sets_once(monkeypatch):
     assert cert.witness == _reference_witness(X5, X5.max_index + 3)
 
 
+def test_certify_extreme_answers_at_the_last_support_indices():
+    # The witness window is one index past the support, so it stays under
+    # the window cutoff of 24 while the support does.
+    for top in (22, 23):
+        cert = certify_extreme(Vector({1: 1, top: Fraction(1, 2)}))
+        assert cert.verdict == NOT_EXTREME
+        assert cert.witness == Vector({2: Fraction(1, 4)})
+
+
+def test_perturbation_witness_one_past_the_support_is_the_wide_one():
+    rng = random.Random(2213)
+    found = 0
+    for _ in range(300):
+        e = random_unit_vector(rng, max_index=rng.randint(2, 8))
+        sets = one_sets(e)
+        N = e.max_index
+        w = perturbation_witness(e, N + 1, sets=sets)
+        assert w == perturbation_witness(e, N + 3, sets=sets)
+        found += w is not None
+    assert found > 200
+
+
 def test_perturbation_witness_window_check():
     with pytest.raises(ValueError):
         perturbation_witness(X5, 5)

@@ -14,7 +14,7 @@ from schreier.families import (
     parse_index_set,
 )
 
-from conftest import powerset_admissible
+from conftest import in_schreier_family, powerset_admissible
 
 
 def test_admissible_order_one_examples():
@@ -31,6 +31,14 @@ def test_admissible_order_two_example():
     assert is_admissible((1, 2), 2) is False
     assert is_admissible((2, 3, 4), 2) is True  # blocks {2,3} and {4}
     assert is_admissible((), 2) is True
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_greedy_blocks_match_the_block_search(k):
+    universe = range(1, 12)
+    for size in range(len(universe) + 1):
+        for F in combinations(universe, size):
+            assert is_admissible(F, k) == in_schreier_family(F, k), F
 
 
 def test_admissible_order_zero():

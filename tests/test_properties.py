@@ -72,6 +72,19 @@ def test_integer_greedy_matches_power_set_norm(x):
     assert sum((abs(x[i]) for i in report.witness), Fraction(0)) == report.value
 
 
+@PROPERTY
+@given(st.dictionaries(
+    st.integers(1, 12), st.integers(1, 3).flatmap(lambda n: st.sampled_from([n, -n])),
+    min_size=1, max_size=12,
+).map(Vector))
+def test_integer_greedy_matches_on_tied_sizes(x):
+    # Few distinct sizes make ties in the ranking common, so the tie-breaks
+    # and the first-maximizer rule decide the witness.
+    report = norm(x, 1)
+    assert report.value == brute_norm(x)
+    assert report == _fraction_greedy(x)
+
+
 # Small coefficient and right-hand-side sets make tied ratios common, so the
 # dual phase's lowest-index tie-break runs; every dual pivot is negative, so
 # the sign flip runs on every cut.

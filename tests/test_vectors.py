@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from schreier.errors import UnitNormRequired
+from schreier.errors import CutoffExceeded, UnitNormRequired
 from schreier.extreme import certify_extreme, necessary_conditions
 from schreier.vectors import (
     Vector,
@@ -245,6 +245,11 @@ def test_norm_order_two_uses_block_unions():
     x = Vector({2: 1, 3: 1, 6: 1, 7: 1, 8: 1})
     assert norm(x, 1).value == 3  # best admissible set has three elements
     assert norm(x, 2).value == 5  # {2,3} u {6,7,8} is order-2 admissible
+
+
+def test_norm_order_two_stops_at_the_window_cutoff():
+    with pytest.raises(CutoffExceeded):
+        norm(Vector({1: 1, 13: 1}), 2)
 
 
 def test_sign_flip_restriction_abs():
