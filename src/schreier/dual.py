@@ -2,7 +2,10 @@
 
 The dual norm is the maximum of the pairing over the primal section ball,
 computed by an exact-rational LP with lazy constraints: the separation
-oracle is the primal norm greedy applied to the incumbent.  Dual extreme
+oracle is the primal norm greedy applied to the incumbent.  A dual pair
+lambda runs its Newton steps on one live tableau per pair (``_dual_line``),
+re-priced for each x* - t e* and keeping its cuts; its answer is checked by
+a cold ``dual_norm`` solve from the slack basis.  Dual extreme
 points have the closed form "all coefficients of modulus one on a set F
 with |F| = min F", which makes the decay bound a finite computation over
 traces of F inside the relevant initial segment.
@@ -15,19 +18,16 @@ from functools import lru_cache
 from .errors import UnitNormRequired
 from .families import IndexSet, admissible_subsets, index_set
 from .lambdas import max_feasible_weight
-from .simplex import lp_max
+from .simplex import _Tableau, lp_max
 from .vectors import Vector, norm
 
 
-def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
-    """Exact dual norm together with a norming vector from the primal ball."""
-    if not f:
-        return Fraction(0), Vector.zero()
-    N = f.max_index
-    c = [abs(f[i]) for i in range(1, N + 1)]
-    # The ball is sign-symmetric, so the optimum is attained at x >= 0 against
-    # |f|; constraints start at the singletons and grow lazily on one live
-    # tableau, each cut being the admissible set the norm greedy finds.
+def _section_cuts(N: int):
+    """Singleton rows of [1, N] and the separation oracle for the other sets.
+
+    ``seen`` holds every row the tableau has, so a repeated F means the LP
+    returned an optimum that breaks one of its own rows.
+    """
     seen: set[IndexSet] = {(i,) for i in range(1, N + 1)}
 
     def indicator(F: IndexSet) -> list[int]:
@@ -45,9 +45,54 @@ def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
         seen.add(report.witness)
         return indicator(report.witness), 1
 
-    value, xs = lp_max(c, [indicator((i,)) for i in range(1, N + 1)], [1] * N, cut=separate)
-    signed = Vector({i + 1: (1 if f[i + 1] >= 0 else -1) * q for i, q in enumerate(xs)})
-    return value, signed
+    return [indicator((i,)) for i in range(1, N + 1)], separate
+
+
+def _signed(f: Vector, xs: list[Fraction]) -> Vector:
+    return Vector({i + 1: (1 if f[i + 1] >= 0 else -1) * q for i, q in enumerate(xs)})
+
+
+def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
+    """Exact dual norm together with a norming vector from the primal ball."""
+    if not f:
+        return Fraction(0), Vector.zero()
+    N = f.max_index
+    # The ball is sign-symmetric, so the optimum is attained at x >= 0 against
+    # |f|; constraints start at the singletons and grow lazily on one live
+    # tableau, each cut being the admissible set the norm greedy finds.
+    rows, separate = _section_cuts(N)
+    value, xs = lp_max([abs(f[i]) for i in range(1, N + 1)], rows, [1] * N, cut=separate)
+    return value, _signed(f, xs)
+
+
+def _dual_line(x_star: Vector, e_star: Vector):
+    """The dual norm along x* - t e*, as an oracle(t) for max_feasible_weight.
+
+    One tableau over [1, N], N the largest index of x* and e*, lives for the
+    whole line: each call re-prices it for |x* - t e*| and re-optimises from
+    the last basis, keeping the cuts found so far.  This is exact.  Every
+    cut is x(F) <= 1 for an admissible F in [1, N], valid for the section
+    polytope P_N whatever the objective, and the cut loop stops only at a
+    point of P_N, so each value is the maximum over P_N.  Padding the
+    objective with zeros up to N keeps the value of a shorter functional,
+    since the family is hereditary and P_N projects onto P_N' for N' < N.
+    A cut never repeats, because each optimum satisfies every row already
+    in the tableau.  The tableau lives for one pair only, so no answer
+    depends on earlier calls.
+    """
+    N = max(x_star.max_index, e_star.max_index)
+    rows, separate = _section_cuts(N)
+    tab = _Tableau(N)
+    for row in rows:
+        tab.add_row(row, 1)
+
+    def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
+        f = x_star - t * e_star
+        value, xs = tab.maximize([abs(f[i]) for i in range(1, N + 1)], separate)
+        g = _signed(f, xs)
+        return value, g, g.dot(x_star), g.dot(e_star)
+
+    return oracle
 
 
 def dual_norm(f: Vector) -> Fraction:
@@ -108,17 +153,17 @@ def thm2_lambda_bound(G: IndexSet, n: int) -> Fraction:
 
 
 def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
-    """Exact maximum lambda with dual-norm(x* - lambda e*) <= 1 - lambda."""
-    nx = dual_norm(x_star)
+    """Exact maximum lambda with dual-norm(x* - lambda e*) <= 1 - lambda.
+
+    The Newton steps run on one live tableau (``_dual_line``); the answer is
+    checked by a cold ``dual_norm`` solve of x* - lambda e*.
+    """
+    oracle = _dual_line(x_star, e_star)
+    nx = oracle(Fraction(0))[0]
     if nx > 1:
         raise UnitNormRequired(f"lambda_pair_dual needs dual norm <= 1; got {nx}")
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
-
-    def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
-        value, g = dual_norm_witness(x_star - t * e_star)
-        return value, g, g.dot(x_star), g.dot(e_star)
-
     lam, _ = max_feasible_weight(x_star, e_star, oracle)
     if lam < 1:
         check = dual_norm(x_star - lam * e_star)

@@ -38,6 +38,15 @@ variable, the entering column the smallest ratio of reduced cost to minus
 the (negative) row entry, ties to the lowest index.  That is Bland's rule on
 the dual, which terminates.  A dual pivot is negative; its row is negated
 before pivoting, which keeps the pivot, and so d, positive.
+
+The objective can change while the tableau lives too.  ``maximize`` re-prices
+the objective row for a new c in the current basis as
+``-d * c + sum(c[v] * T[i])`` over the structural basic variables v of rows
+i, again an integer combination with no division; it is d times the rational
+reduced-cost row, zero in every basic column.  The basis stays primal
+feasible, so primal Bland's rule resumes from it.  ``lp_max`` is a fresh
+tableau with its rows and one ``maximize``: on the all-slack basis with
+d = 1 the re-priced row is -c, so it takes the same pivots as a cold solve.
 """
 
 from fractions import Fraction
@@ -50,13 +59,14 @@ class _Tableau:
 
     Column j of a row holds variable j (1-based); ``basis[i]`` is the column
     basic in row i, and ``obj`` is the objective row, whose rhs entry is
-    d * c_scale times the objective value.
+    d * c_scale times the objective value.  A new tableau has no rows and
+    the zero objective; ``maximize`` prices one in.
     """
 
-    def __init__(self, c):
-        obj, self.c_scale = cleared(c)
-        self.n = len(c)
-        self.obj = [0] + [-v for v in obj]
+    def __init__(self, n: int):
+        self.n = n
+        self.c_scale = 1
+        self.obj = [0] * (n + 1)
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
         self.d = 1
@@ -80,6 +90,29 @@ class _Tableau:
         new.append(d)
         self.rows.append(new)
         self.basis.append(len(new) - 1)
+
+    def maximize(self, c, cut=None) -> tuple[Fraction, list[Fraction]]:
+        """Optimum of c over the rows, re-priced in the current basis.
+
+        ``cut`` works as in ``lp_max``; its rows stay in the tableau.
+        """
+        ints, self.c_scale = cleared(c)
+        obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
+        for i, var in enumerate(self.basis):
+            if var <= self.n and ints[var - 1]:
+                coeff = ints[var - 1]
+                obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
+        self.obj = obj
+        self.primal()
+        while True:
+            value, x = self.solution()
+            violated = cut(x) if cut is not None else None
+            if violated is None:
+                return value, x
+            self.add_row(*violated)
+            if self.rows[-1][0] >= 0:
+                raise ValueError("cut returned a constraint that x satisfies")
+            self.dual()
 
     def primal(self) -> None:
         """Primal simplex with Bland's rule until no reduced cost is negative."""
@@ -153,16 +186,7 @@ def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     feasible.  The row joins the live tableau and dual simplex re-optimises
     from the current basis; the optimum of all rows is returned.
     """
-    tab = _Tableau(c)
+    tab = _Tableau(len(c))
     for row, b in zip(rows, rhs, strict=True):
         tab.add_row(row, b)
-    tab.primal()
-    while True:
-        value, x = tab.solution()
-        violated = cut(x) if cut is not None else None
-        if violated is None:
-            return value, x
-        tab.add_row(*violated)
-        if tab.rows[-1][0] >= 0:
-            raise ValueError("cut returned a constraint that x satisfies")
-        tab.dual()
+    return tab.maximize(c, cut)

@@ -14,7 +14,10 @@ from itertools import combinations, product
 
 import pytest
 
+from schreier.dual import dual_norm_witness
+from schreier.errors import UnitNormRequired
 from schreier.extreme import positive_extreme_points
+from schreier.lambdas import max_feasible_weight
 from schreier.vectors import Vector, norm
 
 
@@ -139,6 +142,24 @@ def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vecto
         lam = (1 - g.dot(x)) / (1 - g.dot(e))
         binding = g
         iterates.append(lam)
+
+
+def reference_lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
+    """Newton search with a cold dual_norm_witness solve at every step.
+
+    The reference the live-tableau line of schreier.dual.lambda_pair_dual is
+    checked against: each step builds a fresh tableau for x* - t e* and
+    grows its cuts from the singletons again.
+    """
+    nx = dual_norm_witness(x_star)[0]
+    if nx > 1:
+        raise UnitNormRequired(f"dual norm {nx} > 1")
+
+    def oracle(t: Fraction):
+        value, g = dual_norm_witness(x_star - t * e_star)
+        return value, g, g.dot(x_star), g.dot(e_star)
+
+    return max_feasible_weight(x_star, e_star, oracle)[0]
 
 
 def signed_lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:

@@ -14,12 +14,13 @@ from schreier.dual import (
     thm2_lambda_bound,
     verify_thm2,
 )
+from schreier.errors import UnitNormRequired
 from schreier.extreme import enumerate_vertices
 from schreier.families import enumerate_admissible, is_maximal
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
-from conftest import powerset_admissible, random_vector
+from conftest import powerset_admissible, random_vector, reference_lambda_pair_dual
 
 
 def test_dual_norm_examples():
@@ -141,6 +142,48 @@ def test_lambda_pair_dual_respects_trace_bound(rng):
         e_star = Vector(signs)
         lam = lambda_pair_dual(x4, e_star)
         assert lam <= thm2_lambda_bound(G, 3)
+
+
+def _random_dual_extreme(rng, top: int) -> Vector:
+    m = rng.randint(1, 3)
+    F = [m] + sorted(rng.sample(range(m + 1, top + 1), m - 1))
+    return Vector({i: rng.choice((-1, 1)) for i in F})
+
+
+def test_lambda_pair_dual_line_matches_cold_newton(rng):
+    # The live tableau of the line against a cold LP at every Newton step.
+    e = Vector({2: 1, 3: -1})
+    pairs = [
+        (e, e),
+        (e / 2, e),  # lambda = 3/4
+        # x* - t e* cancels at the top index: at the iterate t = 1/4 of the
+        # first pair, at the answer t = 1/13 of the second.
+        (Vector({1: Fraction(-1, 2), 2: Fraction(1, 4), 3: Fraction(-1, 2), 4: Fraction(-1, 4)}),
+         Vector({2: 1, 4: -1})),
+        (Vector({1: Fraction(6, 13), 2: Fraction(6, 13), 3: Fraction(-6, 13),
+                 4: Fraction(-2, 13), 5: Fraction(1, 13)}),
+         Vector({3: -1, 4: -1, 5: 1})),
+    ]
+    x3 = make_thm2_functional(3)
+    pairs += [(x3, Vector({i: 1 for i in G})) for G in dual_extreme_traces(3)]
+    for _ in range(60):
+        e_star = _random_dual_extreme(rng, 7)
+        x_star = random_vector(rng, max_index=rng.randint(1, 7), max_num=10, max_den=10)
+        if x_star:
+            x_star = x_star * rng.choice((1, Fraction(1, 2), Fraction(2, 3))) / dual_norm(x_star)
+        pairs.append((x_star, e_star))
+    assert len(pairs) == 77
+    expected = [reference_lambda_pair_dual(x, e) for x, e in pairs]
+    assert [lambda_pair_dual(x, e) for x, e in pairs] == expected
+    assert expected[:4] == [1, Fraction(3, 4), 0, Fraction(1, 13)]
+
+
+def test_lambda_pair_dual_rejects_dual_norm_above_one():
+    e_star = Vector({2: 1, 3: -1})
+    x_star = Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)})  # dual norm 3/2
+    for fn in (lambda_pair_dual, reference_lambda_pair_dual):
+        with pytest.raises(UnitNormRequired):
+            fn(x_star, e_star)
 
 
 def test_lambda_pair_dual_preconditions():

@@ -4,7 +4,7 @@ import pytest
 
 from schreier.dd import DDPolytope, box_seed
 from schreier.linalg import nullspace_vector, rank
-from schreier.simplex import lp_max
+from schreier.simplex import _Tableau, lp_max
 
 from conftest import solve_square, vertices_by_combination_search
 
@@ -98,6 +98,37 @@ def test_lp_matches_vertex_scan(rng):
         value, x = lp_max(c, rows, hi)
         expected = sum(max(ci, 0) * h for ci, h in zip(c, hi))
         assert value == expected
+
+
+def test_live_tableau_reprices_each_objective(rng):
+    # One tableau keeps its basis and its cuts across 50 seeded objectives;
+    # each optimum must match a cold solve over the box and every cut.
+    dim = 5
+    box = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    bounds = [rng.randint(1, 4) for _ in range(dim)]
+    cuts = [([rng.randint(-2, 3) for _ in range(dim)], Fraction(rng.randint(1, 12), rng.randint(1, 3)))
+            for _ in range(12)]
+
+    def cut(x):
+        for row, b in cuts:
+            if sum(a * v for a, v in zip(row, x)) > b:
+                return row, b
+        return None
+
+    tab = _Tableau(dim)
+    for row, b in zip(box, bounds):
+        tab.add_row(row, b)
+    rows = box + [row for row, _ in cuts]
+    rhs = bounds + [b for _, b in cuts]
+    for _ in range(50):
+        c = [Fraction(rng.randint(-5, 6), rng.randint(1, 4)) for _ in range(dim)]
+        value, x = tab.maximize(c, cut)
+        assert value == lp_max(c, rows, rhs)[0]
+        assert all(v >= 0 for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) <= b
+        assert sum(a * v for a, v in zip(c, x)) == value
+    assert len(tab.rows) > dim  # the cuts stayed in the tableau
 
 
 def test_dd_cube_cut():

@@ -1,14 +1,15 @@
 """Golden RunReports for the certificate, coverage, 1-set, lambda,
-enumeration and theorem-1 commands.
+enumeration and theorem commands.
 
 Each case runs ``cli.run`` with ``--json`` and compares the report's
 ``command``, ``params``, ``results`` and ``status`` with the stored copy in
 ``golden_reports.json``.  ``inputs`` is keyed by the temporary file path and
 ``elapsed_ms`` is a timing, so both are left out.  The stored reports pin
 the exact certificates, witnesses, binding lists, extreme-point pools and
-the theorem-1 counterexample, so a refactor of the tight-set scan, the
-coverage rule or the pool construction has to leave every one of them
-byte-identical.  ``verify thm1`` honestly fails, so its case exits 1.
+the theorem-1 counterexample and the ten exact spot-check lambdas of
+``verify thm2`` at n = 3 and 4, so a refactor of the tight-set scan, the
+coverage rule, the pool construction or the dual line search has to leave
+every one of them byte-identical.  ``verify thm1`` honestly fails, so its case exits 1.
 
 Run this file as a script to rewrite the stored reports from the current
 code.
@@ -67,6 +68,8 @@ CASES.update({
     "extreme-enumerate-in-space-6": ["extreme", "enumerate", "--dim", "6"],
     "extreme-enumerate-vertices-6": ["extreme", "enumerate", "--dim", "6", "--mode", "vertices"],
     "verify-thm1-n4-w10": ["verify", "thm1", "--n", "4", "--window", "10"],
+    "verify-thm2-n3": ["verify", "thm2", "--n", "3"],
+    "verify-thm2-n4-w19": ["verify", "thm2", "--n", "4", "--window", "19"],
 })
 EXIT_CODES = {"verify-thm1-n4-w10": 1}
 
