@@ -12,18 +12,33 @@ midpoint has dimension dim minus the rank of the shared constraints, so for
 such a pair it has a third vertex and the scan would reject the pair too;
 the vertex list and its order are unchanged.
 
+The arithmetic is on integers.  Each row is cleared by the LCM of its
+denominators (``linalg.cleared``), which keeps its halfspace, and each vertex
+is an integer numerator vector over one positive denominator, in lowest
+terms.  A slack is then the integer b d - a.num, a positive multiple of the
+rational slack, so its sign and its zeros are those of the rational one.
+
 Seeding requires a starting polytope whose vertices and tight masks are
 known; callers here use boxes, simplices, and their products.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+from .linalg import cleared
 
 
 @dataclass
 class DDVertex:
-    point: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int  # > 0, and coprime to the numerators as a whole
     tight: int  # bitmask over the constraint list
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        """The exact point num / den."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
 
 class DDPolytope:
@@ -33,29 +48,28 @@ class DDPolytope:
         """seed_rows: list of (coeffs, rhs) meaning coeffs.x <= rhs.
         seed_vertices: exact vertex points of the seed polytope."""
         self.dim = dim
-        self.rows: list[tuple[tuple[Fraction, ...], Fraction]] = [
-            (tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows
+        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = [
+            _cleared_row(coeffs, b) for coeffs, b in seed_rows
         ]
         self.vertices: list[DDVertex] = []
         for point in seed_vertices:
-            point = tuple(Fraction(v) for v in point)
-            self.vertices.append(DDVertex(point, self._tight_mask(point)))
+            num, den = cleared(point)
+            self.vertices.append(DDVertex(tuple(num), den, self._tight_mask(num, den)))
 
-    def _tight_mask(self, point) -> int:
+    def _tight_mask(self, num, den: int) -> int:
         mask = 0
-        for idx, (coeffs, b) in enumerate(self.rows):
-            if _dot(coeffs, point) == b:
+        for idx, (row, b) in enumerate(self.rows):
+            if _dot(row, num) == b * den:
                 mask |= 1 << idx
         return mask
 
     def add_constraint(self, coeffs, b) -> None:
-        coeffs = tuple(Fraction(a) for a in coeffs)
-        b = Fraction(b)
+        row, b = _cleared_row(coeffs, b)
         idx = len(self.rows)
-        self.rows.append((coeffs, b))
+        self.rows.append((row, b))
         bit = 1 << idx
 
-        slack = [b - _dot(coeffs, v.point) for v in self.vertices]
+        slack = [b * v.den - _dot(row, v.num) for v in self.vertices]
         keep: list[DDVertex] = []
         plus: list[int] = []
         minus: list[int] = []
@@ -79,11 +93,14 @@ class DDPolytope:
                 common = masks[i] & masks[j]
                 if common.bit_count() < self.dim - 1 or not self._adjacent(i, j, common, masks):
                     continue
+                # The cut point u + si / (si - sj) (w - u), sj < 0 < si, over
+                # the denominators du and dw: (si W - sj U) / (si dw - sj du).
                 si, sj = slack[i], slack[j]
-                t = si / (si - sj)  # sj < 0 < si
-                u, w = self.vertices[i].point, self.vertices[j].point
-                point = tuple(a + t * (c - a) for a, c in zip(u, w))
-                new_vertices.append(DDVertex(point, common | bit))
+                u, w = self.vertices[i], self.vertices[j]
+                num = [si * c - sj * a for a, c in zip(u.num, w.num)]
+                den = si * w.den - sj * u.den
+                g = gcd(den, *num)
+                new_vertices.append(DDVertex(tuple(a // g for a in num), den // g, common | bit))
         self.vertices = keep + new_vertices
 
     def _adjacent(self, i: int, j: int, common: int, masks: list[int]) -> bool:
@@ -93,8 +110,15 @@ class DDPolytope:
         return True
 
 
-def _dot(coeffs, point) -> Fraction:
-    return sum((a * v for a, v in zip(coeffs, point) if a), Fraction(0))
+def _cleared_row(coeffs, b) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The row a.x <= b times the LCM of its denominators: its nonzero
+    (position, coefficient) pairs and its right-hand side."""
+    values, _ = cleared([*coeffs, b])
+    return tuple((k, a) for k, a in enumerate(values[:-1]) if a), values[-1]
+
+
+def _dot(row, num) -> int:
+    return sum(a * num[k] for k, a in row)
 
 
 def box_seed(bounds) -> tuple[list, list]:

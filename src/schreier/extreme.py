@@ -29,6 +29,8 @@ from .families import IndexSet, admissible_subsets
 from .linalg import cleared, nullspace_vector, rank
 from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
+_ZERO = Fraction(0)
+
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
 VERTEX_ONLY = "VERTEX_ONLY"
@@ -197,20 +199,30 @@ def perturbation_witness(
     (preferring a plain uncovered coordinate), scaled by half the worst
     slack-to-action ratio, then re-verified against the norm oracle.
 
-    The 1-sets give the rank rows and the uncovered coordinates; one scan
-    of the window gives the slack sets.  An uncovered index is a zero column
-    of the rank rows, so the rows are rank-deficient whenever one exists.
-    Otherwise their kernel is trivial exactly when they have full rank, and
-    then no witness exists.  A caller that has checked that e is a unit
-    vector and found its 1-sets passes them as ``sets``; both steps are
-    then skipped.
+    The 1-sets give the rank rows and the uncovered coordinates.  An
+    uncovered index is a zero column of the rank rows, so the rows are
+    rank-deficient whenever one exists.  Otherwise their kernel is trivial
+    exactly when they have full rank, and then no witness exists.
+
+    The slack sets are scanned over G = supp e + supp direction, not over
+    the window.  Dropping an index of F where both e and the direction
+    vanish keeps F admissible and keeps its total and its action, and a
+    set inside G lies in the window.  So the admissible subsets of G give
+    the same (total, action) pairs, slack or tight alike, and the same
+    least ratio.
+
+    A caller that has checked that e is a unit vector and found its 1-sets
+    passes them as ``sets``; both steps are then skipped, and so is the
+    window cutoff, which bounds the rank rows of a public call as a window
+    scan would (certify_extreme bounds the support and asks one index past
+    it).
     """
     if sets is None:
         _require_unit(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
-    scale, sums = admissible_sums(e, window)  # first, so its cutoff bounds the window
     if sets is None:
+        cutoffs.check("perturbation_witness window", window, cutoffs.admissible_enum_limit(1))
         sets = _one_sets(e)
     uncovered = [i for i in range(1, window + 1) if not covered_by(sets, i)]
     if uncovered:
@@ -229,6 +241,8 @@ def perturbation_witness(
     # found on integers.  A nonzero coordinate j of the direction always
     # gives a bound, from e_j or from the slack singleton {j}.
     bounds = [abs(e[i]) / (2 * abs(d)) for i, d in enumerate(direction, start=1) if d and i in e]
+    ground = set(e.support).union(i for i, d in enumerate(direction, start=1) if d)
+    scale, sums = admissible_sums(e, window, within=ground)
     act = [0] + [abs(d) for d in direction]
     at = act.__getitem__
     least = None  # (slack, action) with the least ratio so far
@@ -264,7 +278,9 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     same for every window past N.  Without one, the rank rows past N are
     unit rows at the end, so the kernel vector is the window-N vector padded
     with zeros.  Indices past N + 1 carry neither |e| nor the direction, so
-    dropping them from a slack set keeps it admissible and keeps its ratio.
+    dropping them from a slack set keeps it admissible and keeps its ratio;
+    the slack scan of perturbation_witness runs over supp e and the
+    direction's support only, so the window N + 1 may pass the cutoff.
     """
     _require_unit(e, "certify_extreme")
     N = e.max_index
@@ -325,7 +341,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
 
     reps = []
     for vert in poly.vertices:
-        v = Vector(dict(enumerate(vert.point, start=1)))
+        v = Vector({i: Fraction(a, vert.den) for i, a in enumerate(vert.num, start=1) if a})
         if v and _active_rank(v, _one_sets(v), N) == N:
             reps.append(v)
 
@@ -422,11 +438,14 @@ def _class_reps(m: int, pieces) -> tuple:
     reps = []
     seen = set()
     for vert in poly.vertices:
-        vs = vert.point[:n_v]
-        ws = tuple(vert.point[n_v:]) + (1 - sum(vert.point[n_v:]),)
-        if any(v <= 0 for v in vs) or ws[-1] <= 0:
+        # Over the vertex denominator d: the head is (d, v_2..v_m), the
+        # tail (w_1..w_(m-1), d - sum(w)).
+        d, vs, ws = vert.den, vert.num[:n_v], vert.num[n_v:]
+        last = d - sum(ws)
+        if any(v <= 0 for v in vs) or last <= 0:
             continue
-        head = (Fraction(1),) + tuple(vs)
+        head = (Fraction(1),) + tuple(Fraction(v, d) for v in vs)
+        ws = tuple(Fraction(w, d) for w in ws) + (Fraction(last, d),)
         if (head, ws) in seen:
             continue
         seen.add((head, ws))
@@ -481,19 +500,30 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
     rank on [1, max F] is the number of gaps plus the support rank.  F
     stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
     exactly when it holds for the canonical one.
+
+    The points are built as coordinate tuples on [1, N] and sorted as
+    tuples: for e >= 0, canonical_key is (e_i, 0) at every coordinate, so
+    the order is the canonical one.
     """
-    out = []
+    rows = []
     for m in range(1, N // 2 + 1):
-        reps = _class_positive_vertices(m)
-        arrangements = {
-            tail: sorted(set(permutations(tail))) for _, tail in reps
-        }
-        for F in combinations(range(m + 1, N + 1), m):
-            for head, tail in reps:
-                for arranged in arrangements[tail]:
-                    out.append(_embed(head, arranged, F))
-    out.sort(key=lambda v: canonical_key(v, N))
-    return tuple(out)
+        for head, tail in _class_positive_vertices(m):
+            arrangements = _arrangements(tail)
+            for F in combinations(range(m + 1, N + 1), m):
+                for arranged in arrangements:
+                    row = list(head) + [_ZERO] * (N - m)
+                    for f, q in zip(F, arranged):
+                        row[f - 1] = q
+                    rows.append(tuple(row))
+    rows.sort()
+    return tuple(Vector({i: q for i, q in enumerate(row, start=1) if q}) for row in rows)
+
+
+def _arrangements(tail: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
+    """The distinct orderings of tail, from the permutations of its value ranks."""
+    values = sorted(set(tail))
+    ranks = [values.index(q) for q in tail]
+    return [tuple(values[r] for r in p) for p in set(permutations(ranks))]
 
 
 def enumerate_extreme_in_space(N: int) -> list[Vector]:

@@ -121,19 +121,26 @@ def admissible_subsets(ground: Iterable[int], maximal: bool = False):
                 yield (m,) + rest
 
 
-def enumerate_admissible(k: int, N: int) -> list[IndexSet]:
-    """All members of S_k contained in [1, N], lexicographically sorted."""
+def enumerate_admissible(k: int, N: int, within: Iterable[int] | None = None) -> list[IndexSet]:
+    """All members of S_k contained in [1, N], lexicographically sorted.
+
+    With ``within``, only the members contained in it.  The cutoff bounds
+    the ground that is scanned: [1, N], or its indices in ``within``.
+    """
     if N < 0:
         raise ValueError("window must be >= 0")
+    if within is None:
+        universe = list(range(1, N + 1))
+    else:
+        universe = sorted(i for i in set(within) if 1 <= i <= N)
     limit = cutoffs.admissible_enum_limit(k)
-    cutoffs.check(f"enumerate_admissible(k={k})", N, limit)
+    cutoffs.check(f"enumerate_admissible(k={k})", len(universe), limit)
     if k == 0:
-        return [()] + [(i,) for i in range(1, N + 1)]
+        return [()] + [(i,) for i in universe]
     if k == 1:
-        return sorted(admissible_subsets(range(1, N + 1)))
+        return sorted(admissible_subsets(universe))
     sets = []
-    universe = list(range(1, N + 1))
-    for size in range(0, N + 1):
+    for size in range(0, len(universe) + 1):
         for cand in combinations(universe, size):
             if is_admissible(cand, k):
                 sets.append(cand)

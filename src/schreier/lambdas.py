@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from . import cutoffs
 from .errors import UnitNormRequired
 from .extreme import (
     EXTREME,
@@ -26,7 +27,16 @@ from .extreme import (
 )
 from .families import IndexSet, index_set, is_admissible
 from .linalg import cleared
-from .vectors import Vector, _greedy, _tight_sets, covers_index, make_thm1_vector, norm, one_sets
+from .vectors import (
+    Vector,
+    _greedy,
+    _one_sets,
+    _tight_sets,
+    covers_index,
+    make_thm1_vector,
+    norm,
+    one_sets,
+)
 
 
 @dataclass
@@ -136,6 +146,21 @@ def gap_bound(x: Vector, e: Vector, F: IndexSet) -> Fraction:
     return g / h
 
 
+def _on_face(pool: list[Vector], sets: list[IndexSet]) -> list[Vector]:
+    """The members e of the pool with e(F) = 1 for every F in sets, in order.
+
+    Face lemma: let x >= 0 and e >= 0 with ||x|| <= 1 = ||e||, and let F be
+    a 1-set of x.  If lambda(x, e) > 0 then e(F) = 1.  At lambda = 1,
+    ||x - e|| <= 0 gives e = x.  At 0 < lambda < 1, y = (x - lambda e) /
+    (1 - lambda) has ||y|| <= 1, and 1 = x(F) = lambda e(F) + (1 - lambda) y(F)
+    with e(F) <= ||e|| = 1 and y(F) <= ||y|| <= 1, F being admissible; so
+    both sums are 1.  A point off the face therefore has weight exactly 0,
+    and dropping it changes neither the best weight nor the set of points
+    with positive weight.
+    """
+    return [e for e in pool if all(sum(map(e.__getitem__, F)) == 1 for F in sets)]
+
+
 def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     """Best weight of x over the extreme points with support in [1, window].
 
@@ -144,18 +169,26 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     extreme points extreme, so lambda(x, s |e|) = lambda(|x|, |e|) for
     s = sign x (+1 where x is zero).  The scan therefore runs on |x| over the
     positive pool and returns s e for its first achiever e in canonical order.
+
+    Only the pool points on the face of the 1-sets of |x| are solved (see
+    _on_face); the rest weigh 0, so with a best weight of 0 the first
+    achiever is the first pool point.  A vector with ||x|| < 1 has no
+    1-sets; past the support cutoff the 1-sets are not listed and every
+    point is solved.
     """
     nx = norm(x, 1).value
     if nx > 1:
         raise UnitNormRequired(f"lambda_lower needs ||x|| <= 1; got {nx}")
+    pool = positive_extreme_points(window)
+    if not pool:
+        raise ValueError(f"no extreme points with support inside [1, {window}]")
     ax = abs(x)
-    best_lam, best_e = Fraction(-1), None
-    for e in positive_extreme_points(window):
+    sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.support_subset_limit() else []
+    best_lam, best_e = Fraction(0), pool[0]
+    for e in _on_face(pool, sets):
         lam, _ = max_feasible_weight(ax, e, _primal_line(ax, e))
         if lam > best_lam:
             best_lam, best_e = lam, e
-    if best_e is None:
-        raise ValueError(f"no extreme points with support inside [1, {window}]")
     return best_lam, best_e.flip_signs(i for i, q in x.items() if q < 0)
 
 
@@ -212,7 +245,9 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
 
     Builds the construction, checks its norm, 1-set inventory and
     non-extremality, then evaluates the exact pair lambda against the
-    (n+1)/n^2 bound for every nonnegative extreme point in the window.
+    (n+1)/n^2 bound for every nonnegative extreme point in the window on
+    the face of the 1-sets of x_n; every other point has lambda = 0 (see
+    _on_face), which neither raises the maximum nor breaks a claim.
     """
     if window is None:
         window = 2 * n + 2
@@ -229,7 +264,8 @@ def _verify_thm1(n: int, window: int) -> Thm1Report:
     E = tuple(range(4, n + 1))
 
     norm_ok = norm(x, 1).value == 1
-    one_sets_ok = one_sets(x) == expected_one_sets(n)
+    sets = one_sets(x)
+    one_sets_ok = sets == expected_one_sets(n)
     covers_ok = covers_index(x, 4) is False
     not_extreme_ok = certify_extreme(x).verdict != EXTREME
 
@@ -237,7 +273,7 @@ def _verify_thm1(n: int, window: int) -> Thm1Report:
     claims = {"i": True, "ii": True, "iii": True, "iv": True}
     violations: list[tuple[Vector, Fraction]] = []
     max_lam = Fraction(0)
-    for e in pool:
+    for e in _on_face(pool, sets):
         lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
         if lam > max_lam:
             max_lam = lam

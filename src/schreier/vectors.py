@@ -198,14 +198,17 @@ def _require_unit(x: Vector, op: str) -> None:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
 
 
-def admissible_sums(x: Vector, window: int, order: int = 1) -> tuple[int, list[tuple[IndexSet, int]]]:
+def admissible_sums(
+    x: Vector, window: int, order: int = 1, within: Iterable[int] | None = None
+) -> tuple[int, list[tuple[IndexSet, int]]]:
     """(scale, sums): the LCM of the denominators of x, and (F, sum of
-    scale * |x| over F) for every nonempty F of S_order in [1, window].
+    scale * |x| over F) for every nonempty F of S_order in [1, window]
+    (and inside ``within`` when given).
 
     The sums are integers: |x| sums to exactly 1 over F when its total is
-    scale.  Sets come in enumerate_admissible order, under its window cutoff.
+    scale.  Sets come in enumerate_admissible order, under its cutoff.
     """
-    sets = enumerate_admissible(order, window)
+    sets = enumerate_admissible(order, window, within)
     values, scale = cleared(q for _, q in x.items())
     size = [0] * (window + 1)
     for (i, _), v in zip(x.items(), values):

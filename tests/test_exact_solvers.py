@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -181,6 +182,53 @@ def test_dd_fuzz_against_combination_search(rng):
         expected = vertices_by_combination_search(dim, all_rows)
         got = {v.point for v in poly.vertices}
         assert got == expected, f"trial {trial}: DD {len(got)} vs oracle {len(expected)}"
+
+
+def _assert_lowest_terms(poly):
+    for v in poly.vertices:
+        assert v.den > 0 and gcd(v.den, *v.num) == 1
+
+
+def test_dd_rational_box_and_cuts_match_combination_search():
+    # Rational bounds and coefficients: rows are cleared to integers and
+    # each vertex is kept as integers over its own denominator.
+    bounds = [(0, Fraction(1, 3)), (0, Fraction(2, 5)), (0, 1)]
+    seed_rows, seed_vertices = box_seed(bounds)
+    poly = DDPolytope(3, seed_rows, seed_vertices)
+    cuts = [
+        ([Fraction(3, 2), Fraction(5, 7), Fraction(1, 4)], Fraction(1, 2)),
+        ([Fraction(-1, 3), Fraction(2, 3), Fraction(5, 6)], Fraction(3, 4)),
+        ([Fraction(1, 5), 0, Fraction(7, 9)], Fraction(2, 3)),
+    ]
+    rows = [(tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows]
+    for coeffs, b in cuts:
+        poly.add_constraint(coeffs, b)
+        rows.append((tuple(Fraction(a) for a in coeffs), Fraction(b)))
+        assert {v.point for v in poly.vertices} == vertices_by_combination_search(3, rows)
+        _assert_lowest_terms(poly)
+    assert (Fraction(0), Fraction(2, 5), Fraction(0)) in {v.point for v in poly.vertices}
+
+
+def test_dd_fuzz_rational_boxes_against_combination_search(rng):
+    for trial in range(30):
+        dim = rng.randint(2, 4)
+        bounds = []
+        for _ in range(dim):
+            lo = Fraction(rng.randint(-3, 1), rng.randint(1, 4))
+            bounds.append((lo, lo + Fraction(rng.randint(1, 5), rng.randint(1, 6))))
+        seed_rows, seed_vertices = box_seed(bounds)
+        poly = DDPolytope(dim, seed_rows, seed_vertices)
+        rows = [(tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows]
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(dim)]
+            if not any(coeffs):
+                coeffs[0] = Fraction(1, 2)
+            b = Fraction(rng.randint(0, 4), rng.randint(1, 7))
+            poly.add_constraint(coeffs, b)
+            rows.append((tuple(coeffs), b))
+        expected = vertices_by_combination_search(dim, rows)
+        assert {v.point for v in poly.vertices} == expected, f"trial {trial}"
+        _assert_lowest_terms(poly)
 
 
 def _random_lp(rng):

@@ -193,9 +193,10 @@ def test_not_extreme_path_checks_the_unit_norm_and_one_sets_once(monkeypatch):
 
 
 def test_certify_extreme_answers_at_the_last_support_indices():
-    # The witness window is one index past the support, so it stays under
-    # the window cutoff of 24 while the support does.
-    for top in (22, 23):
+    # The witness window is one index past the support, so it reaches 25
+    # at a support index of 24; the slack scan runs over the support and
+    # the direction only, so the window cutoff of 24 does not stop it.
+    for top in (22, 23, 24):
         cert = certify_extreme(Vector({1: 1, top: Fraction(1, 2)}))
         assert cert.verdict == NOT_EXTREME
         assert cert.witness == Vector({2: Fraction(1, 4)})
@@ -326,6 +327,15 @@ def test_in_space_supports_and_even_cardinality():
             assert len(e.support) == 2 * len(F)
             m = len(F)
             assert e.support == tuple(range(1, m + 1)) + F
+
+
+def test_positive_pool_is_in_canonical_order():
+    # The pool is sorted on plain coordinate tuples; for e >= 0 that is the
+    # canonical order, which fixes the first achiever of lambda_lower.
+    for N, size in ((6, 12), (8, 44), (10, 365), (12, 4966)):
+        pool = positive_extreme_points(N)
+        assert len(set(pool)) == len(pool) == size
+        assert pool == sorted(pool, key=lambda v: canonical_key(v, N))
 
 
 def test_pool_members_certify_extreme():

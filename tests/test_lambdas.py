@@ -10,7 +10,9 @@ from schreier.extreme import (
     _embed,
     positive_extreme_points,
 )
+from schreier.cutoffs import support_subset_limit
 from schreier.lambdas import (
+    _on_face,
     _primal_line,
     alpha_pattern_vector,
     expected_one_sets,
@@ -285,6 +287,12 @@ def test_lambda_lower_matches_the_reference(rng):
         for window, count in ((4, 20), (6, 10), (8, 3))
         for _ in range(count)
     ]
+    # Unit vectors have 1-sets, so only their face is solved.
+    cases += [
+        (random_unit_vector(rng, max_index=window), window)
+        for window, count in ((4, 10), (6, 5), (8, 1))
+        for _ in range(count)
+    ]
     for x, window in cases:
         best_lam, best_e = signed_lambda_lower(x, window)
         lam, achiever = lambda_lower(x, window)
@@ -303,12 +311,43 @@ def test_lambda_lower_meets_the_thm1_pool_maximum():
     assert shared and all((x[i] < 0) == (achiever[i] < 0) for i in shared)
 
 
+def test_lambda_lower_keeps_the_first_pool_point_at_weight_zero():
+    # Every point of the window-4 pool vanishes on the 1-set {6} of x, so
+    # none is on the face and each weighs 0; the achiever stays the first
+    # pool point, signed like x.
+    x = Vector({1: Fraction(-1, 2), 6: 1})
+    pool = positive_extreme_points(4)
+    assert norm(x, 1).value == 1 and one_sets(x) == [(6,)]
+    assert _on_face(pool, one_sets(x)) == []
+    lam, achiever = lambda_lower(x, 4)
+    assert lam == signed_lambda_lower(x, 4)[0] == 0
+    assert achiever == pool[0].flip_signs([1])
+
+
+def test_lambda_lower_past_the_support_cutoff_solves_every_point():
+    # A unit vector with more support coordinates than the 1-set scan takes.
+    size = support_subset_limit() + 1
+    x = Vector({i: Fraction(1, size) for i in range(size, 2 * size)})
+    assert norm(x, 1).value == 1
+    assert lambda_lower(x, 4) == signed_lambda_lower(x, 4)
+
+
 def test_thm1_pool_weights_and_bindings_match_the_reference():
+    # Face lemma: a pool point with positive weight sums to 1 on every 1-set
+    # of x_4; the face holds exactly the two points with positive weight.
     pool = positive_extreme_points(10)
     assert len(pool) == 365
+    sets = one_sets(X4)
+    positive = []
     for e in pool:
         lam, binding, _ = reference_max_feasible_weight(X4, e)
         assert max_feasible_weight(X4, e, _primal_line(X4, e)) == (lam, binding)
+        if not all(sum(e[i] for i in F) == 1 for F in sets):
+            assert lam == 0
+        if lam > 0:
+            positive.append(e)
+    assert _on_face(pool, sets) == positive
+    assert len(positive) == 2 and BAD4 in positive
 
 
 def test_lambda_lower_examples():
@@ -406,6 +445,14 @@ def test_verify_thm1_n4_report_contents():
     assert report.max_pair_lambda == Fraction(15, 32)
     assert [e for e, _ in report.violations] == [BAD4]
     assert report.claims["iii"] is False  # BAD4 has e(3) = e(2)
+    assert report.passed is False
+
+
+def test_verify_thm1_n5_report_contents():
+    report = verify_thm1(5, 12)
+    assert report.pool_size == 4966
+    assert report.max_pair_lambda == Fraction(12, 25) == (1 - Fraction(1, 25)) / 2
+    assert report.violations == ((BAD5, Fraction(12, 25)),)
     assert report.passed is False
 
 
