@@ -29,8 +29,6 @@ from .families import IndexSet, admissible_subsets
 from .linalg import cleared, nullspace_vector, rank
 from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
-_ZERO = Fraction(0)
-
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
 VERTEX_ONLY = "VERTEX_ONLY"
@@ -500,30 +498,19 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
     rank on [1, max F] is the number of gaps plus the support rank.  F
     stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
     exactly when it holds for the canonical one.
-
-    The points are built as coordinate tuples on [1, N] and sorted as
-    tuples: for e >= 0, canonical_key is (e_i, 0) at every coordinate, so
-    the order is the canonical one.
     """
-    rows = []
+    out = []
     for m in range(1, N // 2 + 1):
-        for head, tail in _class_positive_vertices(m):
-            arrangements = _arrangements(tail)
-            for F in combinations(range(m + 1, N + 1), m):
-                for arranged in arrangements:
-                    row = list(head) + [_ZERO] * (N - m)
-                    for f, q in zip(F, arranged):
-                        row[f - 1] = q
-                    rows.append(tuple(row))
-    rows.sort()
-    return tuple(Vector({i: q for i, q in enumerate(row, start=1) if q}) for row in rows)
-
-
-def _arrangements(tail: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
-    """The distinct orderings of tail, from the permutations of its value ranks."""
-    values = sorted(set(tail))
-    ranks = [values.index(q) for q in tail]
-    return [tuple(values[r] for r in p) for p in set(permutations(ranks))]
+        reps = _class_positive_vertices(m)
+        arrangements = {
+            tail: sorted(set(permutations(tail))) for _, tail in reps
+        }
+        for F in combinations(range(m + 1, N + 1), m):
+            for head, tail in reps:
+                for arranged in arrangements[tail]:
+                    out.append(_embed(head, arranged, F))
+    out.sort(key=lambda v: canonical_key(v, N))
+    return tuple(out)
 
 
 def enumerate_extreme_in_space(N: int) -> list[Vector]:
