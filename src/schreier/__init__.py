@@ -15,7 +15,6 @@ from .errors import CutoffExceeded, SchreierError, UnitNormRequired, VectorForma
 from .extreme import (
     EXTREME,
     NOT_EXTREME,
-    VERTEX_ONLY,
     ExtremenessCertificate,
     NecessaryConditions,
     SignedConstraint,

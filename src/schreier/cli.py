@@ -6,6 +6,7 @@ Every command accepts --json PATH to persist a RunReport; reports are
 byte-deterministic apart from the elapsed_ms field.
 """
 
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from . import dual as dual_mod
 from . import extreme as extreme_mod
 from . import lambdas as lambdas_mod
 from . import serialize
-from .errors import CutoffExceeded, SchreierError, VectorFormatError
+from .errors import SchreierError
 from .families import format_index_set, is_admissible, is_maximal, parse_index_set
 from .rationals import decimal_string, format_rational
 from .vectors import covers_index, eps_gap, norm, one_sets
@@ -56,17 +57,33 @@ def _load(path, space=serialize.SPACE_PRIMAL, order=1):
     return serialize.load_vector_file(path, space, order)
 
 
-_json_option = click.option("--json", "json_path", type=click.Path(), default=None,
-                            help="Write a RunReport to this path.")
+def _command(group, name):
+    """Register a command under ``group`` that writes the RunReport ``name``.
+
+    The decorated function returns (inputs, params, results, passed, lines);
+    the registration keeps its docstring and the click parameters declared
+    under it, adds --json PATH last, times the call and hands the result to
+    _finish.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def command(json_path, **kwargs):
+            started = time.monotonic()
+            _finish(name, *body(**kwargs), json_path, started)
+
+        cmd = group.command(name.split()[-1])(command)
+        cmd.params.append(click.Option(["--json", "json_path"], type=click.Path(), default=None,
+                                       help="Write a RunReport to this path."))
+        return cmd
+
+    return register
 
 
-@cli.command("norm")
+@_command(cli, "norm")
 @click.argument("file", type=click.Path())
 @click.option("--order", "order", type=int, default=1, show_default=True)
-@_json_option
-def norm_cmd(file, order, json_path):
+def norm_cmd(file, order):
     """Exact norm of the vector in FILE, with a norming witness."""
-    started = time.monotonic()
     x = _load(file, order=order)
     report = norm(x, order)
     results = {
@@ -76,57 +93,47 @@ def norm_cmd(file, order, json_path):
     }
     lines = [f"norm (order {order}) = {format_rational(report.value)}"
              f"  witness {format_index_set(report.witness)}"]
-    _finish("norm", [file], {"order": order}, results, True, lines, json_path, started)
+    return ([file], {"order": order}, results, True, lines)
 
 
-@cli.command("one-sets")
+@_command(cli, "one-sets")
 @click.argument("file", type=click.Path())
-@_json_option
-def one_sets_cmd(file, json_path):
+def one_sets_cmd(file):
     """List every 1-set of the unit vector in FILE."""
-    started = time.monotonic()
     x = _load(file)
     sets = one_sets(x)
     results = {"count": len(sets), "sets": [format_index_set(F) for F in sets]}
     lines = [f"{len(sets)} one-sets:"] + [f"  {format_index_set(F)}" for F in sets]
-    _finish("one-sets", [file], {}, results, True, lines, json_path, started)
+    return ([file], {}, results, True, lines)
 
 
-@cli.command("eps-gap")
+@_command(cli, "eps-gap")
 @click.argument("file", type=click.Path())
-@_json_option
-def eps_gap_cmd(file, json_path):
+def eps_gap_cmd(file):
     """Gap between 1 and the best admissible sum short of 1."""
-    started = time.monotonic()
     x = _load(file)
     value = eps_gap(x)
     results = {"value": format_rational(value)}
-    _finish("eps-gap", [file], {}, results, True,
-            [f"eps-gap = {format_rational(value)}"], json_path, started)
+    return ([file], {}, results, True, [f"eps-gap = {format_rational(value)}"])
 
 
-@cli.command("covers")
+@_command(cli, "covers")
 @click.argument("file", type=click.Path())
 @click.option("--index", "index", type=int, required=True)
-@_json_option
-def covers_cmd(file, index, json_path):
+def covers_cmd(file, index):
     """Whether some norming set of the vector in FILE contains --index."""
-    started = time.monotonic()
     x = _load(file)
     covered = covers_index(x, index)
     results = {"index": index, "covered": covered}
-    _finish("covers", [file], {"index": index}, results, True,
-            [str(covered).lower()], json_path, started)
+    return ([file], {"index": index}, results, True, [str(covered).lower()])
 
 
-@cli.command("admissible")
+@_command(cli, "admissible")
 @click.option("--set", "set_text", required=True, help="Index set, e.g. '{2,3,6}'.")
 @click.option("--order", "order", type=int, default=1, show_default=True)
 @click.option("--maximal", is_flag=True, help="Also test maximality.")
-@_json_option
-def admissible_cmd(set_text, order, maximal, json_path):
+def admissible_cmd(set_text, order, maximal):
     """Membership (and optionally maximality) in the order-k family."""
-    started = time.monotonic()
     F = parse_index_set(set_text)
     member = is_admissible(F, order)
     results = {"set": format_index_set(F), "order": order, "admissible": member}
@@ -135,8 +142,7 @@ def admissible_cmd(set_text, order, maximal, json_path):
         maximal_value = is_maximal(F, order) if member and F else None
         results["maximal"] = maximal_value
         lines.append(f"maximal: {str(maximal_value).lower()}")
-    _finish("admissible", [], {"set": format_index_set(F), "order": order},
-            results, True, lines, json_path, started)
+    return ([], {"set": format_index_set(F), "order": order}, results, True, lines)
 
 
 @cli.group("extreme")
@@ -144,14 +150,12 @@ def extreme_group():
     """Extreme-point certification and enumeration."""
 
 
-@extreme_group.command("check")
+@_command(extreme_group, "extreme check")
 @click.argument("file", type=click.Path())
 @click.option("--window", type=int, default=None,
               help="Extra window for the perturbation-witness search.")
-@_json_option
-def extreme_check_cmd(file, window, json_path):
+def extreme_check_cmd(file, window):
     """Certify or refute extremality of the unit vector in FILE."""
-    started = time.monotonic()
     e = _load(file)
     cert = extreme_mod.certify_extreme(e)
     results = serialize.certificate_to_payload(cert)
@@ -163,18 +167,15 @@ def extreme_check_cmd(file, window, json_path):
     lines = [f"verdict: {cert.verdict} (active rank {cert.active_rank} on [1,{cert.window}])"]
     if cert.failed_conditions:
         lines.append("failed conditions: " + ", ".join(cert.failed_conditions))
-    _finish("extreme check", [file], {"window": window}, results, True, lines,
-            json_path, started)
+    return ([file], {"window": window}, results, True, lines)
 
 
-@extreme_group.command("enumerate")
+@_command(extreme_group, "extreme enumerate")
 @click.option("--dim", type=int, required=True)
 @click.option("--mode", type=click.Choice(["vertices", "in-space"]), default="in-space",
               show_default=True)
-@_json_option
-def extreme_enumerate_cmd(dim, mode, json_path):
+def extreme_enumerate_cmd(dim, mode):
     """Enumerate section-polytope vertices or in-space extreme points."""
-    started = time.monotonic()
     if mode == "vertices":
         points = extreme_mod.enumerate_vertices(dim)
     else:
@@ -186,8 +187,7 @@ def extreme_enumerate_cmd(dim, mode, json_path):
         "points": [serialize.vector_to_payload(v)["coords"] for v in points],
     }
     lines = [f"{len(points)} points"]
-    _finish("extreme enumerate", [], {"dim": dim, "mode": mode}, results, True,
-            lines, json_path, started)
+    return ([], {"dim": dim, "mode": mode}, results, True, lines)
 
 
 @cli.group("lambda")
@@ -195,13 +195,11 @@ def lambda_group():
     """Decomposition-weight computations."""
 
 
-@lambda_group.command("pair")
+@_command(lambda_group, "lambda pair")
 @click.argument("xfile", type=click.Path())
 @click.argument("efile", type=click.Path())
-@_json_option
-def lambda_pair_cmd(xfile, efile, json_path):
+def lambda_pair_cmd(xfile, efile):
     """Exact maximal weight lambda with ||x - lambda e|| <= 1 - lambda."""
-    started = time.monotonic()
     x = _load(xfile)
     e = _load(efile)
     result = lambdas_mod.lambda_pair(x, e)
@@ -211,17 +209,14 @@ def lambda_pair_cmd(xfile, efile, json_path):
         "residual": serialize.vector_to_payload(result.residual),
         "binding": [serialize.constraint_to_payload(c) for c in result.binding],
     }
-    _finish("lambda pair", [xfile, efile], {}, results, True,
-            [f"lambda = {format_rational(result.lam)}"], json_path, started)
+    return ([xfile, efile], {}, results, True, [f"lambda = {format_rational(result.lam)}"])
 
 
-@lambda_group.command("lower")
+@_command(lambda_group, "lambda lower")
 @click.argument("xfile", type=click.Path())
 @click.option("--window", type=int, required=True)
-@_json_option
-def lambda_lower_cmd(xfile, window, json_path):
+def lambda_lower_cmd(xfile, window):
     """Best weight over the extreme points within [1, window]."""
-    started = time.monotonic()
     x = _load(xfile)
     lam, achiever = lambdas_mod.lambda_lower(x, window)
     results = {
@@ -229,8 +224,8 @@ def lambda_lower_cmd(xfile, window, json_path):
         "achiever": serialize.vector_to_payload(achiever),
         "window": window,
     }
-    _finish("lambda lower", [xfile], {"window": window}, results, True,
-            [f"lambda >= {format_rational(lam)} via {achiever!r}"], json_path, started)
+    return ([xfile], {"window": window}, results, True,
+            [f"lambda >= {format_rational(lam)} via {achiever!r}"])
 
 
 @cli.group("dual")
@@ -238,30 +233,24 @@ def dual_group():
     """Dual-space computations."""
 
 
-@dual_group.command("norm")
+@_command(dual_group, "dual norm")
 @click.argument("file", type=click.Path())
-@_json_option
-def dual_norm_cmd(file, json_path):
+def dual_norm_cmd(file):
     """Exact dual norm of the functional in FILE."""
-    started = time.monotonic()
     f = _load(file, serialize.SPACE_DUAL)
     value = dual_mod.dual_norm(f)
     results = {"value": format_rational(value)}
-    _finish("dual norm", [file], {}, results, True,
-            [f"dual norm = {format_rational(value)}"], json_path, started)
+    return ([file], {}, results, True, [f"dual norm = {format_rational(value)}"])
 
 
-@dual_group.command("check")
+@_command(dual_group, "dual check")
 @click.argument("file", type=click.Path())
-@_json_option
-def dual_check_cmd(file, json_path):
+def dual_check_cmd(file):
     """Whether the functional in FILE is a dual extreme point."""
-    started = time.monotonic()
     f = _load(file, serialize.SPACE_DUAL)
     value = dual_mod.is_dual_extreme(f)
     results = {"dual_extreme": value}
-    _finish("dual check", [file], {}, results, True, [str(value).lower()],
-            json_path, started)
+    return ([file], {}, results, True, [str(value).lower()])
 
 
 @cli.group("verify")
@@ -269,13 +258,11 @@ def verify_group():
     """End-to-end verification runs (exit 1 on any failed claim)."""
 
 
-@verify_group.command("thm1")
+@_command(verify_group, "verify thm1")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--window", type=int, default=None)
-@_json_option
-def verify_thm1_cmd(n, window, json_path):
+def verify_thm1_cmd(n, window):
     """Check the (n+1)/n^2 decay bound over the in-window extreme pool."""
-    started = time.monotonic()
     report = lambdas_mod.verify_thm1(n, window)
     results = thm1_payload(report)
     lines = [
@@ -288,17 +275,14 @@ def verify_thm1_cmd(n, window, json_path):
         f"gap bound = {format_rational(report.gap_bound_value)}: {_pf(report.gap_bound_ok)}",
         f"RESULT: {_pf(report.passed)}",
     ]
-    _finish("verify thm1", [], {"n": n, "window": report.window}, results,
-            report.passed, lines, json_path, started)
+    return ([], {"n": n, "window": report.window}, results, report.passed, lines)
 
 
-@verify_group.command("thm2")
+@_command(verify_group, "verify thm2")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--window", type=int, default=None)
-@_json_option
-def verify_thm2_cmd(n, window, json_path):
+def verify_thm2_cmd(n, window):
     """Check the 3/n dual decay bound over all extreme-support traces."""
-    started = time.monotonic()
     report = dual_mod.verify_thm2(n, window)
     results = thm2_payload(report)
     lines = [
@@ -310,8 +294,7 @@ def verify_thm2_cmd(n, window, json_path):
         f"spot checks: {_pf(report.spot_checks_ok)} ({len(report.spot_checks)} exact)",
         f"RESULT: {_pf(report.passed)}",
     ]
-    _finish("verify thm2", [], {"n": n, "window": report.window}, results,
-            report.passed, lines, json_path, started)
+    return ([], {"n": n, "window": report.window}, results, report.passed, lines)
 
 
 @cli.group("report")
@@ -319,13 +302,11 @@ def report_group():
     """Derived tables and summaries."""
 
 
-@report_group.command("lambda-table")
+@_command(report_group, "report lambda-table")
 @click.option("--n-from", "n_from", type=int, required=True)
 @click.option("--n-to", "n_to", type=int, required=True)
-@_json_option
-def lambda_table_cmd(n_from, n_to, json_path):
+def lambda_table_cmd(n_from, n_to):
     """Decay of the (n+1)/n^2 bound, with verified pool maxima where cheap."""
-    started = time.monotonic()
     rows = lambda_table(n_from, n_to)
     results = {"rows": rows}
     header = f"{'n':>3}  {'(n+1)/n^2':>12}  {'decimal':>10}  {'max pool lambda':>16}"
@@ -335,8 +316,7 @@ def lambda_table_cmd(n_from, n_to, json_path):
         lines.append(
             f"{row['n']:>3}  {row['bound']:>12}  {row['bound_decimal']:>10}  {verified:>16}"
         )
-    _finish("report lambda-table", [], {"n_from": n_from, "n_to": n_to},
-            results, True, lines, json_path, started)
+    return ([], {"n_from": n_from, "n_to": n_to}, results, True, lines)
 
 
 def lambda_table(n_from: int, n_to: int) -> list[dict]:
@@ -423,7 +403,7 @@ def run(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 2
-    except (VectorFormatError, CutoffExceeded, SchreierError, ValueError, OSError) as exc:
+    except (SchreierError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except Exception as exc:

@@ -8,9 +8,8 @@ import os
 
 from .errors import CutoffExceeded
 
-ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}
+ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support walks alike
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
-SUPPORT_SUBSET_MAX = 24  # support scans of one_sets and eps_gap
 VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12
 
@@ -39,10 +38,6 @@ def vertex_enum_limit() -> int:
 
 def extreme_enum_limit() -> int:
     return _limit(EXTREME_ENUM_MAX)
-
-
-def support_subset_limit() -> int:
-    return _limit(SUPPORT_SUBSET_MAX)
 
 
 def check(what: str, requested: int, limit: int) -> None:

@@ -13,7 +13,6 @@ traces of F inside the relevant initial segment.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import UnitNormRequired
 from .families import IndexSet, admissible_subsets, index_set
@@ -229,11 +228,6 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
         window = 2**n - 1
     if window < 2**n - 1:
         raise ValueError(f"window must cover [1, {2 ** n - 1}]")
-    return _verify_thm2(n, window)
-
-
-@lru_cache(maxsize=16)
-def _verify_thm2(n: int, window: int) -> Thm2Report:
     x_star = make_thm2_functional(n)
     witness = make_thm2_witness(n)
     unit_ok = (

@@ -4,8 +4,10 @@ A unit vector e is certified EXTREME exactly when (a) its active signed
 admissible-set constraints have full rank on the window [1, max supp e]
 (so e is a vertex of the section polytope) and (b) e has a non-maximal
 1-set.  (b) forces any midpoint decomposition of e to live inside the
-window, so (a)+(b) is equivalent to extremality in the full ball; the
-perturbation-witness search provides the independent cross-check.
+window, so (a)+(b) is equivalent to extremality in the full ball.  Every
+other unit vector is certified NOT_EXTREME with a perturbation witness w,
+||e + w|| <= 1 and ||e - w|| <= 1; certify_extreme proves that the witness
+search one index past the support always finds one.
 
 In-space enumeration exploits the forced shape of extreme supports:
 supp e = [1, m] + F for the unique non-maximal 1-set F with |F| = m and
@@ -31,7 +33,6 @@ from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_s
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
-VERTEX_ONLY = "VERTEX_ONLY"
 
 
 @dataclass(frozen=True)
@@ -267,9 +268,19 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     """Decide extremality with machine-checkable evidence.
 
     EXTREME iff e is a vertex of its own section and owns a non-maximal
-    1-set.  Otherwise a perturbation witness is searched one index past the
-    support, N = max supp e; VERTEX_ONLY is only emitted if that search
-    unexpectedly comes back empty for a section vertex.
+    1-set.  Otherwise NOT_EXTREME, with a perturbation witness searched one
+    index past the support, N = max supp e, and the failed necessary
+    conditions.
+
+    That search always finds a witness.  If every 1-set is maximal, N + 1
+    lies in none and extends none (min(G[0], N + 1) = G[0] = |G|), so it is
+    uncovered and its unit vector is the direction.  Otherwise N + 1 is
+    covered, and e is not a vertex: rank_N < N.  Unless some index of
+    [1, N] is uncovered (a direction again), the rank rows on [1, N + 1]
+    are those on [1, N], padded with a zero, plus the unit row of the
+    covered zero N + 1, so their rank is rank_N + 1 < N + 1 and they have
+    a kernel vector.  A witness that comes back empty is therefore a bug,
+    raised as such.
 
     A wider window gives the same witness.  An index j > N is uncovered
     exactly when every 1-set is maximal, so the first uncovered index is the
@@ -288,8 +299,9 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _necessary_conditions(e, sets).failed()
     witness = perturbation_witness(e, N + 1, sets=sets)
-    verdict = NOT_EXTREME if witness is not None or failed else VERTEX_ONLY
-    return ExtremenessCertificate(verdict, rank_n, N, witness, failed)
+    if witness is None:
+        raise RuntimeError(f"no perturbation witness for a non-extreme point at window {N + 1}")
+    return ExtremenessCertificate(NOT_EXTREME, rank_n, N, witness, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,6 @@ def _class_reps(m: int, pieces) -> tuple:
     for row, b in cut_rows:
         poly.add_constraint(row, b)
     reps = []
-    seen = set()
     for vert in poly.vertices:
         # Over the vertex denominator d: the head is (d, v_2..v_m), the
         # tail (w_1..w_(m-1), d - sum(w)).
@@ -444,9 +455,6 @@ def _class_reps(m: int, pieces) -> tuple:
             continue
         head = (Fraction(1),) + tuple(Fraction(v, d) for v in vs)
         ws = tuple(Fraction(w, d) for w in ws) + (Fraction(last, d),)
-        if (head, ws) in seen:
-            continue
-        seen.add((head, ws))
         canonical = _embed(head, ws, range(m + 1, 2 * m + 1))
         if certify_extreme(canonical).verdict == EXTREME:
             reps.append((head, ws))

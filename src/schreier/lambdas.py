@@ -14,7 +14,6 @@ constraint whose positive slope certifies infeasibility above the answer.
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import cutoffs
@@ -32,7 +31,7 @@ from .vectors import (
     _greedy,
     _one_sets,
     _tight_sets,
-    covers_index,
+    covered_by,
     make_thm1_vector,
     norm,
     one_sets,
@@ -183,7 +182,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     if not pool:
         raise ValueError(f"no extreme points with support inside [1, {window}]")
     ax = abs(x)
-    sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.support_subset_limit() else []
+    sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.admissible_enum_limit(1) else []
     best_lam, best_e = Fraction(0), pool[0]
     for e in _on_face(pool, sets):
         lam, _ = max_feasible_weight(ax, e, _primal_line(ax, e))
@@ -251,11 +250,6 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     """
     if window is None:
         window = 2 * n + 2
-    return _verify_thm1(n, window)
-
-
-@lru_cache(maxsize=16)
-def _verify_thm1(n: int, window: int) -> Thm1Report:
     x = make_thm1_vector(n)
     if window < 2 * n + 2:
         raise ValueError(f"window must reach the last coordinate {2 * n + 2}")
@@ -266,7 +260,7 @@ def _verify_thm1(n: int, window: int) -> Thm1Report:
     norm_ok = norm(x, 1).value == 1
     sets = one_sets(x)
     one_sets_ok = sets == expected_one_sets(n)
-    covers_ok = covers_index(x, 4) is False
+    covers_ok = not covered_by(sets, 4)
     not_extreme_ok = certify_extreme(x).verdict != EXTREME
 
     pool = positive_extreme_points(window)

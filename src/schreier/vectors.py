@@ -231,7 +231,7 @@ def _admissible_support_subsets(x: Vector, op: str):
     The sums are integers.  Raises at once, before any subset is scanned,
     when the support is over its cutoff.
     """
-    cutoffs.check(f"{op} support size", len(x), cutoffs.support_subset_limit())
+    cutoffs.check(f"{op} support size", len(x), cutoffs.admissible_enum_limit(1))
     values, scale = cleared(q for _, q in x.items())
     at = {i: abs(v) for i, v in zip(x.support, values)}.__getitem__
     return scale, ((F, sum(map(at, F))) for F in admissible_subsets(x.support))

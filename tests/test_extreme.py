@@ -228,6 +228,35 @@ def test_certify_examples():
     assert certify_extreme(X5).verdict == NOT_EXTREME
 
 
+def test_not_extreme_always_carries_a_witness():
+    rng = random.Random(4471)
+    refuted = 0
+    for _ in range(300):
+        e = random_unit_vector(rng, max_index=rng.randint(1, 8))
+        cert = certify_extreme(e)
+        if cert.verdict == EXTREME:
+            assert cert.witness is None
+            continue
+        assert cert.verdict == NOT_EXTREME
+        w = cert.witness
+        assert w and norm(e + w, 1).value <= 1 and norm(e - w, 1).value <= 1
+        refuted += 1
+    assert refuted > 250
+
+
+def test_a_missing_witness_is_an_internal_error(tmp_path, monkeypatch):
+    import schreier.extreme
+    from schreier.cli import run
+    from schreier.serialize import save_vector_file
+
+    monkeypatch.setattr(schreier.extreme, "perturbation_witness", lambda *args, **kwargs: None)
+    with pytest.raises(RuntimeError):
+        certify_extreme(E1)
+    path = str(tmp_path / "e1.json")
+    save_vector_file(path, E1)
+    assert run(["extreme", "check", path]) == 3
+
+
 def test_certify_extreme_invariants():
     cert = certify_extreme(E12)
     assert cert.active_rank == cert.window == 2

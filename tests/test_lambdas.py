@@ -10,7 +10,7 @@ from schreier.extreme import (
     _embed,
     positive_extreme_points,
 )
-from schreier.cutoffs import support_subset_limit
+from schreier.cutoffs import admissible_enum_limit
 from schreier.lambdas import (
     _on_face,
     _primal_line,
@@ -326,7 +326,7 @@ def test_lambda_lower_keeps_the_first_pool_point_at_weight_zero():
 
 def test_lambda_lower_past_the_support_cutoff_solves_every_point():
     # A unit vector with more support coordinates than the 1-set scan takes.
-    size = support_subset_limit() + 1
+    size = admissible_enum_limit(1) + 1
     x = Vector({i: Fraction(1, size) for i in range(size, 2 * size)})
     assert norm(x, 1).value == 1
     assert lambda_lower(x, 4) == signed_lambda_lower(x, 4)
@@ -457,8 +457,7 @@ def test_verify_thm1_n5_report_contents():
 
 
 def test_verify_thm1_report_is_frozen():
-    # The report is served from a cache, so a caller must not be able to
-    # change what the next caller reads.
+    # The report is a value: a caller must not be able to change it.
     report = verify_thm1(4, 10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.pool_size = 0

@@ -261,5 +261,19 @@ def test_lambda_table_rows():
         lambda_table(3, 4)
 
 
+def test_cli_lambda_table_report(tmp_path, capsys):
+    report_path = tmp_path / "table.json"
+    argv = ["report", "lambda-table", "--n-from", "4", "--n-to", "6", "--json", str(report_path)]
+    assert run(argv) == 0
+    report = json.loads(report_path.read_text())
+    assert report["command"] == "report lambda-table" and report["status"] == "pass"
+    assert report["params"] == {"n_from": 4, "n_to": 6}
+    assert report["results"]["rows"] == lambda_table(4, 6)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[0].split() == ["n", "(n+1)/n^2", "decimal", "max", "pool", "lambda"]
+    assert [line.split()[0] for line in lines[1:]] == ["4", "5", "6"]
+    assert lines[3].split()[-1] == "-"
+
+
 def test_cli_lambda_table_range_error():
     assert run(["report", "lambda-table", "--n-from", "3", "--n-to", "4"]) == 2
