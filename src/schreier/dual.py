@@ -2,10 +2,11 @@
 
 The dual norm is the maximum of the pairing over the primal section ball,
 computed by an exact-rational LP with lazy constraints: the separation
-oracle is the primal norm greedy applied to the incumbent.  A dual pair
-lambda runs its Newton steps on one live tableau per pair (``_dual_line``),
-re-priced for each x* - t e* and keeping its cuts; its answer is checked by
-a cold ``dual_norm`` solve from the slack basis.  Dual extreme
+oracle is the primal norm greedy applied to the incumbent, read on the
+tableau's integers.  A dual pair lambda runs its Newton steps on one live
+tableau per pair (``_dual_line``), re-priced on integers for each
+x* - t e* and keeping its cuts; its answer is checked by a cold
+``dual_norm`` solve from the slack basis.  Dual extreme
 points have the closed form "all coefficients of modulus one on a set F
 with |F| = min F", which makes the decay bound a finite computation over
 traces of F inside the relevant initial segment.
@@ -17,15 +18,21 @@ from fractions import Fraction
 from .errors import UnitNormRequired
 from .families import IndexSet, admissible_subsets, index_set
 from .lambdas import max_feasible_weight
+from .linalg import cleared
 from .simplex import _Tableau, lp_max
-from .vectors import Vector, norm
+from .vectors import Vector, _greedy, norm
 
 
 def _section_cuts(N: int):
     """Singleton rows of [1, N] and the separation oracle for the other sets.
 
-    ``seen`` holds every row the tableau has, so a repeated F means the LP
-    returned an optimum that breaks one of its own rows.
+    The oracle reads the optimum on the tableau's integers, x = num / d with
+    num >= 0, and runs the order-1 greedy on num: x is a positive rescaling
+    of num, which keeps the greedy's ranking, ties and witness, so the cut
+    is the witness of norm(x), and norm(x) <= 1 exactly when the greedy
+    value of num is at most d.  ``seen`` holds every row the tableau has, so
+    a repeated F means the LP returned an optimum that breaks one of its
+    own rows.
     """
     seen: set[IndexSet] = {(i,) for i in range(1, N + 1)}
 
@@ -35,14 +42,14 @@ def _section_cuts(N: int):
             row[i - 1] = 1
         return row
 
-    def separate(xs: list[Fraction]):
-        report = norm(Vector({i + 1: q for i, q in enumerate(xs)}), 1)
-        if report.value <= 1:
+    def separate(num: list[int], d: int):
+        value, witness = _greedy({i + 1: v for i, v in enumerate(num) if v})
+        if value <= d:
             return None
-        if report.witness in seen:
+        if witness in seen:
             raise RuntimeError("separation oracle repeated a constraint")
-        seen.add(report.witness)
-        return indicator(report.witness), 1
+        seen.add(witness)
+        return indicator(witness), 1
 
     return [indicator((i,)) for i in range(1, N + 1)], separate
 
@@ -78,18 +85,35 @@ def _dual_line(x_star: Vector, e_star: Vector):
     A cut never repeats, because each optimum satisfies every row already
     in the tableau.  The tableau lives for one pair only, so no answer
     depends on earlier calls.
+
+    The line runs on integers.  x* and e* are cleared once over one LCM L;
+    at t = p/q the objective is |q L x* - p L e*|, a positive multiple of
+    |x* - t e*|.  Scaling the objective by a positive factor changes no
+    reduced-cost sign and no dual ratio comparison, so Bland's rule takes
+    the same pivots, meets the same optima x = num / d and, through
+    ``_section_cuts``, the same cuts.  With s the sign of x* - t e* (+1 at
+    a zero), g = s num / d, and a = <g, x*>, b = <g, e*> are integer sums
+    over d L; the value <g, x* - t e*> = (q a - p b) / q is their
+    combination over d q L.
     """
     N = max(x_star.max_index, e_star.max_index)
+    values, L = cleared([v[i] for v in (x_star, e_star) for i in range(1, N + 1)])
+    cx, ce = values[:N], values[N:]
     rows, separate = _section_cuts(N)
     tab = _Tableau(N)
     for row in rows:
         tab.add_row(row, 1)
 
     def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
-        f = x_star - t * e_star
-        value, xs = tab.maximize([abs(f[i]) for i in range(1, N + 1)], separate)
-        g = _signed(f, xs)
-        return value, g, g.dot(x_star), g.dot(e_star)
+        p, q = t.numerator, t.denominator
+        line = [q * u - p * v for u, v in zip(cx, ce)]
+        num = tab.optimize([abs(w) for w in line], separate)
+        d = tab.d
+        signed = [n if w >= 0 else -n for n, w in zip(num, line)]
+        a = sum(s * u for s, u in zip(signed, cx))
+        b = sum(s * v for s, v in zip(signed, ce))
+        g = Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
+        return Fraction(q * a - p * b, d * q * L), g, Fraction(a, d * L), Fraction(b, d * L)
 
     return oracle
 
@@ -154,15 +178,16 @@ def thm2_lambda_bound(G: IndexSet, n: int) -> Fraction:
 def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
     """Exact maximum lambda with dual-norm(x* - lambda e*) <= 1 - lambda.
 
-    The Newton steps run on one live tableau (``_dual_line``); the answer is
-    checked by a cold ``dual_norm`` solve of x* - lambda e*.
+    e* is checked before any LP is built.  The Newton steps run on one live
+    tableau (``_dual_line``); the answer is checked by a cold ``dual_norm``
+    solve of x* - lambda e*.
     """
+    if not is_dual_extreme(e_star):
+        raise ValueError("e* must be a dual extreme point")
     oracle = _dual_line(x_star, e_star)
     nx = oracle(Fraction(0))[0]
     if nx > 1:
         raise UnitNormRequired(f"lambda_pair_dual needs dual norm <= 1; got {nx}")
-    if not is_dual_extreme(e_star):
-        raise ValueError("e* must be a dual extreme point")
     lam, _ = max_feasible_weight(x_star, e_star, oracle)
     if lam < 1:
         check = dual_norm(x_star - lam * e_star)

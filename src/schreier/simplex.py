@@ -39,14 +39,22 @@ the (negative) row entry, ties to the lowest index.  That is Bland's rule on
 the dual, which terminates.  A dual pivot is negative; its row is negated
 before pivoting, which keeps the pivot, and so d, positive.
 
-The objective can change while the tableau lives too.  ``maximize`` re-prices
-the objective row for a new c in the current basis as
-``-d * c + sum(c[v] * T[i])`` over the structural basic variables v of rows
-i, again an integer combination with no division; it is d times the rational
-reduced-cost row, zero in every basic column.  The basis stays primal
-feasible, so primal Bland's rule resumes from it.  ``lp_max`` is a fresh
-tableau with its rows and one ``maximize``: on the all-slack basis with
-d = 1 the re-priced row is -c, so it takes the same pivots as a cold solve.
+The cut callback reads the optimum on the tableau's own integers:
+``cut(num, d)`` gets the numerators x_j = num[j] / d, the basic right-hand
+sides of the structural variables (0 for a nonbasic one), and the common
+denominator d > 0; num >= 0 because the basis is primal feasible whenever
+the callback runs.  No Fraction is built inside the cut loop; ``lp_max``
+and ``maximize`` build them once, for the optimum they return.
+
+The objective can change while the tableau lives too.  ``optimize`` (and
+``maximize``, which runs it) re-prices the objective row for a new c in the
+current basis as ``-d * c + sum(c[v] * T[i])`` over the structural basic
+variables v of rows i, again an integer combination with no division; it is
+d times the rational reduced-cost row, zero in every basic column.  The
+basis stays primal feasible, so primal Bland's rule resumes from it.
+``lp_max`` is a fresh tableau with its rows and one ``maximize``: on the
+all-slack basis with d = 1 the re-priced row is -c, so it takes the same
+pivots as a cold solve.
 """
 
 from fractions import Fraction
@@ -94,7 +102,17 @@ class _Tableau:
     def maximize(self, c, cut=None) -> tuple[Fraction, list[Fraction]]:
         """Optimum of c over the rows, re-priced in the current basis.
 
-        ``cut`` works as in ``lp_max``; its rows stay in the tableau.
+        ``cut(num, d)`` gets the optimum as integers x = num / d and works as
+        in ``lp_max``; its rows stay in the tableau.  The optimum is turned
+        into Fractions once, here.
+        """
+        x = self.optimize(c, cut)
+        return Fraction(self.obj[0], self.d * self.c_scale), [Fraction(v, self.d) for v in x]
+
+    def optimize(self, c, cut=None) -> list[int]:
+        """``maximize`` on integers: the numerators over d of the optimal x.
+
+        The objective value is ``obj[0] / (d * c_scale)``.
         """
         ints, self.c_scale = cleared(c)
         obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
@@ -105,10 +123,10 @@ class _Tableau:
         self.obj = obj
         self.primal()
         while True:
-            value, x = self.solution()
-            violated = cut(x) if cut is not None else None
+            x = self.point()
+            violated = cut(x, self.d) if cut is not None else None
             if violated is None:
-                return value, x
+                return x
             self.add_row(*violated)
             if self.rows[-1][0] >= 0:
                 raise ValueError("cut returned a constraint that x satisfies")
@@ -170,21 +188,23 @@ class _Tableau:
         self.d = p
         self.basis[r] = s
 
-    def solution(self) -> tuple[Fraction, list[Fraction]]:
-        x = [Fraction(0)] * self.n
-        for i, var in enumerate(self.basis):
+    def point(self) -> list[int]:
+        """The numerators over d of x: basic right-hand sides, 0 off the basis."""
+        x = [0] * self.n
+        for row, var in zip(self.rows, self.basis):
             if var <= self.n:
-                x[var - 1] = Fraction(self.rows[i][0], self.d)
-        return Fraction(self.obj[0], self.d * self.c_scale), x
+                x[var - 1] = row[0]
+        return x
 
 
 def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     """Return (optimal value, optimal x).  Raises on unbounded problems.
 
-    With ``cut``, each optimum x is passed to ``cut(x)``, which returns a
-    constraint ``(row, b)`` that x violates, with b >= 0, or None when x is
-    feasible.  The row joins the live tableau and dual simplex re-optimises
-    from the current basis; the optimum of all rows is returned.
+    With ``cut``, each optimum x = num / d is passed to ``cut(num, d)`` as
+    integers, num >= 0 and d > 0; it returns a constraint ``(row, b)`` that
+    x violates, with b >= 0, or None when x is feasible.  The row joins the
+    live tableau and dual simplex re-optimises from the current basis; the
+    optimum of all rows is returned, turned into Fractions once.
     """
     tab = _Tableau(len(c))
     for row, b in zip(rows, rhs, strict=True):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from schreier import dual
 from schreier.dual import (
+    _dual_line,
     dual_extreme_traces,
     dual_norm,
     dual_norm_witness,
@@ -17,6 +19,7 @@ from schreier.dual import (
 from schreier.errors import UnitNormRequired
 from schreier.extreme import enumerate_vertices
 from schreier.families import enumerate_admissible, is_maximal
+from schreier.lambdas import max_feasible_weight
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
@@ -150,8 +153,7 @@ def _random_dual_extreme(rng, top: int) -> Vector:
     return Vector({i: rng.choice((-1, 1)) for i in F})
 
 
-def test_lambda_pair_dual_line_matches_cold_newton(rng):
-    # The live tableau of the line against a cold LP at every Newton step.
+def _line_pairs(rng) -> list[tuple[Vector, Vector]]:
     e = Vector({2: 1, 3: -1})
     pairs = [
         (e, e),
@@ -172,10 +174,49 @@ def test_lambda_pair_dual_line_matches_cold_newton(rng):
         if x_star:
             x_star = x_star * rng.choice((1, Fraction(1, 2), Fraction(2, 3))) / dual_norm(x_star)
         pairs.append((x_star, e_star))
+    return pairs
+
+
+def test_lambda_pair_dual_line_matches_cold_newton(rng):
+    # The live tableau of the line against a cold LP at every Newton step.
+    pairs = _line_pairs(rng)
     assert len(pairs) == 77
     expected = [reference_lambda_pair_dual(x, e) for x, e in pairs]
     assert [lambda_pair_dual(x, e) for x, e in pairs] == expected
     assert expected[:4] == [1, Fraction(3, 4), 0, Fraction(1, 13)]
+
+
+def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
+    # At every Newton iterate t of every pair, the line's integer oracle
+    # against a cold dual norm of x* - t e*, and its a, b against <g, x*>,
+    # <g, e*> summed on Fractions.
+    for x_star, e_star in _line_pairs(rng):
+        oracle = _dual_line(x_star, e_star)
+        calls = []
+
+        def recording(t, oracle=oracle, calls=calls):
+            calls.append((t, oracle(t)))
+            return calls[-1][1]
+
+        recording(Fraction(0))
+        max_feasible_weight(x_star, e_star, recording)
+        for t, (value, g, a, b) in calls:
+            f = x_star - t * e_star
+            assert value == dual_norm_witness(f)[0]
+            assert a == g.dot(x_star)
+            assert b == g.dot(e_star)
+            assert g.dot(f) == value
+            assert norm(g, 1).value <= 1
+
+
+def test_lambda_pair_dual_checks_e_star_before_any_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was built before e* was checked")
+
+    monkeypatch.setattr(dual, "_Tableau", no_lp)
+    monkeypatch.setattr(dual, "lp_max", no_lp)
+    with pytest.raises(ValueError, match="dual extreme"):
+        lambda_pair_dual(make_thm2_functional(2), Vector({200: 1}))
 
 
 def test_lambda_pair_dual_rejects_dual_norm_above_one():

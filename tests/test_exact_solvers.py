@@ -110,7 +110,8 @@ def test_live_tableau_reprices_each_objective(rng):
     cuts = [([rng.randint(-2, 3) for _ in range(dim)], Fraction(rng.randint(1, 12), rng.randint(1, 3)))
             for _ in range(12)]
 
-    def cut(x):
+    def cut(num, d):
+        x = [Fraction(v, d) for v in num]
         for row, b in cuts:
             if sum(a * v for a, v in zip(row, x)) > b:
                 return row, b

@@ -3,7 +3,8 @@
 The integer order-1 greedy is checked against the power-set norm and against
 the greedy on Fractions it replaced; the warm-started simplex against the
 same LP given every row up front and against sympy's exact ``lpmax``; the
-lazy-cut dual norm by its witness; the vector file format by its
+integer separation oracle of the lazy cuts against the norm on Fractions;
+the lazy-cut dual norm by its witness; the vector file format by its
 parse/serialize round trip.  Examples are derandomized so a run is
 reproducible.
 """
@@ -16,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schreier.dual import dual_norm_witness  # noqa: E402
+from schreier.dual import _section_cuts, dual_norm_witness  # noqa: E402
 from schreier.families import index_set, is_admissible  # noqa: E402
 from schreier.rationals import format_rational, parse_rational  # noqa: E402
 from schreier.serialize import SPACE_DUAL, SPACE_PRIMAL, dumps_vector, loads_vector  # noqa: E402
@@ -105,7 +106,8 @@ def _cut_lps(draw):
 
 
 def _first_violated(cuts):
-    def cut(x):
+    def cut(num, d):
+        x = [Fraction(v, d) for v in num]
         for row, b in cuts:
             if sum(a * v for a, v in zip(row, x)) > b:
                 return row, b
@@ -138,9 +140,9 @@ def test_lp_cut_breaks_a_dual_tie_to_the_lowest_index():
 
 def test_lp_cut_rejects_a_bad_constraint():
     with pytest.raises(ValueError, match="satisfies"):
-        lp_max([1], [[1]], [1], cut=lambda x: ([1], 2))
+        lp_max([1], [[1]], [1], cut=lambda num, d: ([1], 2))
     with pytest.raises(ValueError, match="nonnegative"):
-        lp_max([1], [[1]], [1], cut=lambda x: ([-1], -1))
+        lp_max([1], [[1]], [1], cut=lambda num, d: ([-1], -1))
 
 
 @settings(PROPERTY, max_examples=30)
@@ -162,6 +164,39 @@ def test_lp_with_cuts_matches_sympy_lpmax(lp):
     ]
     expected, _ = lpmax(sum(rational(a) * v for a, v in zip(c, xs)), constraints)
     assert value == Fraction(int(expected.p), int(expected.q))
+
+
+# Tableau optima x = num / d: nonnegative numerators over a positive d.  Few
+# distinct numerators make tied coordinates common, and ties decide the
+# greedy's witness, so the cut.
+_TABLEAU_POINTS = st.integers(1, 9).flatmap(lambda N: st.tuples(
+    st.one_of(st.lists(st.integers(0, 3), min_size=N, max_size=N),
+              st.lists(st.integers(0, 60), min_size=N, max_size=N)),
+    st.integers(1, 12),
+))
+
+
+@PROPERTY
+@given(_TABLEAU_POINTS)
+@example(([1, 1, 1], 2))  # norm exactly 1: no cut
+@example(([0, 1, 1, 1], 1))  # a tie beyond the minimum 2: the cut is {2, 3}
+def test_integer_separation_matches_the_norm_on_fractions(point):
+    # The lazy-cut oracle reads the tableau's integers; it must give the
+    # verdict and the cut that the norm of x = num / d gives on Fractions.
+    num, d = point
+    N = len(num)
+    _, separate = _section_cuts(N)
+    report = norm(Vector({i + 1: Fraction(v, d) for i, v in enumerate(num)}), 1)
+    if report.value <= 1:
+        assert separate(num, d) is None
+    elif len(report.witness) == 1:  # a singleton row is already in the tableau
+        with pytest.raises(RuntimeError, match="repeated"):
+            separate(num, d)
+    else:
+        row = [int(i + 1 in report.witness) for i in range(N)]
+        assert separate(num, d) == (row, 1)
+        with pytest.raises(RuntimeError, match="repeated"):
+            separate(num, d)
 
 
 @PROPERTY
