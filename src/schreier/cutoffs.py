@@ -12,6 +12,7 @@ ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
 VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12
+THM2_WINDOW_MAX = 31  # verify thm2 up to n = 5; n = 6 has about 6.6e12 traces
 
 
 def _limit(default: int) -> int:
@@ -38,6 +39,13 @@ def vertex_enum_limit() -> int:
 
 def extreme_enum_limit() -> int:
     return _limit(EXTREME_ENUM_MAX)
+
+
+def check_thm2_window(n: int) -> None:
+    """Refuse the trace window [1, 2^n - 1] past its cutoff without forming 2^n."""
+    limit = _limit(THM2_WINDOW_MAX)
+    if n >= (limit + 1).bit_length():  # exactly when 2^n - 1 > limit
+        raise CutoffExceeded("verify_thm2 window", f"2^{n} - 1", limit)
 
 
 def check(what: str, requested: int, limit: int) -> None:

@@ -8,7 +8,7 @@ class SchreierError(Exception):
 class CutoffExceeded(SchreierError):
     """An enumeration was requested beyond its configured size limit."""
 
-    def __init__(self, what: str, requested: int, limit: int):
+    def __init__(self, what: str, requested: int | str, limit: int):
         self.what = what
         self.requested = requested
         self.limit = limit

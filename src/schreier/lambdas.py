@@ -2,13 +2,13 @@
 decay-bound verifier for the theorem-1 construction.
 
 The feasibility function h(t) = ||x - t e|| + t - 1 is convex piecewise
-linear, so the largest feasible weight is found by Newton steps from the
-right: each step evaluates the norm, takes the achieved admissible signed
-sum as a global affine minorant, and jumps to that piece's root.  For the
-primal norm the steps run on integers along the line x - t e: x and e are
-cleared once per pair and the order-1 greedy runs on q L (x - t e).  Every
-answer is re-verified against the norm oracle and comes with the binding
-constraint whose positive slope certifies infeasibility above the answer.
+linear, so ``max_feasible_weight`` finds the largest feasible weight by
+Newton steps from the right.  It is the one integer Newton line of the
+primal and the dual pair lambda; a norm supplies only its norming functional
+on the line's integer moduli, here the order-1 greedy (``_primal_solve``),
+in ``dual`` the section tableau.  Every answer is re-verified against the
+norm and comes with the binding constraint whose positive slope certifies
+infeasibility above the answer.
 """
 
 from collections.abc import Mapping
@@ -21,6 +21,7 @@ from .errors import UnitNormRequired
 from .extreme import (
     EXTREME,
     SignedConstraint,
+    _check_extreme_cutoff,
     certify_extreme,
     positive_extreme_points,
 )
@@ -46,66 +47,74 @@ class LambdaResult:
     binding: list[SignedConstraint] = field(default_factory=list)
 
 
-def max_feasible_weight(x: Vector, e: Vector, oracle) -> tuple[Fraction, Vector | None]:
-    """Largest t in [0, 1] with oracle-norm(x - t e) <= 1 - t.
+def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector | None]:
+    """Largest t in [0, 1] with ||x - t e|| <= 1 - t, in the norm that solve norms.
 
-    oracle(t) returns (value, g, a, b): value is the norm of x - t e, g a
-    functional with <g, x - t e> = value and <g, u> <= oracle-norm(u) for
-    every u, a = <g, x> and b = <g, e>.  Also returns the binding
-    functional certifying that no larger t is feasible (None when t = 1).
+    One integer Newton line for both norms.  x and e are cleared once over
+    one LCM L, and at t = p/q solve(sizes) gets the moduli of q L x - p L e
+    over [1, N], N the largest index of x and e.  It returns their norming
+    functional as (num, d), num >= 0 and d > 0: <num, sizes> / d is the norm
+    of the sizes and <num, u> / d <= ||u|| for all u.  Both norms are
+    sign-invariant, so g = s num / d, s the sign of the line (+1 at a zero),
+    norms x - t e inside the dual ball.  a = <g, x> and b = <g, e> are
+    integer sums over d L, and t is feasible when q a - p b <= d L (q - p).
+    Else a - t b + t - 1 is an affine minorant of h(t) = ||x - t e|| + t - 1,
+    and its root (d L - a) / (d L - b) is the next t.  The root lies in
+    [0, t): the minorant is positive at t and at most h(0) <= 0 at 0.
+
+    Raises UnitNormRequired unless ||x|| <= 1, checked at t = 0.  Also
+    returns the binding g of the last step, which certifies that no larger
+    t is feasible (None when t = 1).
     """
+    N = max(x.max_index, e.max_index)
+    values, L = cleared([v[i] for v in (x, e) for i in range(1, N + 1)])
+    cx, ce = values[:N], values[N:]
+
+    def step(p: int, q: int) -> tuple[list[int], int, int, int]:
+        line = [q * u - p * v for u, v in zip(cx, ce)]
+        num, d = solve([abs(w) for w in line])
+        signed = [n if w >= 0 else -n for n, w in zip(num, line)]
+        a = sum(s * u for s, u in zip(signed, cx))
+        b = sum(s * v for s, v in zip(signed, ce))
+        return signed, d, a, b
+
+    _, d, a, _ = step(0, 1)
+    if a > d * L:
+        raise UnitNormRequired(f"a pair lambda needs ||x|| <= 1; got {Fraction(a, d * L)}")
     if x == e:
         return Fraction(1), None
-    lam = Fraction(1)
-    binding = None
+    lam, binding = Fraction(1), None
     while True:
-        value, g, a, b = oracle(lam)
-        if value <= 1 - lam:
-            if value != 1 - lam and binding is not None:
-                raise RuntimeError(f"oracle value {value} is below its own minorant {1 - lam}")
+        p, q = lam.numerator, lam.denominator
+        signed, d, a, b = step(p, q)
+        dL = d * L
+        slack = dL * (q - p) - (q * a - p * b)
+        if slack >= 0:
+            if slack and binding is not None:
+                value = Fraction(q * a - p * b, dL * q)
+                raise RuntimeError(f"norm {value} is below its own minorant {1 - lam}")
             return lam, binding
-        if b >= 1:
+        if b >= dL:
             raise RuntimeError("a violated piece must have positive slope")
-        new_lam = (1 - a) / (1 - b)
-        if new_lam >= lam:
-            raise RuntimeError(f"Newton step from {lam} did not decrease lambda")
+        new_lam = Fraction(dL - a, dL - b)
+        if not 0 <= new_lam < lam:
+            raise RuntimeError(f"Newton step to {new_lam} did not decrease within [0, {lam})")
         lam = new_lam
-        binding = g
+        binding = Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
 
 
-def _primal_line(x: Vector, e: Vector):
-    """The order-1 norm along x - t e, as an oracle(t) for max_feasible_weight.
-
-    x and e are cleared once over one LCM L.  At t = p/q the greedy runs on
-    the integers q L (x - t e), a positive rescaling of |x - t e|, so value
-    and witness are those of norm(x - t e); a and b are integer sums over L.
-    """
-    indices = sorted(set(x.support) | set(e.support))
-    values, scale = cleared([x[i] for i in indices] + [e[i] for i in indices])
-    cx = dict(zip(indices, values))
-    ce = dict(zip(indices, values[len(indices):]))
-
-    def oracle(t: Fraction) -> tuple[Fraction, Vector, Fraction, Fraction]:
-        p, q = t.numerator, t.denominator
-        line = {i: q * cx[i] - p * ce[i] for i in indices}
-        value, witness = _greedy({i: abs(v) for i, v in line.items() if v})
-        signs = {i: 1 if line[i] > 0 else -1 for i in witness}
-        a = sum(s * cx[i] for i, s in signs.items())
-        b = sum(s * ce[i] for i, s in signs.items())
-        return Fraction(value, q * scale), Vector(signs), Fraction(a, scale), Fraction(b, scale)
-
-    return oracle
+def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:
+    """The order-1 norming functional of sizes: the greedy witness's indicator, over 1."""
+    witness = set(_greedy({i: v for i, v in enumerate(sizes, 1) if v})[1])
+    return [1 if i in witness else 0 for i in range(1, len(sizes) + 1)], 1
 
 
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda."""
-    nx = norm(x, 1).value
-    if nx > 1:
-        raise UnitNormRequired(f"lambda_pair needs ||x|| <= 1; got {nx}")
     ne = norm(e, 1).value
     if ne != 1:
         raise UnitNormRequired(f"lambda_pair needs ||e|| = 1; got {ne}")
-    lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
+    lam, _ = max_feasible_weight(x, e, _primal_solve)
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])
     v = x - lam * e
@@ -185,7 +194,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.admissible_enum_limit(1) else []
     best_lam, best_e = Fraction(0), pool[0]
     for e in _on_face(pool, sets):
-        lam, _ = max_feasible_weight(ax, e, _primal_line(ax, e))
+        lam, _ = max_feasible_weight(ax, e, _primal_solve)
         if lam > best_lam:
             best_lam, best_e = lam, e
     return best_lam, best_e.flip_signs(i for i, q in x.items() if q < 0)
@@ -246,13 +255,15 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     non-extremality, then evaluates the exact pair lambda against the
     (n+1)/n^2 bound for every nonnegative extreme point in the window on
     the face of the 1-sets of x_n; every other point has lambda = 0 (see
-    _on_face), which neither raises the maximum nor breaks a claim.
+    _on_face), which neither raises the maximum nor breaks a claim.  The
+    window and the pool cutoff are checked before anything is built.
     """
     if window is None:
         window = 2 * n + 2
-    x = make_thm1_vector(n)
     if window < 2 * n + 2:
         raise ValueError(f"window must reach the last coordinate {2 * n + 2}")
+    _check_extreme_cutoff(window)
+    x = make_thm1_vector(n)
     bound = Fraction(n + 1, n * n)
     D = tuple(range(n + 2, 2 * n + 2))
     E = tuple(range(4, n + 1))
@@ -268,7 +279,7 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     violations: list[tuple[Vector, Fraction]] = []
     max_lam = Fraction(0)
     for e in _on_face(pool, sets):
-        lam, _ = max_feasible_weight(x, e, _primal_line(x, e))
+        lam, _ = max_feasible_weight(x, e, _primal_solve)
         if lam > max_lam:
             max_lam = lam
         if lam > bound:

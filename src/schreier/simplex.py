@@ -83,9 +83,9 @@ class _Tableau:
         """Append a.x <= b with its own slack, written in the current basis."""
         if len(row) != self.n:
             raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
-        if Fraction(b) < 0:
+        ints, _ = cleared([b, *row])  # a positive LCM keeps the sign of b
+        if ints[0] < 0:
             raise ValueError("simplex expects nonnegative right-hand sides")
-        ints, _ = cleared([b, *row])
         d = self.d
         new = [d * v for v in ints] + [0] * (len(self.obj) - len(ints))
         for i, var in enumerate(self.basis):

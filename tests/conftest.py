@@ -17,7 +17,6 @@ import pytest
 from schreier.dual import dual_norm_witness
 from schreier.errors import UnitNormRequired
 from schreier.extreme import positive_extreme_points
-from schreier.lambdas import max_feasible_weight
 from schreier.vectors import Vector, norm
 
 
@@ -120,13 +119,13 @@ def vertices_by_combination_search(dim, rows):
     return found
 
 
-def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vector | None, list[Fraction]]:
-    """Newton search on Fraction Vectors with norm(x - t e) as the oracle.
+def reference_newton(x: Vector, e: Vector, norming) -> tuple[Fraction, Vector | None, list[Fraction]]:
+    """Newton search on Fraction Vectors: norming(v) returns (||v||, g) with
+    <g, v> = ||v|| and g in the dual ball.
 
-    The reference the integer line oracle of schreier.lambdas is checked
-    against: every step forms x - t e and takes its order-1 norm and two
-    Fraction dot products.  Returns the weight, the binding functional and
-    the Newton iterates.
+    Every step forms x - t e and takes two Fraction dot products; nothing is
+    cleared to integers.  Returns the weight, the binding functional and the
+    Newton iterates.
     """
     if x == e:
         return Fraction(1), None, [Fraction(1)]
@@ -134,18 +133,29 @@ def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vecto
     binding = None
     iterates = [lam]
     while True:
-        v = x - lam * e
-        report = norm(v, 1)
-        if report.value <= 1 - lam:
+        value, g = norming(x - lam * e)
+        if value <= 1 - lam:
             return lam, binding, iterates
-        g = Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
         lam = (1 - g.dot(x)) / (1 - g.dot(e))
         binding = g
         iterates.append(lam)
 
 
+def _primal_norming(v: Vector) -> tuple[Fraction, Vector]:
+    report = norm(v, 1)
+    return report.value, Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
+
+
+def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vector | None, list[Fraction]]:
+    """The Fraction Newton search with norm(x - t e) at every step.
+
+    The reference the integer line of schreier.lambdas is checked against.
+    """
+    return reference_newton(x, e, _primal_norming)
+
+
 def reference_lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
-    """Newton search with a cold dual_norm_witness solve at every step.
+    """The Fraction Newton search with a cold dual_norm_witness at every step.
 
     The reference the live-tableau line of schreier.dual.lambda_pair_dual is
     checked against: each step builds a fresh tableau for x* - t e* and
@@ -154,12 +164,7 @@ def reference_lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
     nx = dual_norm_witness(x_star)[0]
     if nx > 1:
         raise UnitNormRequired(f"dual norm {nx} > 1")
-
-    def oracle(t: Fraction):
-        value, g = dual_norm_witness(x_star - t * e_star)
-        return value, g, g.dot(x_star), g.dot(e_star)
-
-    return max_feasible_weight(x_star, e_star, oracle)[0]
+    return reference_newton(x_star, e_star, dual_norm_witness)[0]
 
 
 def signed_lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:

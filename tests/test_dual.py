@@ -5,7 +5,7 @@ import pytest
 
 from schreier import dual
 from schreier.dual import (
-    _dual_line,
+    _dual_solve,
     dual_extreme_traces,
     dual_norm,
     dual_norm_witness,
@@ -20,10 +20,16 @@ from schreier.errors import UnitNormRequired
 from schreier.extreme import enumerate_vertices
 from schreier.families import enumerate_admissible, is_maximal
 from schreier.lambdas import max_feasible_weight
+from schreier.linalg import cleared
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
-from conftest import powerset_admissible, random_vector, reference_lambda_pair_dual
+from conftest import (
+    powerset_admissible,
+    random_vector,
+    reference_lambda_pair_dual,
+    reference_newton,
+)
 
 
 def test_dual_norm_examples():
@@ -187,26 +193,25 @@ def test_lambda_pair_dual_line_matches_cold_newton(rng):
 
 
 def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
-    # At every Newton iterate t of every pair, the line's integer oracle
-    # against a cold dual norm of x* - t e*, and its a, b against <g, x*>,
-    # <g, e*> summed on Fractions.
+    # One live tableau per pair, solved at t = 0 and at every iterate of the
+    # cold reference Newton line: on the integer moduli of x* - t e* it must
+    # return a point num / d of the primal ball whose value is the cold dual
+    # norm of x* - t e*.
+    checked = 0
     for x_star, e_star in _line_pairs(rng):
-        oracle = _dual_line(x_star, e_star)
-        calls = []
-
-        def recording(t, oracle=oracle, calls=calls):
-            calls.append((t, oracle(t)))
-            return calls[-1][1]
-
-        recording(Fraction(0))
-        max_feasible_weight(x_star, e_star, recording)
-        for t, (value, g, a, b) in calls:
+        _, _, iterates = reference_newton(x_star, e_star, dual_norm_witness)
+        N = max(x_star.max_index, e_star.max_index)
+        solve = _dual_solve(N)
+        for t in [Fraction(0)] + iterates:
             f = x_star - t * e_star
+            ints, scale = cleared([f[i] for i in range(1, N + 1)])
+            num, d = solve([abs(w) for w in ints])
+            assert d > 0 and min(num) >= 0
+            value = Fraction(sum(n * abs(w) for n, w in zip(num, ints)), d * scale)
             assert value == dual_norm_witness(f)[0]
-            assert a == g.dot(x_star)
-            assert b == g.dot(e_star)
-            assert g.dot(f) == value
-            assert norm(g, 1).value <= 1
+            assert norm(Vector({i + 1: Fraction(n, d) for i, n in enumerate(num)}), 1).value <= 1
+            checked += 1
+    assert checked > 200
 
 
 def test_lambda_pair_dual_checks_e_star_before_any_lp(monkeypatch):
@@ -222,7 +227,10 @@ def test_lambda_pair_dual_checks_e_star_before_any_lp(monkeypatch):
 def test_lambda_pair_dual_rejects_dual_norm_above_one():
     e_star = Vector({2: 1, 3: -1})
     x_star = Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)})  # dual norm 3/2
-    for fn in (lambda_pair_dual, reference_lambda_pair_dual):
+    def line(x, e):  # the line itself checks the dual ball at t = 0
+        return max_feasible_weight(x, e, _dual_solve(3))
+
+    for fn in (lambda_pair_dual, reference_lambda_pair_dual, line):
         with pytest.raises(UnitNormRequired):
             fn(x_star, e_star)
 

@@ -11,9 +11,10 @@ from schreier.extreme import (
     positive_extreme_points,
 )
 from schreier.cutoffs import admissible_enum_limit
+from schreier.linalg import cleared
 from schreier.lambdas import (
     _on_face,
-    _primal_line,
+    _primal_solve,
     alpha_pattern_vector,
     expected_one_sets,
     gap_bound,
@@ -74,20 +75,45 @@ def test_lambda_pair_alpha_candidate():
 def test_lambda_pair_requires_ball_and_sphere():
     with pytest.raises(UnitNormRequired):
         lambda_pair(Vector({1: 2}), E12)
+    # The line itself checks the ball at t = 0, before the x = e shortcut.
+    for x, e in ((Vector({1: 2}), E12), (E12 * 2, E12 * 2)):
+        with pytest.raises(UnitNormRequired):
+            max_feasible_weight(x, e, _primal_solve)
     with pytest.raises(UnitNormRequired):
         lambda_pair(E1, Vector({1: Fraction(1, 2)}))
 
 
+def _canned(*answers):
+    """A fake solve that returns its answers in turn, whatever the sizes."""
+    calls = iter(answers)
+    return lambda sizes: next(calls)
+
+
+# The fakes below run on x = E12, e = E1: the line is (1, 1) at t = 0 and
+# (0, 1) at t = 1.  Each invariant check must survive python -O.
 @pytest.mark.parametrize("slope", [1, 2])
 def test_max_feasible_weight_rejects_a_piece_without_positive_slope(slope):
     # A violated piece whose functional pairs to >= 1 with e has no root
-    # below the current weight; the invariant check must survive python -O.
-    def oracle(t):
-        g = Vector({2: slope})
-        return Fraction(2), g, g.dot(E1), g.dot(Vector.unit(2))
-
+    # below the current weight.
+    solve = _canned(([0, 0], 1), ([slope, 1], 1))
     with pytest.raises(RuntimeError, match="positive slope"):
-        max_feasible_weight(E1, Vector.unit(2), oracle)
+        max_feasible_weight(E12, E1, solve)
+
+
+def test_max_feasible_weight_rejects_a_norm_below_its_minorant():
+    # The functional (0, 1) at t = 1 sends the line to t = 0, where a zero
+    # functional reports a norm of 0 < 1 - 0, below the minorant it came from.
+    solve = _canned(([0, 0], 1), ([0, 1], 1), ([0, 0], 1))
+    with pytest.raises(RuntimeError, match="below its own minorant"):
+        max_feasible_weight(E12, E1, solve)
+
+
+def test_max_feasible_weight_rejects_a_step_out_of_the_interval():
+    # (0, 2) pairs to 2 with a unit vector, so it is no norming functional:
+    # its minorant lies above h and its root -1 below 0.
+    solve = _canned(([0, 0], 1), ([0, 2], 1))
+    with pytest.raises(RuntimeError, match="did not decrease"):
+        max_feasible_weight(E12, E1, solve)
 
 
 def test_lambda_pair_zero_vector():
@@ -210,14 +236,11 @@ def test_lambda_pair_matches_root_scan_oracle(rng):
         assert lambda_pair(x, e).lam == _lambda_oracle(x, e)
 
 
-def _norm_functional(v):
-    """norm(v) and the sign functional on its witness."""
-    report = norm(v, 1)
-    return report.value, Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
-
-
 def test_primal_line_oracle_matches_the_norm_along_the_line(rng):
-    # Small numerators and denominators force ties in the greedy's ranking.
+    # At every reference iterate t and every t that zeroes a coordinate of
+    # the line, the primal solve on the integer moduli of x - t e norms them
+    # with the indicator of the norm's witness.  Small numerators and
+    # denominators force ties in the greedy's ranking.
     checked = 0
     for _ in range(150):
         x = random_vector(rng, max_index=7, max_num=3, max_den=4)
@@ -226,11 +249,15 @@ def test_primal_line_oracle_matches_the_norm_along_the_line(rng):
         e = random_unit_vector(rng, max_index=7)
         _, _, iterates = reference_max_feasible_weight(x, e)
         zeroing = [x[i] / e[i] for i in e.support if i in x]
-        oracle = _primal_line(x, e)
+        N = max(x.max_index, e.max_index)
         for t in iterates + zeroing:
-            value, g, a, b = oracle(t)
-            assert (value, g) == _norm_functional(x - t * e)
-            assert a == g.dot(x) and b == g.dot(e)
+            v = x - t * e
+            ints, scale = cleared([v[i] for i in range(1, N + 1)])
+            num, d = _primal_solve([abs(w) for w in ints])
+            report = norm(v, 1)
+            assert d == 1
+            assert num == [1 if i in report.witness else 0 for i in range(1, N + 1)]
+            assert Fraction(sum(n * abs(w) for n, w in zip(num, ints)), scale) == report.value
             checked += 1
     assert checked > 300
 
@@ -240,7 +267,7 @@ def test_newton_weights_and_bindings_match_the_reference(rng):
         x = random_unit_vector(rng, max_index=5) * Fraction(rng.randint(1, 4), 4)
         e = random_unit_vector(rng, max_index=5)
         lam, binding, _ = reference_max_feasible_weight(x, e)
-        assert max_feasible_weight(x, e, _primal_line(x, e)) == (lam, binding)
+        assert max_feasible_weight(x, e, _primal_solve) == (lam, binding)
         assert lambda_pair(x, e).lam == lam
 
 
@@ -341,7 +368,7 @@ def test_thm1_pool_weights_and_bindings_match_the_reference():
     positive = []
     for e in pool:
         lam, binding, _ = reference_max_feasible_weight(X4, e)
-        assert max_feasible_weight(X4, e, _primal_line(X4, e)) == (lam, binding)
+        assert max_feasible_weight(X4, e, _primal_solve) == (lam, binding)
         if not all(sum(e[i] for i in F) == 1 for F in sets):
             assert lam == 0
         if lam > 0:

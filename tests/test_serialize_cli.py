@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 import schreier.cli as cli_mod
+from schreier import dual as dual_mod
+from schreier import lambdas as lambdas_mod
 from schreier import cutoffs
 from schreier.cli import lambda_table, run
 from schreier.errors import CutoffExceeded, VectorFormatError
 from schreier.extreme import enumerate_extreme_in_space, positive_extreme_points
-from schreier.lambdas import lambda_lower
+from schreier.dual import verify_thm2
+from schreier.lambdas import lambda_lower, verify_thm1
 from schreier.rationals import decimal_string, format_rational, parse_rational
 from schreier.serialize import (
     SPACE_DUAL,
@@ -155,6 +158,47 @@ def test_support_scans_stop_at_their_cutoff(tmp_path, monkeypatch):
     assert run(["one-sets", path]) == 2
     assert run(["covers", path, "--index", "4"]) == 2
     assert run(["eps-gap", path]) == 2
+
+
+class _Built(Exception):
+    """Raised by a patched constructor: the pipeline got past its cutoffs."""
+
+
+def _refuse_to_build(*args):
+    raise _Built
+
+
+def test_verify_thm2_stops_at_its_window_cutoff_before_building(monkeypatch):
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "7")
+    assert verify_thm2(3).passed  # window 7 = 2^3 - 1 is admitted
+    monkeypatch.setattr(dual_mod, "make_thm2_functional", _refuse_to_build)
+    with pytest.raises(CutoffExceeded, match="requested 2\\^4 - 1 exceeds cutoff 7"):
+        verify_thm2(4)
+    assert run(["verify", "thm2", "--n", "4"]) == 2
+    # The default admits n = 5 (window 31) and stops n = 6 and n = 40.
+    monkeypatch.delenv("SCHREIER_MAX_DIM")
+    with pytest.raises(_Built):
+        verify_thm2(5)
+    for n in (6, 40, 20000):
+        with pytest.raises(CutoffExceeded, match=f"requested 2\\^{n} - 1 exceeds cutoff 31"):
+            verify_thm2(n)
+    assert run(["verify", "thm2", "--n", "6"]) == 2
+
+
+def test_verify_thm1_stops_at_its_pool_cutoff_before_building(monkeypatch):
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "10")
+    assert verify_thm1(4).window == 10  # the pool window 10 is admitted
+    monkeypatch.setattr(lambdas_mod, "make_thm1_vector", _refuse_to_build)
+    with pytest.raises(CutoffExceeded, match="requested 12 exceeds cutoff 10"):
+        verify_thm1(5)
+    assert run(["verify", "thm1", "--n", "5"]) == 2
+    # The default admits window 12 and stops n = 100000 (window 200002).
+    monkeypatch.delenv("SCHREIER_MAX_DIM")
+    with pytest.raises(_Built):
+        verify_thm1(5)
+    with pytest.raises(CutoffExceeded, match="requested 200002 exceeds cutoff 12"):
+        verify_thm1(100000)
+    assert run(["verify", "thm1", "--n", "100000"]) == 2
 
 
 @pytest.mark.parametrize("error", [RuntimeError("witness verification failed"),
