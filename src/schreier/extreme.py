@@ -16,7 +16,7 @@ up to relabelling of the tail, which is enumerated once (double
 description over a sorted-tail fundamental domain).  Each class is
 certified once, on its canonical embedding with the tail on [m+1, 2m];
 certification is invariant under moving the tail to any legal F and
-permuting it (see _positive_extreme_points), so every other embedding is
+permuting it (see _positive_pool), so every other embedding is
 extreme by construction.
 """
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from . import cutoffs
 from .dd import DDPolytope, box_seed
@@ -315,10 +316,13 @@ def canonical_key(v: Vector, N: int):
 
 
 def _sign_patterns(v: Vector):
-    """v under every sign pattern of its support, all signs kept first."""
-    support = v.support
-    for signs in product((1, -1), repeat=len(support)):
-        yield Vector({i: s * v[i] for i, s in zip(support, signs)})
+    """v under every sign pattern of its support, all signs kept first.
+
+    Yields (bits, u): bits[k] is 1 where u negates the k-th support index.
+    """
+    signed = [(i, q, -q) for i, q in v.items()]
+    for bits in product((0, 1), repeat=len(signed)):
+        yield bits, Vector({i: neg if b else q for (i, q, neg), b in zip(signed, bits)})
 
 
 def _maximal_in_window(N: int) -> list[IndexSet]:
@@ -355,7 +359,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
         if v and _active_rank(v, _one_sets(v), N) == N:
             reps.append(v)
 
-    out = [u for v in reps for u in _sign_patterns(v)]
+    out = [u for v in reps for _, u in _sign_patterns(v)]
     out.sort(key=lambda u: canonical_key(u, N))
     return out
 
@@ -480,7 +484,7 @@ def _class_positive_vertices(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[
 def positive_extreme_points(N: int) -> list[Vector]:
     """Extreme points with nonnegative coordinates and support within [1, N]."""
     _check_extreme_cutoff(N)
-    return list(_positive_extreme_points(N))
+    return list(_positive_pool(N)[0])
 
 
 def _check_extreme_cutoff(N: int) -> None:
@@ -489,8 +493,15 @@ def _check_extreme_cutoff(N: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
+def _positive_pool(N: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], ...], int]:
     """Every class embedded on every legal tail F in every arrangement.
+
+    Returns (points, rows, D): D is the LCM of the denominators of every
+    class value of tail size m <= N/2, and rows[k] holds the coordinates of
+    points[k] on [1, N] as integer numerators over D.  The pool is built on
+    the rows: each class's head and tail are cleared over D once, the tail
+    arrangements are permutations of int tuples, and each point maps its
+    row back to Fractions through the class values, by numerator.
 
     No embedding is certified again: each is EXTREME because its class is.
     Let e carry a class's head on [1, m] and an arrangement of its tail on
@@ -506,19 +517,38 @@ def _positive_extreme_points(N: int) -> tuple[Vector, ...]:
     rank on [1, max F] is the number of gaps plus the support rank.  F
     stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
     exactly when it holds for the canonical one.
+
+    The points are in canonical order, the order of ``rows.sort()``.  For
+    e >= 0 every sign bit of canonical_key(e, N) is 0, so the key orders
+    the points as the value tuples (e_1, ..., e_N) in lexicographic order.
+    q -> qD is strictly increasing, so that is the lexicographic order of
+    the rows.  No two points tie: points with different (m, F) have
+    different supports [1, m] + F, since every value is positive; on one
+    support, two points with different heads differ on [1, m], and two
+    with one head differ on F, being distinct arrangements of one tail or
+    arrangements of two tails that are different multisets (the DD
+    vertices of a class polytope are distinct, and each tail is sorted).
     """
-    out = []
-    for m in range(1, N // 2 + 1):
-        reps = _class_positive_vertices(m)
-        arrangements = {
-            tail: sorted(set(permutations(tail))) for _, tail in reps
-        }
-        for F in combinations(range(m + 1, N + 1), m):
-            for head, tail in reps:
-                for arranged in arrangements[tail]:
-                    out.append(_embed(head, arranged, F))
-    out.sort(key=lambda v: canonical_key(v, N))
-    return tuple(out)
+    classes = {m: _class_positive_vertices(m) for m in range(1, N // 2 + 1)}
+    values = [q for reps in classes.values() for head, tail in reps for q in head + tail]
+    nums, D = cleared(values)
+    num, value = dict(zip(values, nums)), dict(zip(nums, values))
+    rows = []
+    for m, reps in classes.items():
+        cleared_reps = [
+            ([num[q] for q in head] + [0] * (N - m), sorted(set(permutations([num[q] for q in tail]))))
+            for head, tail in reps
+        ]
+        for F in combinations(range(m, N), m):  # tail positions in the row
+            for base, arrangements in cleared_reps:
+                for arranged in arrangements:
+                    row = base[:]
+                    for f, a in zip(F, arranged):
+                        row[f] = a
+                    rows.append(tuple(row))
+    rows.sort()
+    points = tuple(Vector({i: value[a] for i, a in enumerate(row, start=1) if a}) for row in rows)
+    return points, tuple(rows), D
 
 
 def enumerate_extreme_in_space(N: int) -> list[Vector]:
@@ -528,8 +558,23 @@ def enumerate_extreme_in_space(N: int) -> list[Vector]:
     it is the positive list expanded over all sign patterns.  The signed
     list grows as 4^(|F|) per support; lambda_lower and verify_thm1 scan
     positive_extreme_points instead.
+
+    The expansion is sorted on integers: a point u = s e, e in the pool with
+    row r over D, gets the key of 2 r_i + b_i over i in [1, N], b_i = 1
+    where u_i < 0.  canonical_key(u, N) has the pairs (|u_i|, b_i) =
+    (r_i / D, b_i), and (r_i, b_i) -> 2 r_i + b_i is strictly increasing
+    in their lexicographic order (b_i is 0 or 1), so both keys give the same
+    order.  The signed points are distinct, so no keys tie.
     """
     _check_extreme_cutoff(N)
-    out = [u for v in _positive_extreme_points(N) for u in _sign_patterns(v)]
-    out.sort(key=lambda u: canonical_key(u, N))
-    return out
+    points, rows, _ = _positive_pool(N)
+    keyed = []
+    for e, row in zip(points, rows):
+        support, base = e.support, [2 * a for a in row]
+        for bits, u in _sign_patterns(e):
+            key = base[:]
+            for i, b in zip(support, bits):
+                key[i - 1] += b
+            keyed.append((tuple(key), u))
+    keyed.sort(key=itemgetter(0))
+    return [u for _, u in keyed]

@@ -22,6 +22,7 @@ from .extreme import (
     EXTREME,
     SignedConstraint,
     _check_extreme_cutoff,
+    _positive_pool,
     certify_extreme,
     positive_extreme_points,
 )
@@ -154,8 +155,13 @@ def gap_bound(x: Vector, e: Vector, F: IndexSet) -> Fraction:
     return g / h
 
 
-def _on_face(pool: list[Vector], sets: list[IndexSet]) -> list[Vector]:
-    """The members e of the pool with e(F) = 1 for every F in sets, in order.
+def _on_face(N: int, sets: list[IndexSet]) -> list[Vector]:
+    """The points e of the window-N positive pool with e(F) = 1 for every F in sets.
+
+    The test runs on the pool's integer rows (extreme._positive_pool): e(F)
+    = 1 exactly when the numerators of e over D sum to D on F.  The pool
+    lives in [1, N], so an index of F past N counts as 0; a 1-set of x may
+    reach past the window.  The points come in pool order.
 
     Face lemma: let x >= 0 and e >= 0 with ||x|| <= 1 = ||e||, and let F be
     a 1-set of x.  If lambda(x, e) > 0 then e(F) = 1.  At lambda = 1,
@@ -166,7 +172,12 @@ def _on_face(pool: list[Vector], sets: list[IndexSet]) -> list[Vector]:
     and dropping it changes neither the best weight nor the set of points
     with positive weight.
     """
-    return [e for e in pool if all(sum(map(e.__getitem__, F)) == 1 for F in sets)]
+    points, rows, D = _positive_pool(N)
+    positions = [[i - 1 for i in F if i <= N] for F in sets]
+    return [
+        e for e, row in zip(points, rows)
+        if all(sum(map(row.__getitem__, P)) == D for P in positions)
+    ]
 
 
 def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
@@ -193,7 +204,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     ax = abs(x)
     sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.admissible_enum_limit(1) else []
     best_lam, best_e = Fraction(0), pool[0]
-    for e in _on_face(pool, sets):
+    for e in _on_face(window, sets):
         lam, _ = max_feasible_weight(ax, e, _primal_solve)
         if lam > best_lam:
             best_lam, best_e = lam, e
@@ -278,7 +289,7 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     claims = {"i": True, "ii": True, "iii": True, "iv": True}
     violations: list[tuple[Vector, Fraction]] = []
     max_lam = Fraction(0)
-    for e in _on_face(pool, sets):
+    for e in _on_face(window, sets):
         lam, _ = max_feasible_weight(x, e, _primal_solve)
         if lam > max_lam:
             max_lam = lam

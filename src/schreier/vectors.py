@@ -39,8 +39,8 @@ class Vector:
             i = int(i)
             if i < 1:
                 raise ValueError(f"indices are 1-based positive integers, got {i}")
-            q = Fraction(value)
-            if q == 0:
+            q = value if type(value) is Fraction else Fraction(value)
+            if not q:
                 continue
             if i in clean:
                 raise ValueError(f"duplicate coordinate index {i}")

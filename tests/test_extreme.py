@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -14,6 +15,8 @@ from schreier.extreme import (
     _class_positive_vertices,
     _embed,
     _maximal_in_window,
+    _positive_pool,
+    _sign_patterns,
     active_constraints,
     canonical_key,
     certify_extreme,
@@ -346,6 +349,18 @@ def test_in_space_matches_vertices_with_nonmax_one_set():
         assert enumerate_extreme_in_space(N) == expected
 
 
+def test_in_space_integer_sort_is_the_canonical_order():
+    # The signed expansion is sorted on integer keys from the pool's rows;
+    # that must be the canonical order, with no two points alike.
+    for N in (7, 8):
+        points = enumerate_extreme_in_space(N)
+        assert len(set(points)) == len(points)
+        assert points == sorted(points, key=lambda v: canonical_key(v, N))
+        assert sorted(points, key=lambda v: v.items()) == sorted(
+            (u for e in positive_extreme_points(N) for _, u in _sign_patterns(e)),
+            key=lambda v: v.items())
+
+
 def test_in_space_supports_and_even_cardinality():
     for N in (3, 4, 5, 6):
         for e in positive_extreme_points(N):
@@ -365,6 +380,21 @@ def test_positive_pool_is_in_canonical_order():
         pool = positive_extreme_points(N)
         assert len(set(pool)) == len(pool) == size
         assert pool == sorted(pool, key=lambda v: canonical_key(v, N))
+
+
+def test_positive_pool_rows_are_the_numerators_over_d():
+    # The rows hold each point's coordinates on [1, N] over D, the LCM of
+    # the class denominators, and strictly increase, so rows.sort() gave
+    # the canonical order without ties.
+    for N in range(2, 13):
+        points, rows, D = _positive_pool(N)
+        values = [q for m in range(1, N // 2 + 1)
+                  for head, tail in _class_positive_vertices(m) for q in head + tail]
+        assert D == lcm(*(q.denominator for q in values))
+        assert len(points) == len(rows)
+        for e, row in zip(points, rows):
+            assert row == tuple(e[i] * D for i in range(1, N + 1))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_pool_members_certify_extreme():

@@ -345,7 +345,7 @@ def test_lambda_lower_keeps_the_first_pool_point_at_weight_zero():
     x = Vector({1: Fraction(-1, 2), 6: 1})
     pool = positive_extreme_points(4)
     assert norm(x, 1).value == 1 and one_sets(x) == [(6,)]
-    assert _on_face(pool, one_sets(x)) == []
+    assert _on_face(4, one_sets(x)) == []
     lam, achiever = lambda_lower(x, 4)
     assert lam == signed_lambda_lower(x, 4)[0] == 0
     assert achiever == pool[0].flip_signs([1])
@@ -373,8 +373,33 @@ def test_thm1_pool_weights_and_bindings_match_the_reference():
             assert lam == 0
         if lam > 0:
             positive.append(e)
-    assert _on_face(pool, sets) == positive
+    assert _on_face(10, sets) == positive
     assert len(positive) == 2 and BAD4 in positive
+
+
+def _fraction_face(pool, sets):
+    return [e for e in pool if all(sum(e[i] for i in F) == 1 for F in sets)]
+
+
+def test_on_face_matches_the_fraction_sums(rng):
+    # The integer face test agrees with e(F) = 1 on every 1-set, for seeded
+    # unit vectors, for pool points (each on its own face) and for 1-sets
+    # that reach past the window.
+    past = [(X4, 6), (Vector({1: Fraction(-1, 2), 8: 1}), 6)]
+    for x, N in past:
+        sets = one_sets(x)
+        assert any(F[-1] > N for F in sets)
+        assert _on_face(N, sets) == _fraction_face(positive_extreme_points(N), sets)
+    for N in range(4, 11):
+        pool = positive_extreme_points(N)
+        xs = [random_unit_vector(rng, max_index=N) for _ in range(6)]
+        xs += rng.sample(pool, min(4, len(pool)))
+        for x in xs:
+            sets = one_sets(abs(x))
+            face = _on_face(N, sets)
+            assert face == _fraction_face(pool, sets)
+            if x in pool:
+                assert x in face
 
 
 def test_lambda_lower_examples():

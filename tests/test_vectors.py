@@ -278,3 +278,20 @@ def test_vector_rejects_bad_indices():
         Vector({0: 1})
     with pytest.raises(ValueError):
         Vector([(2, Fraction(1)), (2, Fraction(1, 2))])
+    # Every value path: a kept Fraction, an int, a string.
+    for pairs in ([(0, Fraction(1))], [(-3, 1)], [(0, "1/2")], [(2, 1), (2, "1/2")]):
+        with pytest.raises(ValueError):
+            Vector(pairs)
+
+
+def test_vector_keeps_fractions_and_converts_everything_else():
+    # A Fraction is kept as it is; ints, strings and other values go through
+    # Fraction(); zeros of every kind are dropped.
+    kept = Fraction(3, 4)
+    v = Vector({5: kept, 1: 2, 3: "-1/3", 2: Fraction(0), 4: "0", 6: 0})
+    assert v.items() == ((1, Fraction(2)), (3, Fraction(-1, 3)), (5, Fraction(3, 4)))
+    assert all(type(q) is Fraction for _, q in v.items())
+    assert v[5] is kept
+    assert Vector([(2, Fraction(1, 2)), (1, 1)]) == Vector({1: "1", 2: "1/2"})
+    assert Vector({1: Fraction(0)}) == Vector.zero()
+
