@@ -33,7 +33,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):  # ints and Fractions carry their own terms
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

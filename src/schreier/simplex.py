@@ -52,6 +52,10 @@ current basis as ``-d * c + sum(c[v] * T[i])`` over the structural basic
 variables v of rows i, again an integer combination with no division; it is
 d times the rational reduced-cost row, zero in every basic column.  The
 basis stays primal feasible, so primal Bland's rule resumes from it.
+``row_duals`` prices an objective the same way without pivoting and reads
+the slack entries: the reduced cost of a row's slack is that row's LP dual
+value, so at an optimal basis they form a dual solution that certifies the
+optimum by weak duality.
 ``lp_max`` is a fresh tableau with its rows and one ``maximize``: on the
 all-slack basis with d = 1 the re-priced row is -c, so it takes the same
 pivots as a cold solve.
@@ -115,12 +119,7 @@ class _Tableau:
         The objective value is ``obj[0] / (d * c_scale)``.
         """
         ints, self.c_scale = cleared(c)
-        obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
-        for i, var in enumerate(self.basis):
-            if var <= self.n and ints[var - 1]:
-                coeff = ints[var - 1]
-                obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
-        self.obj = obj
+        self.obj = self._priced(ints)
         self.primal()
         while True:
             x = self.point()
@@ -131,6 +130,28 @@ class _Tableau:
             if self.rows[-1][0] >= 0:
                 raise ValueError("cut returned a constraint that x satisfies")
             self.dual()
+
+    def row_duals(self, c) -> tuple[list[int], int]:
+        """The dual values of the rows for objective c, in row order, over D.
+
+        They are the reduced costs of the slack columns, ``obj[n + 1 + k]``
+        over D = d * c_scale once c is priced in the current basis; the basis
+        is read, never pivoted.  Each value belongs to its row as cleared to
+        integers (the row itself when it already was).  At a basis optimal
+        for c they are an optimal LP dual: nonnegative, covering c, and
+        summing to the optimum.
+        """
+        ints, scale = cleared(c)
+        return self._priced(ints)[self.n + 1:], self.d * scale
+
+    def _priced(self, ints) -> list[int]:
+        """The objective row of the integer objective ints in the current basis."""
+        obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
+        for i, var in enumerate(self.basis):
+            if var <= self.n and ints[var - 1]:
+                coeff = ints[var - 1]
+                obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
+        return obj
 
     def primal(self) -> None:
         """Primal simplex with Bland's rule until no reduced cost is negative."""

@@ -5,6 +5,7 @@ import pytest
 
 from schreier import dual
 from schreier.dual import (
+    _check_dual_bound,
     _dual_solve,
     dual_extreme_traces,
     dual_norm,
@@ -192,6 +193,112 @@ def test_lambda_pair_dual_line_matches_cold_newton(rng):
     assert expected[:4] == [1, Fraction(3, 4), 0, Fraction(1, 13)]
 
 
+def _line_certificate(x_star: Vector, e_star: Vector):
+    """The line's answer, f = x* - lambda e*, and the certificate of its last basis."""
+    N = max(x_star.max_index, e_star.max_index)
+    solve, certificate = _dual_solve(N)
+    lam, _ = max_feasible_weight(x_star, e_star, solve)
+    f = x_star - lam * e_star
+    return lam, f, certificate(f)
+
+
+def _spot_check_pairs(n: int) -> list[tuple[Vector, Vector]]:
+    x_star = make_thm2_functional(n)
+    return [(x_star, Vector({i: 1 for i in G})) for G in dual_extreme_traces(n)[:10]]
+
+
+def test_dual_certificate_sums_to_the_cold_dual_norm(rng):
+    # The LP dual read off the line's last basis is optimal: its sum is the
+    # cold dual norm of x* - lambda e*, and it passes the weak-duality check.
+    pairs = _line_pairs(rng) + _spot_check_pairs(3) + _spot_check_pairs(4)
+    for x_star, e_star in pairs:
+        lam, f, (sets, duals, D) = _line_certificate(x_star, e_star)
+        assert sets[: f.max_index] == [(i,) for i in range(1, f.max_index + 1)]
+        assert Fraction(sum(duals), D) == dual_norm_witness(f)[0]
+        if lam < 1:
+            _check_dual_bound(f, 1 - lam, sets, duals, D)
+
+
+def _lower_largest(sets, duals, D):
+    k = duals.index(max(duals))
+    duals[k] -= 1
+    return sets, duals, D
+
+
+def _negate_first(sets, duals, D):
+    duals[0] = -1  # the singleton {1}, where f = 0: only the sign check sees it
+    return sets, duals, D
+
+
+def _widen_largest(sets, duals, D):
+    k = duals.index(max(duals))
+    sets[k] = (1,) + sets[k]  # covers more, but |F| > min F
+    return sets, duals, D
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_lower_largest, "cover"),
+    (_negate_first, "< 0"),
+    (_widen_largest, "not admissible"),
+])
+def test_lambda_pair_dual_rejects_a_corrupted_certificate(monkeypatch, corrupt, message):
+    x_star, e_star = make_thm2_functional(3), Vector({1: 1})  # lambda = 1/3, f_1 = 0
+    lam, f, (sets, duals, D) = _line_certificate(x_star, e_star)
+    assert lam == Fraction(1, 3) and f[1] == 0 and max(duals) > 0
+    real = dual._dual_solve
+
+    def corrupted(N):
+        solve, certificate = real(N)
+
+        def bad(f):
+            sets, duals, D = certificate(f)
+            return corrupt(list(sets), list(duals), D)
+
+        return solve, bad
+
+    monkeypatch.setattr(dual, "_dual_solve", corrupted)
+    with pytest.raises(RuntimeError, match=f"dual lambda verification failed: .*{message}"):
+        lambda_pair_dual(x_star, e_star)
+
+
+def test_lambda_pair_dual_rejects_a_wrong_line(monkeypatch):
+    # A line that answers too high leaves a basis whose dual cannot prove the
+    # bound for the f rebuilt from the Vectors.
+    def too_high(x, e, solve):
+        lam, binding = max_feasible_weight(x, e, solve)
+        return lam + Fraction(1, 6), binding
+
+    monkeypatch.setattr(dual, "max_feasible_weight", too_high)
+    with pytest.raises(RuntimeError, match="dual lambda verification failed"):
+        lambda_pair_dual(make_thm2_functional(3), Vector({1: 1}))
+
+
+def test_lambda_pair_dual_solves_no_cold_lp(rng, monkeypatch):
+    # The certificate replaces the cold re-solve: with every cold LP path
+    # raising, the 77 line pairs answer as before, and verify_thm2 reaches a
+    # dual norm only once, for the unit check of x*.
+    pairs = _line_pairs(rng)
+    expected = [lambda_pair_dual(x, e) for x, e in pairs]
+
+    def no_cold_lp(*args, **kwargs):
+        raise AssertionError("a cold LP was solved")
+
+    monkeypatch.setattr(dual, "lp_max", no_cold_lp)
+    monkeypatch.setattr(dual, "dual_norm_witness", no_cold_lp)
+    assert [lambda_pair_dual(x, e) for x, e in pairs] == expected
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return dual_norm_witness(f)
+
+    monkeypatch.setattr(dual, "lp_max", lp_max)
+    monkeypatch.setattr(dual, "dual_norm_witness", counted)
+    assert verify_thm2(3).passed
+    assert calls == [make_thm2_functional(3)]
+
+
 def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
     # One live tableau per pair, solved at t = 0 and at every iterate of the
     # cold reference Newton line: on the integer moduli of x* - t e* it must
@@ -201,7 +308,7 @@ def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
     for x_star, e_star in _line_pairs(rng):
         _, _, iterates = reference_newton(x_star, e_star, dual_norm_witness)
         N = max(x_star.max_index, e_star.max_index)
-        solve = _dual_solve(N)
+        solve, _ = _dual_solve(N)
         for t in [Fraction(0)] + iterates:
             f = x_star - t * e_star
             ints, scale = cleared([f[i] for i in range(1, N + 1)])
@@ -228,7 +335,7 @@ def test_lambda_pair_dual_rejects_dual_norm_above_one():
     e_star = Vector({2: 1, 3: -1})
     x_star = Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)})  # dual norm 3/2
     def line(x, e):  # the line itself checks the dual ball at t = 0
-        return max_feasible_weight(x, e, _dual_solve(3))
+        return max_feasible_weight(x, e, _dual_solve(3)[0])
 
     for fn in (lambda_pair_dual, reference_lambda_pair_dual, line):
         with pytest.raises(UnitNormRequired):

@@ -28,6 +28,14 @@ def test_rational_parse_format_roundtrip():
         assert format_rational(parse_rational(text)) == text
 
 
+def test_format_rational_takes_ints_fractions_and_other_rationals():
+    from decimal import Decimal
+
+    assert format_rational(-3) == "-3"
+    assert format_rational(Fraction(-6, 4)) == "-3/2"
+    assert format_rational(Decimal("-1.5")) == "-3/2"
+
+
 def test_rational_rejects_non_canonical():
     for bad in ["2/4", "-0", "+1", "1/-2", "1 /2", "0/5", "01", "1/0", "", "a"]:
         with pytest.raises(VectorFormatError):
