@@ -12,7 +12,7 @@ ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
 VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12
-THM2_WINDOW_MAX = 31  # verify thm2 up to n = 5; n = 6 has about 6.6e12 traces
+THM2_WINDOW_MAX = 31  # verify thm2 up to n = 5; at n = 6 its unit dual-norm LP ran past 14 min
 
 
 def _limit(default: int) -> int:

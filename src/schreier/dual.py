@@ -10,12 +10,15 @@ keeping its cuts, and its answer is checked by weak duality against the LP
 dual that the tableau's final basis carries, one value per admissible row
 (``_check_dual_bound``), with no second solve.  Dual extreme
 points have the closed form "all coefficients of modulus one on a set F
-with |F| = min F", which makes the decay bound a finite computation over
-traces of F inside the relevant initial segment.
+with |F| = min F".  The decay bound of a trace of F is its pairing with
+the dyadic witness, so its maximum and the number of full-length traces
+have closed forms, and ``verify_thm2`` enumerates no traces.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 from . import cutoffs
 from .families import IndexSet, admissible_subsets, index_set, is_admissible
@@ -182,29 +185,26 @@ def make_thm2_witness(n: int) -> Vector:
     return Vector(coords)
 
 
-def _dyadic_block(k: int) -> range:
-    return range(2 ** (k - 1), 2**k)
-
-
 def thm2_lambda_bound(G: IndexSet, n: int) -> Fraction:
-    """Exact decay bound 1 - T(G)/n for a trace G of a dual extreme support.
+    """Exact decay bound <1_G, w> / n for a trace G of a dual extreme support.
 
-    T(G) sums |block_k minus G| / 2^(k-1) over the first n dyadic blocks; any
-    dual extreme point whose support meets [1, 2^n - 1] in G admits no
-    decomposition weight above the returned value.
+    w = make_thm2_witness(n) is 2^(1-k) on the dyadic block
+    B_k = [2^(k-1), 2^k - 1], so <1_G, w> = sum over i in G of
+    2^(n - k_i) / 2^(n-1) with k_i the bit length of i.  Any dual extreme
+    point whose support meets [1, 2^n - 1] in G admits no decomposition
+    weight above the returned value.  It is the bound 1 - T(G)/n with
+    T(G) = sum_k |B_k minus G| / 2^(k-1): since |B_k| = 2^(k-1), each block
+    adds 1 - |B_k meet G| / 2^(k-1) to T, so T(G) = n - <1_G, w>.  The
+    pairing is never negative, and never above 1/n (see verify_thm2).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     G = index_set(G)
     if G and (G[-1] > 2**n - 1 or len(G) > G[0]):
         raise ValueError(
             f"{G} is not a trace of a legal dual support inside [1, {2 ** n - 1}]"
         )
-    in_G = set(G)
-    T = Fraction(0)
-    for k in range(1, n + 1):
-        missing = sum(1 for i in _dyadic_block(k) if i not in in_G)
-        T += Fraction(missing, 2 ** (k - 1))
-    bound = 1 - T / n
-    return bound if bound > 0 else Fraction(0)
+    return Fraction(sum(1 << (n - i.bit_length()) for i in G), n << (n - 1))
 
 
 def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
@@ -238,14 +238,18 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
 def dual_extreme_traces(n: int) -> list[IndexSet]:
     """All G inside [1, 2^n - 1] with |G| = min G, lexicographically.
 
+    The oracle for the closed forms of ``verify_thm2``: their number is its
+    candidate_count, and the largest bound over them is its max_bound.
     These are the traces of full length only.  The trace of a dual extreme
     support can be any admissible G' in [1, 2^n - 1] (for example {3} from
     {3, 4, 5} at n = 2), but each such G' lies in a listed G: pad G' above
     min G' to min G' elements when min G' <= 2^(n-1); otherwise
     |G'| < 2^(n-1) < min G' and {|G'| + 1} + G' is listed.  The bound
-    1 - T(G)/n never falls as G grows, so its maximum over this list is its
-    maximum over every admissible trace.
+    <1_G, w> / n never falls as G grows, so its maximum over this list is
+    its maximum over every admissible trace.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return list(admissible_subsets(range(1, 2**n), maximal=True))
 
 
@@ -281,19 +285,26 @@ class Thm2Report:
 def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
     """Evaluate the dual decay bound over every realizable trace at order n.
 
-    Checks the averaged functional sits on the dual sphere, maximizes the
-    closed-form bound over the traces with |G| = min G only, records the
-    empty-trace branch, and spot-checks the first ten traces with exact pair
-    computations.  That maximum covers every admissible trace, since each
-    lies in a listed one and the bound never falls as G grows
-    (dual_extreme_traces).  The trace window [1, 2^n - 1] meets its cutoff
-    before anything is built.
+    Checks the averaged functional sits on the dual sphere, takes the
+    largest bound and the number of full-length traces (|G| = min G) in
+    closed form, records the empty-trace branch, and spot-checks the first
+    ten traces, drawn lazily, with exact pair computations.
+
+    The largest bound is 1/n, at G = {1}.  Every admissible G has
+    ||1_G||* <= 1, since <1_G, x> <= |x|(G) <= ||x||, and unit_ok checks
+    ||w|| = 1, so <1_G, w> <= 1 = w_1 for every admissible trace, not
+    only the full-length ones.  A full-length trace with min G = m is
+    {m} with m - 1 of the N - m indices in [m + 1, N], N = 2^n - 1, so
+    there are C(N - m, m - 1) of them; summed over m that is the Fibonacci
+    number F_N.  The trace window [1, 2^n - 1] meets its cutoff before
+    anything is built.
     """
     cutoffs.check_thm2_window(n)
+    N = 2**n - 1
     if window is None:
-        window = 2**n - 1
-    if window < 2**n - 1:
-        raise ValueError(f"window must cover [1, {2 ** n - 1}]")
+        window = N
+    if window < N:
+        raise ValueError(f"window must cover [1, {N}]")
     x_star = make_thm2_functional(n)
     witness = make_thm2_witness(n)
     unit_ok = (
@@ -301,22 +312,16 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
         and x_star.dot(witness) == 1
         and norm(witness, 1).value == 1
     )
-    candidates = dual_extreme_traces(n)
-    max_bound = Fraction(0)
-    for G in candidates:
-        value = thm2_lambda_bound(G, n)
-        if value > max_bound:
-            max_bound = value
     spot_checks = []
-    for G in candidates[:10]:
+    for G in islice(admissible_subsets(range(1, N + 1), maximal=True), 10):
         e_star = Vector({i: 1 for i in G})
         lam = lambda_pair_dual(x_star, e_star)
         spot_checks.append((G, lam, thm2_lambda_bound(G, n)))
     return Thm2Report(
         n=n,
         window=window,
-        candidate_count=len(candidates),
-        max_bound=max_bound,
+        candidate_count=sum(comb(N - m, m - 1) for m in range(1, N + 1)),
+        max_bound=thm2_lambda_bound((1,), n),
         bound_target=Fraction(3, n),
         zero_trace_bound=thm2_lambda_bound((), n),
         unit_checks_ok=unit_ok,

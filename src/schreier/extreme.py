@@ -346,6 +346,8 @@ def enumerate_vertices(N: int) -> list[Vector]:
     A vertex of that part is a vertex of the section when its active rows
     have full rank; the sign patterns of those vertices are the rest.
     """
+    if N < 0:
+        raise ValueError("window must be >= 0")
     cutoffs.check("enumerate_vertices", N, cutoffs.vertex_enum_limit())
     if N < 1:
         return []
@@ -489,6 +491,8 @@ def positive_extreme_points(N: int) -> list[Vector]:
 
 def _check_extreme_cutoff(N: int) -> None:
     # Outside the cache, so a cached pool is refused once the cutoff drops.
+    if N < 0:
+        raise ValueError("window must be >= 0")
     cutoffs.check("enumerate_extreme_in_space", N, cutoffs.extreme_enum_limit())
 
 

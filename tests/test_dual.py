@@ -19,7 +19,7 @@ from schreier.dual import (
 )
 from schreier.errors import UnitNormRequired
 from schreier.extreme import enumerate_vertices
-from schreier.families import enumerate_admissible, is_maximal
+from schreier.families import admissible_subsets, enumerate_admissible, is_maximal
 from schreier.lambdas import max_feasible_weight
 from schreier.linalg import cleared
 from schreier.simplex import lp_max
@@ -127,6 +127,30 @@ def test_thm2_lambda_bound_examples():
         thm2_lambda_bound((2, 3, 4), 4)  # |G| = 3 > min G = 2
     with pytest.raises(ValueError):
         thm2_lambda_bound((16,), 4)  # outside [1, 15]
+
+
+def _t_sum_bound(G, n):
+    # The dyadic-block formula 1 - T(G)/n, T(G) = sum_k |B_k minus G| / 2^(k-1),
+    # clamped at 0: the reference for the pairing <1_G, w> / n.
+    T = sum(
+        Fraction(sum(1 for i in range(2 ** (k - 1), 2**k) if i not in G), 2 ** (k - 1))
+        for k in range(1, n + 1)
+    )
+    return max(1 - T / n, Fraction(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_thm2_lambda_bound_is_the_t_sum_on_every_admissible_trace(n):
+    for G in enumerate_admissible(1, 2**n - 1):
+        assert thm2_lambda_bound(G, n) == _t_sum_bound(G, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_thm2_n_below_one_is_rejected(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        thm2_lambda_bound((), n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        dual_extreme_traces(n)
 
 
 def test_thm2_lambda_bound_sign_independent_by_construction(rng):
@@ -393,6 +417,31 @@ def test_verify_thm2_small():
     assert report.max_bound == Fraction(1, 2)
     assert report.zero_trace_bound == 0
     assert report.bound_target == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_thm2_candidate_count_is_the_enumerated_count(n):
+    assert verify_thm2(n).candidate_count == len(dual_extreme_traces(n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_thm2_draws_at_most_ten_traces(n, monkeypatch):
+    # The maximum and the count are closed forms: only the ten spot checks
+    # draw traces, and the full list is never built.
+    def no_list(*args):
+        raise AssertionError("dual_extreme_traces was called")
+
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for G in admissible_subsets(*args, **kwargs):
+            drawn.append(G)
+            yield G
+
+    monkeypatch.setattr(dual, "dual_extreme_traces", no_list)
+    monkeypatch.setattr(dual, "admissible_subsets", counted)
+    assert verify_thm2(n).passed
+    assert 0 < len(drawn) <= 10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -258,6 +258,14 @@ def test_cli_extreme_enumerate(capsys):
     assert run(["extreme", "enumerate", "--dim", "99", "--mode", "vertices"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["vertices", "in-space"])
+def test_cli_extreme_enumerate_rejects_a_negative_dim(capsys, mode):
+    assert run(["extreme", "enumerate", "--dim", "-1", "--mode", mode]) == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+    assert run(["extreme", "enumerate", "--dim", "0", "--mode", mode]) == 0
+    assert "0 points" in capsys.readouterr().out
+
+
 def test_cli_dual(tmp_path, capsys):
     df = _write(tmp_path, "f.json", Vector({1: 1, 2: 1, 3: 1}), SPACE_DUAL)
     assert run(["dual", "norm", df]) == 0
