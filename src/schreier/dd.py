@@ -64,6 +64,12 @@ class DDPolytope:
         return mask
 
     def add_constraint(self, coeffs, b) -> None:
+        """Cut the polytope with coeffs.x <= b.
+
+        A cut that no vertex violates needs no special case: with no
+        violated vertex there are no cut points, and the kept vertices stay
+        in their order.
+        """
         row, b = _cleared_row(coeffs, b)
         idx = len(self.rows)
         self.rows.append((row, b))
@@ -82,9 +88,6 @@ class DDPolytope:
                 keep.append(v)
             else:
                 minus.append(i)
-        if not minus:
-            self.vertices = keep
-            return
 
         masks = [v.tight for v in self.vertices]
         new_vertices: list[DDVertex] = []

@@ -64,14 +64,12 @@ def _section_cuts(N: int):
     return sets, separate
 
 
-def _signed(f: Vector, xs: list[Fraction]) -> Vector:
-    return Vector({i + 1: (1 if f[i + 1] >= 0 else -1) * q for i, q in enumerate(xs)})
-
-
 def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
-    """Exact dual norm together with a norming vector from the primal ball."""
-    if not f:
-        return Fraction(0), Vector.zero()
+    """Exact dual norm together with a norming vector from the primal ball.
+
+    The zero functional needs no special case: on [1, 0] the LP has no
+    columns, so lp_max returns 0 and the witness is empty.
+    """
     N = f.max_index
     # The ball is sign-symmetric, so the optimum is attained at x >= 0 against
     # |f|; constraints start at the singletons and grow lazily on one live
@@ -79,7 +77,7 @@ def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
     sets, separate = _section_cuts(N)
     rows = [_indicator(F, N) for F in sets]
     value, xs = lp_max([abs(f[i]) for i in range(1, N + 1)], rows, [1] * N, cut=separate)
-    return value, _signed(f, xs)
+    return value, Vector({i: q if f[i] >= 0 else -q for i, q in enumerate(xs, 1)})
 
 
 def _dual_solve(N: int):
@@ -223,15 +221,16 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
     so sum_F y_F <= 1 - lambda proves dual-norm(f) <= 1 - lambda.  f is
     rebuilt from the Vectors, not from the line's moduli, so a stale basis
     or a wrong line fails the check (``_check_dual_bound``) and raises.
+    At lambda = 1 the check needs no guard: x* = e*, so f = 0, every dual is
+    0 and the sum 0 meets the bound 0.
     """
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
     N = max(x_star.max_index, e_star.max_index)
     solve, certificate = _dual_solve(N)
     lam, _ = max_feasible_weight(x_star, e_star, solve)
-    if lam < 1:
-        f = x_star - lam * e_star
-        _check_dual_bound(f, 1 - lam, *certificate(f))
+    f = x_star - lam * e_star
+    _check_dual_bound(f, 1 - lam, *certificate(f))
     return lam
 
 

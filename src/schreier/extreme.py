@@ -344,13 +344,13 @@ def enumerate_vertices(N: int) -> list[Vector]:
     Double description cuts the unit box with sum(v over F) <= 1 for every
     maximal admissible F, which gives the nonnegative part of the section.
     A vertex of that part is a vertex of the section when its active rows
-    have full rank; the sign patterns of those vertices are the rest.
+    have full rank; the sign patterns of those vertices are the rest.  At
+    N = 0 the box has one vertex, the empty point, which is the zero vector
+    and is dropped, so the list is empty.
     """
     if N < 0:
         raise ValueError("window must be >= 0")
     cutoffs.check("enumerate_vertices", N, cutoffs.vertex_enum_limit())
-    if N < 1:
-        return []
     poly = DDPolytope(N, *box_seed([(0, 1)] * N))
     for F in _maximal_in_window(N):
         poly.add_constraint([1 if i in F else 0 for i in range(1, N + 1)], 1)

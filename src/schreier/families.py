@@ -51,12 +51,24 @@ def format_index_set(F: IndexSet) -> str:
 
 
 def is_admissible(F: Iterable[int], k: int = 1) -> bool:
-    """Decide membership of F in the Schreier family of order k."""
+    """Decide membership of F in the Schreier family of order k.
+
+    Membership stops changing at k = |F|: F is in S_k exactly when it is
+    in S_min(k, |F|), so the order is capped there and the recursion of
+    _in_family is at most |F| deep, whatever k.  Proof by induction on
+    |F|.  S_k is inside S_(k+1): a set of S_k is one block, and 1 <= min F.
+    A split of F into d >= 2 blocks has blocks smaller than F, so for
+    k > |F| each block is in S_(k-1) exactly when it is in S_(|F|-1), by
+    induction on |F|.  So for k > |F|, F is in S_k exactly when it is in
+    S_(k-1) or has such a split with blocks in S_(|F|-1); by induction on k
+    the first puts F in S_|F|, and so does the second, d <= min F.
+    """
     if k < 0:
         raise ValueError("family order must be >= 0")
     F = index_set(F)
     if not F:
         return True
+    k = min(k, len(F))
     if k == 0:
         return len(F) <= 1
     if k == 1:
@@ -79,7 +91,7 @@ def _in_family(F: IndexSet, k: int) -> bool:
     blocks, start = 1, 0
     for end in range(2, len(F) + 1):
         block = F[start:end]
-        if not (block[0] >= len(block) if k == 2 else _in_family(block, k - 1)):
+        if not (block[0] >= len(block) if k == 2 else _in_family(block, min(k - 1, len(block)))):
             blocks, start = blocks + 1, end - 1
     return blocks <= F[0]
 

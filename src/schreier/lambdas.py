@@ -32,6 +32,7 @@ from .vectors import (
     Vector,
     _greedy,
     _one_sets,
+    _require_unit,
     _tight_sets,
     covered_by,
     make_thm1_vector,
@@ -65,7 +66,8 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
 
     Raises UnitNormRequired unless ||x|| <= 1, checked at t = 0.  Also
     returns the binding g of the last step, which certifies that no larger
-    t is feasible (None when t = 1).
+    t is feasible (None when t = 1).  x = e needs no special case: at t = 1
+    the line is zero, so a = b and the first step returns (1, None).
     """
     N = max(x.max_index, e.max_index)
     values, L = cleared([v[i] for v in (x, e) for i in range(1, N + 1)])
@@ -82,8 +84,6 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     _, d, a, _ = step(0, 1)
     if a > d * L:
         raise UnitNormRequired(f"a pair lambda needs ||x|| <= 1; got {Fraction(a, d * L)}")
-    if x == e:
-        return Fraction(1), None
     lam, binding = Fraction(1), None
     while True:
         p, q = lam.numerator, lam.denominator
@@ -112,9 +112,7 @@ def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:
 
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda."""
-    ne = norm(e, 1).value
-    if ne != 1:
-        raise UnitNormRequired(f"lambda_pair needs ||e|| = 1; got {ne}")
+    _require_unit(e, "lambda_pair e")
     lam, _ = max_feasible_weight(x, e, _primal_solve)
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])

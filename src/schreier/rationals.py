@@ -2,7 +2,8 @@
 
 File formats carry rationals as canonical strings: ``"p"`` or ``"p/q"`` with
 q > 0 and gcd(|p|, q) = 1.  Anything non-canonical ("2/4", "-0", "+1",
-whitespace) is rejected so that parse/serialize round-trips are the identity.
+whitespace, a trailing newline) is rejected so that parse/serialize
+round-trips are the identity.
 """
 
 import re
@@ -11,14 +12,14 @@ from math import gcd
 
 from .errors import VectorFormatError
 
-_RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+_RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string, rejecting non-lowest-terms forms."""
     if not isinstance(text, str):
         raise VectorFormatError(f"rational must be a string, got {type(text).__name__}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise VectorFormatError(f"malformed rational literal {text!r}")
     num = int(m.group(1))

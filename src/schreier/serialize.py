@@ -17,7 +17,7 @@ from .vectors import Vector
 
 SPACE_PRIMAL = "schreier"
 SPACE_DUAL = "schreier-dual"
-_INDEX_RE = re.compile(r"^[1-9][0-9]*$")
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def vector_to_payload(v: Vector, space: str = SPACE_PRIMAL, order: int = 1) -> dict:
@@ -53,7 +53,7 @@ def payload_to_vector(payload: dict, expect_space: str | None = None,
         raise VectorFormatError("field 'coords' must be an object")
     out = {}
     for key, raw in coords.items():
-        if not isinstance(key, str) or not _INDEX_RE.match(key):
+        if not isinstance(key, str) or not _INDEX_RE.fullmatch(key):
             raise VectorFormatError(f"coords key {key!r} is not a positive base-10 index")
         q = parse_rational(raw)
         if q == 0:

@@ -116,10 +116,6 @@ class Vector:
     def __abs__(self) -> "Vector":
         return Vector({i: abs(q) for i, q in self._items})
 
-    def without(self, indices: Iterable[int]) -> "Vector":
-        drop = set(indices)
-        return Vector({i: q for i, q in self._items if i not in drop})
-
     def flip_signs(self, indices: Iterable[int]) -> "Vector":
         flip = set(indices)
         return Vector({i: (-q if i in flip else q) for i, q in self._items})

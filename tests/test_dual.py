@@ -38,6 +38,7 @@ def test_dual_norm_examples():
     assert dual_norm(Vector({1: 1, 2: 1, 3: 1})) == 2
     assert dual_norm(Vector({1: 1})) == 1
     assert dual_norm(Vector.zero()) == 0
+    assert dual_norm_witness(Vector.zero()) == (0, Vector.zero())  # an LP with no columns
 
 
 def test_dual_norm_witness_certifies():
@@ -151,6 +152,9 @@ def test_thm2_n_below_one_is_rejected(n):
         thm2_lambda_bound((), n)
     with pytest.raises(ValueError, match="n must be >= 1"):
         dual_extreme_traces(n)
+    for make in (make_thm2_functional, make_thm2_witness):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            make(n)
 
 
 def test_thm2_lambda_bound_sign_independent_by_construction(rng):
@@ -163,6 +167,10 @@ def test_thm2_lambda_bound_sign_independent_by_construction(rng):
 def test_lambda_pair_dual_examples():
     e1 = Vector({1: 1})
     assert lambda_pair_dual(e1, e1) == 1
+    # x* = e* through the general line and the weak-duality check of f = 0.
+    e23 = Vector({2: 1, 3: -1})
+    assert lambda_pair_dual(e23, e23) == 1
+    assert max_feasible_weight(e23, e23, _dual_solve(3)[0]) == (1, None)
     f2 = make_thm2_functional(2)
     lam = lambda_pair_dual(f2, e1)
     assert lam == Fraction(1, 2)
@@ -239,8 +247,7 @@ def test_dual_certificate_sums_to_the_cold_dual_norm(rng):
         lam, f, (sets, duals, D) = _line_certificate(x_star, e_star)
         assert sets[: f.max_index] == [(i,) for i in range(1, f.max_index + 1)]
         assert Fraction(sum(duals), D) == dual_norm_witness(f)[0]
-        if lam < 1:
-            _check_dual_bound(f, 1 - lam, sets, duals, D)
+        _check_dual_bound(f, 1 - lam, sets, duals, D)
 
 
 def _lower_largest(sets, duals, D):

@@ -120,6 +120,8 @@ def test_live_tableau_reprices_each_objective(rng):
     tab = _Tableau(dim)
     for row, b in zip(box, bounds):
         tab.add_row(row, b)
+    with pytest.raises(ValueError, match="coefficients"):
+        tab.add_row(box[0][:-1], 1)
     rows = box + [row for row, _ in cuts]
     rhs = bounds + [b for _, b in cuts]
     for _ in range(50):
@@ -157,6 +159,11 @@ def test_dd_simplex_from_cube():
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
     ]
+    # A cut that no vertex violates keeps every vertex, in order.
+    before = [(v.point, v.tight) for v in poly.vertices]
+    poly.add_constraint([1, 1], 2)
+    assert [(v.point, v.tight) for v in poly.vertices] == before
+    assert len(poly.rows) == 6
 
 
 def test_dd_empty_intersection_face():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -53,6 +54,8 @@ def test_active_constraints_examples():
     assert [(c.indices, c.signs) for c in actives] == [((1,), (1,))]
     sets = {c.indices for c in active_constraints(X5, 12)}
     assert (2, 3) in sets and tuple(range(7, 13)) in sets
+    with pytest.raises(ValueError, match="beyond window"):
+        active_constraints(X5, 11)
 
 
 def test_active_constraints_expand_zero_coordinates():
@@ -115,6 +118,8 @@ def test_is_vertex_examples():
     assert is_vertex(E12, 2) == (True, 2)
     assert is_vertex(E1, 2) == (False, 1)
     assert is_vertex(Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)}), 3) == (False, 2)
+    with pytest.raises(ValueError, match="beyond window"):
+        is_vertex(E12, 1)
 
 
 def test_necessary_conditions_examples():
@@ -126,6 +131,11 @@ def test_necessary_conditions_examples():
     report = necessary_conditions(X5)
     assert "coverage" in report.failed()
     assert 4 in report.uncovered_indices
+    # No unit vector fails these two: a second non-maximal 1-set, or a
+    # support index past min F off F, would extend F admissibly and sum
+    # above 1.  So their names are checked on a hand-made record.
+    report = dataclasses.replace(report, non_maximal_unique=False, tail_matches_support=False)
+    assert {"non_maximal_one_set_unique", "tail_matches_support"} <= set(report.failed())
 
 
 def test_perturbation_witness_examples():
@@ -267,6 +277,7 @@ def test_certify_extreme_invariants():
 
 
 def test_enumerate_vertices_censuses():
+    assert enumerate_vertices(0) == []  # the box's one vertex is the zero vector
     assert len(enumerate_vertices(1)) == 2
     v2 = enumerate_vertices(2)
     assert len(v2) == 4

@@ -45,6 +45,22 @@ def test_admissible_order_zero():
     assert is_admissible((), 0) is True
     assert is_admissible((5,), 0) is True
     assert is_admissible((1, 2), 0) is False
+    with pytest.raises(ValueError, match="family order"):
+        is_admissible((2, 3), -1)
+
+
+def test_membership_stops_changing_at_the_set_size():
+    # Past k = |F| the order no longer matters, so a large order is
+    # answered at k = |F| instead of recursing once per order.
+    assert is_admissible((2, 3), 3000) is True
+    assert is_admissible((1, 2), 3000) is False
+    assert is_admissible((2, 3, 4, 5), 900) is True
+    assert is_maximal((1,), 3000) is True
+    assert is_maximal((2, 3), 3000) is False  # extends by 4: {2, 3} u {4}
+    for size in range(1, 6):
+        for F in combinations(range(1, 8), size):
+            for k in range(size, size + 3):
+                assert is_admissible(F, k) == in_schreier_family(F, k), (F, k)
 
 
 def test_maximality_examples():
@@ -73,6 +89,8 @@ def test_enumerate_examples():
     assert list(admissible_subsets(range(1, 4), maximal=True)) == [(1,), (2, 3)]
     assert enumerate_admissible(1, 2) == [(), (1,), (2,)]
     assert enumerate_admissible(0, 3) == [(), (1,), (2,), (3,)]
+    with pytest.raises(ValueError, match="window"):
+        enumerate_admissible(1, -1)
 
 
 def test_enumerate_matches_powerset_filter():
@@ -125,6 +143,8 @@ def test_index_set_parse_format():
         parse_index_set("{0,1}")
     with pytest.raises(VectorFormatError):
         parse_index_set("2,3")
+    with pytest.raises(VectorFormatError, match="bad index set literal"):
+        parse_index_set("{a}")
     with pytest.raises(ValueError):
         index_set([0, 1])
 

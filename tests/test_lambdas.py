@@ -50,6 +50,8 @@ BAD5 = Vector({1: 1, 2: Fraction(2, 5), 3: Fraction(3, 5), 4: Fraction(1, 5),
 def test_lambda_pair_self_is_one():
     assert lambda_pair(E12, E12).lam == 1
     assert lambda_pair(E1, E1).lam == 1
+    # x = e through the general line: it is zero at t = 1.
+    assert max_feasible_weight(E12, E12, _primal_solve) == (1, None)
 
 
 def test_lambda_pair_basic_example():
@@ -75,7 +77,7 @@ def test_lambda_pair_alpha_candidate():
 def test_lambda_pair_requires_ball_and_sphere():
     with pytest.raises(UnitNormRequired):
         lambda_pair(Vector({1: 2}), E12)
-    # The line itself checks the ball at t = 0, before the x = e shortcut.
+    # The line itself checks the ball at t = 0, also when x = e.
     for x, e in ((Vector({1: 2}), E12), (E12 * 2, E12 * 2)):
         with pytest.raises(UnitNormRequired):
             max_feasible_weight(x, e, _primal_solve)
@@ -174,6 +176,8 @@ def test_gap_bound_errors():
         gap_bound(X5, alpha_pattern_vector(5), (1, 2))  # not admissible
     with pytest.raises(ValueError):
         gap_bound(X5, Vector({1: -1}), (4,))  # negative candidate
+    with pytest.raises(ValueError, match="sum of e over F"):
+        gap_bound(Vector.zero(), alpha_pattern_vector(5), (1,))  # e sums to 1 on {1}
 
 
 def test_gap_bound_dominates_pair_lambda(rng):
@@ -410,6 +414,10 @@ def test_lambda_lower_examples():
     assert lam == 1 and achiever == E12
     lam, _ = lambda_lower(Vector.zero(), 2)
     assert lam == Fraction(1, 2)
+    with pytest.raises(UnitNormRequired):
+        lambda_lower(Vector({1: 2}), 2)
+    with pytest.raises(ValueError, match="no extreme points"):
+        lambda_lower(E1, 1)  # e_1 alone is not extreme: the window-1 pool is empty
 
 
 def test_lambda_lower_window_monotone():

@@ -18,6 +18,7 @@ from schreier.serialize import (
     SPACE_PRIMAL,
     dumps_vector,
     loads_vector,
+    payload_to_vector,
     save_vector_file,
 )
 from schreier.vectors import Vector, covers_index, eps_gap, make_thm1_vector, one_sets
@@ -40,6 +41,26 @@ def test_rational_rejects_non_canonical():
     for bad in ["2/4", "-0", "+1", "1/-2", "1 /2", "0/5", "01", "1/0", "", "a"]:
         with pytest.raises(VectorFormatError):
             parse_rational(bad)
+    with pytest.raises(VectorFormatError, match="must be a string"):
+        parse_rational(1)
+
+
+def test_parsers_reject_a_trailing_newline(tmp_path):
+    # A regex ending in $ also matches before a final newline: fullmatch.
+    for bad in ["1/2\n", "1\n"]:
+        with pytest.raises(VectorFormatError, match="malformed"):
+            parse_rational(bad)
+    # Read with $, keys "12" and "12\n" would both be index 12, one value lost.
+    two_keys = '{"space":"schreier","order":1,"coords":{"12":"1/2","12\\n":"1/4"}}'
+    with pytest.raises(VectorFormatError, match="not a positive base-10 index"):
+        loads_vector(two_keys)
+    for name, text in [
+        ("rational.json", '{"space":"schreier","order":1,"coords":{"1":"1/2\\n"}}'),
+        ("keys.json", two_keys),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["norm", str(path)]) == 2
 
 
 def test_decimal_round_half_even():
@@ -78,6 +99,15 @@ def test_vector_file_rejections():
         loads_vector('{"space":"other","order":1,"coords":{"1":"1"}}')
     with pytest.raises(VectorFormatError):
         loads_vector(dumps_vector(Vector({1: 1})), expect_space=SPACE_DUAL)
+    with pytest.raises(VectorFormatError, match="invalid JSON"):
+        loads_vector('{"space":')
+    with pytest.raises(VectorFormatError, match="JSON object"):
+        payload_to_vector([good])
+    for order in (True, -1):
+        with pytest.raises(VectorFormatError, match="nonnegative integer"):
+            payload_to_vector(dict(good, order=order))
+    with pytest.raises(VectorFormatError, match="'coords' must be an object"):
+        payload_to_vector(dict(good, coords=["1"]))
 
 
 def _write(tmp_path, name, vector, space=SPACE_PRIMAL):
@@ -233,6 +263,8 @@ def test_cli_admissible(capsys):
     assert "admissible: true" in out and "maximal: false" in out
     assert run(["admissible", "--set", "{2,3}", "--order", "2"]) == 0
     assert run(["admissible", "--set", "{3,2}"]) == 2
+    assert run(["admissible", "--set", "{2,3}", "--order", "3000"]) == 0
+    assert "admissible: true" in capsys.readouterr().out
 
 
 def test_cli_extreme_and_lambda(tmp_path, capsys):
