@@ -5,14 +5,16 @@ computed by an exact-rational LP with lazy constraints: the separation
 oracle is the primal norm greedy applied to the incumbent, read on the
 tableau's integers.  A dual pair lambda runs the one integer Newton line
 of ``lambdas.max_feasible_weight``; its norming functional comes from one
-live tableau per pair (``_dual_solve``), re-priced for each x* - t e* and
-keeping its cuts, and its answer is checked by weak duality against the LP
-dual that the tableau's final basis carries, one value per admissible row
-(``_check_dual_bound``), with no second solve.  Dual extreme
-points have the closed form "all coefficients of modulus one on a set F
-with |F| = min F".  The decay bound of a trace of F is its pairing with
-the dyadic witness, so its maximum and the number of full-length traces
-have closed forms, and ``verify_thm2`` enumerates no traces.
+live tableau (``_dual_solve``), re-priced for each x* - t e* and keeping
+its cuts, and its answer is checked by weak duality against the LP dual
+that the tableau's final basis carries, one value per admissible row
+(``_check_dual_bound``), with no second solve.  A tableau serves one pair,
+or all ten spot checks of ``verify_thm2``, whose cuts stay valid from one
+pair to the next.  Dual extreme points have the closed form "all
+coefficients of modulus one on a set F with |F| = min F".  The decay bound
+of a trace of F is its pairing with the dyadic witness, so its maximum and
+the number of full-length traces have closed forms, and ``verify_thm2``
+enumerates no traces.
 """
 
 from dataclasses import dataclass
@@ -94,8 +96,11 @@ def _dual_solve(N: int):
     the value of a shorter functional, since the family is hereditary and
     P_N projects onto P_N' for N' < N.  A positive multiple of the
     objective takes the same pivots under Bland's rule and meets the same
-    optima and cuts.  The tableau lives for one pair only, so no answer
-    depends on earlier calls.
+    optima and cuts.  So the tableau can also live across pairs on [1, N],
+    as it does for the ten spot checks of ``verify_thm2``: whatever pairs
+    came before, the cuts it carries are valid for P_N and each value is
+    still the maximum over P_N, so no answer depends on earlier calls.  An objective of another length than N raises ValueError
+    (``_Tableau``).
 
     certificate(f) returns (sets, duals, D): the row sets in tableau order
     and their dual values duals / D for the objective |f| in the current
@@ -205,12 +210,16 @@ def thm2_lambda_bound(G: IndexSet, n: int) -> Fraction:
     return Fraction(sum(1 << (n - i.bit_length()) for i in G), n << (n - 1))
 
 
-def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
+def lambda_pair_dual(x_star: Vector, e_star: Vector, *, _line=None) -> Fraction:
     """Exact maximum lambda with dual-norm(x* - lambda e*) <= 1 - lambda.
 
     e* is checked before any LP is built.  The Newton line
-    (``max_feasible_weight``) checks the dual norm of x* and solves on one
-    live tableau (``_dual_solve``), whose last solve is at the answer.  The
+    (``max_feasible_weight``) checks the dual norm of x* at t = 0, starts at
+    the root of that functional's minorant, and solves on one live tableau
+    (``_dual_solve``), whose last solve is at the answer.  ``verify_thm2``
+    passes its own ``_dual_solve(N)`` as ``_line`` to share one tableau
+    between its spot checks; N must be the largest index of the pair, else
+    the first solve raises ValueError.  The
     answer is then checked by weak duality against the LP dual of that
     final basis, with no second LP.  Let f = x* - lambda e*, let every row
     set F be admissible with y_F >= 0, and let sum_{F ni i} y_F >= |f_i|
@@ -227,7 +236,7 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
     N = max(x_star.max_index, e_star.max_index)
-    solve, certificate = _dual_solve(N)
+    solve, certificate = _dual_solve(N) if _line is None else _line
     lam, _ = max_feasible_weight(x_star, e_star, solve)
     f = x_star - lam * e_star
     _check_dual_bound(f, 1 - lam, *certificate(f))
@@ -287,7 +296,8 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
     Checks the averaged functional sits on the dual sphere, takes the
     largest bound and the number of full-length traces (|G| = min G) in
     closed form, records the empty-trace branch, and spot-checks the first
-    ten traces, drawn lazily, with exact pair computations.
+    ten traces, drawn lazily, with exact pair computations on one shared
+    ``_dual_solve(N)`` tableau (see there why that is exact).
 
     The largest bound is 1/n, at G = {1}.  Every admissible G has
     ||1_G||* <= 1, since <1_G, x> <= |x|(G) <= ||x||, and unit_ok checks
@@ -312,9 +322,10 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
         and norm(witness, 1).value == 1
     )
     spot_checks = []
+    line = _dual_solve(N)
     for G in islice(admissible_subsets(range(1, N + 1), maximal=True), 10):
         e_star = Vector({i: 1 for i in G})
-        lam = lambda_pair_dual(x_star, e_star)
+        lam = lambda_pair_dual(x_star, e_star, _line=line)
         spot_checks.append((G, lam, thm2_lambda_bound(G, n)))
     return Thm2Report(
         n=n,

@@ -3,10 +3,11 @@ decay-bound verifier for the theorem-1 construction.
 
 The feasibility function h(t) = ||x - t e|| + t - 1 is convex piecewise
 linear, so ``max_feasible_weight`` finds the largest feasible weight by
-Newton steps from the right.  It is the one integer Newton line of the
-primal and the dual pair lambda; a norm supplies only its norming functional
-on the line's integer moduli, here the order-1 greedy (``_primal_solve``),
-in ``dual`` the section tableau.  Every answer is re-verified against the
+Newton steps from the right, starting at the root of the minorant that the
+norming functional of x gives.  It is the one integer Newton line of the
+primal and the dual pair lambda; a norm supplies only its norming
+functional on the line's integer moduli, here the order-1 greedy
+(``_primal_solve``), in ``dual`` the section tableau.  Every answer is re-verified against the
 norm and comes with the binding constraint whose positive slope certifies
 infeasibility above the answer.
 """
@@ -64,31 +65,49 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     and its root (d L - a) / (d L - b) is the next t.  The root lies in
     [0, t): the minorant is positive at t and at most h(0) <= 0 at 0.
 
-    Raises UnitNormRequired unless ||x|| <= 1, checked at t = 0.  Also
-    returns the binding g of the last step, which certifies that no larger
-    t is feasible (None when t = 1).  x = e needs no special case: at t = 1
-    the line is zero, so a = b and the first step returns (1, None).
+    The line starts at the root of its t = 0 minorant, not at 1.  The solve
+    at t = 0 norms x, so ||x|| = a / d L, and a > d L raises
+    UnitNormRequired.  Its g gives the minorant
+    m(t) = t (1 - b / d L) - (1 - a / d L) <= h(t), which is 0 at
+    t0 = (d L - a) / (d L - b) >= 0.  When b < d L its slope is positive, so
+    h > 0 above t0 and lambda <= t0; when also t0 < 1, that is b < a, the
+    line starts at t0 with g as its binding, else at 1 with none.  As for
+    every root, m(lambda) <= h(lambda) <= 0 puts t0 at or above lambda, and
+    convexity takes the steps down to lambda as from 1.  At t0 = 0 the
+    answer is 0 with no second solve, since then a = d L and h(0) = 0.  So
+    a unit x answers 0 in one solve whenever its g has <g, e> < 1.
+
+    Also returns the binding g of the last step, which certifies that no
+    larger t is feasible (None when t = 1).  x = e needs no special case:
+    then a = b, so t0 = 1 or b = d L, the line starts at 1, where it is
+    zero, and the first step returns (1, None).
     """
     N = max(x.max_index, e.max_index)
     values, L = cleared([v[i] for v in (x, e) for i in range(1, N + 1)])
     cx, ce = values[:N], values[N:]
 
-    def step(p: int, q: int) -> tuple[list[int], int, int, int]:
+    def step(p: int, q: int) -> tuple[list[int], int, int, int, int]:
         line = [q * u - p * v for u, v in zip(cx, ce)]
         num, d = solve([abs(w) for w in line])
         signed = [n if w >= 0 else -n for n, w in zip(num, line)]
         a = sum(s * u for s, u in zip(signed, cx))
         b = sum(s * v for s, v in zip(signed, ce))
-        return signed, d, a, b
+        return signed, d, d * L, a, b
 
-    _, d, a, _ = step(0, 1)
-    if a > d * L:
-        raise UnitNormRequired(f"a pair lambda needs ||x|| <= 1; got {Fraction(a, d * L)}")
+    def functional(signed: list[int], d: int) -> Vector:
+        return Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
+
+    signed, d, dL, a, b = step(0, 1)
+    if a > dL:
+        raise UnitNormRequired(f"a pair lambda needs ||x|| <= 1; got {Fraction(a, dL)}")
     lam, binding = Fraction(1), None
+    if b < a and b < dL:  # t0 = (dL - a) / (dL - b) < 1
+        lam, binding = Fraction(dL - a, dL - b), functional(signed, d)
+        if lam == 0:
+            return lam, binding
     while True:
         p, q = lam.numerator, lam.denominator
-        signed, d, a, b = step(p, q)
-        dL = d * L
+        signed, d, dL, a, b = step(p, q)
         slack = dL * (q - p) - (q * a - p * b)
         if slack >= 0:
             if slack and binding is not None:
@@ -100,8 +119,7 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
         new_lam = Fraction(dL - a, dL - b)
         if not 0 <= new_lam < lam:
             raise RuntimeError(f"Newton step to {new_lam} did not decrease within [0, {lam})")
-        lam = new_lam
-        binding = Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
+        lam, binding = new_lam, functional(signed, d)
 
 
 def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:

@@ -146,6 +146,8 @@ class _Tableau:
 
     def _priced(self, ints) -> list[int]:
         """The objective row of the integer objective ints in the current basis."""
+        if len(ints) != self.n:
+            raise ValueError(f"objective has {len(ints)} coefficients, expected {self.n}")
         obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
         for i, var in enumerate(self.basis):
             if var <= self.n and ints[var - 1]:

@@ -119,18 +119,26 @@ def vertices_by_combination_search(dim, rows):
     return found
 
 
-def reference_newton(x: Vector, e: Vector, norming) -> tuple[Fraction, Vector | None, list[Fraction]]:
+def reference_newton(x: Vector, e: Vector, norming,
+                     minorant_start: bool = False) -> tuple[Fraction, Vector | None, list[Fraction]]:
     """Newton search on Fraction Vectors: norming(v) returns (||v||, g) with
     <g, v> = ||v|| and g in the dual ball.
 
     Every step forms x - t e and takes two Fraction dot products; nothing is
-    cleared to integers.  Returns the weight, the binding functional and the
-    Newton iterates.
+    cleared to integers.  The search starts at 1; with minorant_start it
+    first norms x and, when that g has <g, e> < 1 and <g, e> < <g, x>, starts
+    at the root (1 - <g, x>) / (1 - <g, e>) of its minorant with g binding.
+    Returns the weight, the binding functional and the Newton iterates.
     """
     if x == e:
         return Fraction(1), None, [Fraction(1)]
     lam = Fraction(1)
     binding = None
+    if minorant_start:
+        _, g = norming(x)
+        a, b = g.dot(x), g.dot(e)
+        if b < 1 and b < a:
+            lam, binding = (1 - a) / (1 - b), g
     iterates = [lam]
     while True:
         value, g = norming(x - lam * e)
@@ -146,12 +154,14 @@ def _primal_norming(v: Vector) -> tuple[Fraction, Vector]:
     return report.value, Vector({i: (1 if v[i] > 0 else -1) for i in report.witness})
 
 
-def reference_max_feasible_weight(x: Vector, e: Vector) -> tuple[Fraction, Vector | None, list[Fraction]]:
+def reference_max_feasible_weight(x: Vector, e: Vector, minorant_start: bool = False
+                                  ) -> tuple[Fraction, Vector | None, list[Fraction]]:
     """The Fraction Newton search with norm(x - t e) at every step.
 
-    The reference the integer line of schreier.lambdas is checked against.
+    The reference the integer line of schreier.lambdas is checked against;
+    with minorant_start it starts where that line does.
     """
-    return reference_newton(x, e, _primal_norming)
+    return reference_newton(x, e, _primal_norming, minorant_start)
 
 
 def reference_lambda_pair_dual(x_star: Vector, e_star: Vector) -> Fraction:

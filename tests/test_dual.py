@@ -225,6 +225,21 @@ def test_lambda_pair_dual_line_matches_cold_newton(rng):
     assert expected[:4] == [1, Fraction(3, 4), 0, Fraction(1, 13)]
 
 
+def test_dual_newton_binding_certifies_the_weight(rng):
+    # The binding g = s num / d is a point of the primal ball, so it lies in
+    # the dual ball of the dual norm; <g, e*> < 1 and <g, x* - lam e*> =
+    # 1 - lam then give ||x* - t e*||* > 1 - t for every t > lam.
+    for x_star, e_star in _line_pairs(rng):
+        N = max(x_star.max_index, e_star.max_index)
+        lam, g = max_feasible_weight(x_star, e_star, _dual_solve(N)[0])
+        if lam == 1:
+            assert g is None and x_star == e_star
+            continue
+        assert norm(g, 1).value <= 1
+        assert g.dot(e_star) < 1
+        assert g.dot(x_star - lam * e_star) == 1 - lam
+
+
 def _line_certificate(x_star: Vector, e_star: Vector):
     """The line's answer, f = x* - lambda e*, and the certificate of its last basis."""
     N = max(x_star.max_index, e_star.max_index)
@@ -350,6 +365,47 @@ def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
             assert norm(Vector({i + 1: Fraction(n, d) for i, n in enumerate(num)}), 1).value <= 1
             checked += 1
     assert checked > 200
+
+
+def test_verify_thm2_builds_one_dual_tableau(monkeypatch):
+    # The ten spot checks share one _dual_solve line; dual_norm_witness, the
+    # unit check of x*, runs its own lp_max.
+    built = []
+
+    class Counted(dual._Tableau):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(dual, "_Tableau", Counted)
+    report = verify_thm2(3)
+    assert report.passed and len(report.spot_checks) == 10
+    assert built == [7]
+
+
+def test_shared_line_matches_fresh_pairs_in_either_order():
+    # One line carries the cuts of every earlier pair: the 13 n = 3 traces,
+    # solved forward and then reversed on it, answer as on fresh lines.
+    x3 = make_thm2_functional(3)
+    pairs = [(x3, Vector({i: 1 for i in G})) for G in dual_extreme_traces(3)]
+    assert len(pairs) == 13
+    fresh = [lambda_pair_dual(x, e) for x, e in pairs]
+    line = _dual_solve(7)
+    shared = [lambda_pair_dual(x, e, _line=line) for x, e in pairs + pairs[::-1]]
+    assert shared == fresh + fresh[::-1]
+
+
+def test_shared_line_matches_the_cold_reference_at_n4():
+    line = _dual_solve(15)
+    pairs = _spot_check_pairs(4)
+    shared = [lambda_pair_dual(x, e, _line=line) for x, e in pairs]
+    assert shared == [reference_lambda_pair_dual(x, e) for x, e in pairs]
+
+
+@pytest.mark.parametrize("line_n", [2, 4])
+def test_shared_line_of_another_size_is_rejected(line_n):
+    with pytest.raises(ValueError, match="expected"):
+        lambda_pair_dual(make_thm2_functional(2), Vector({1: 1}), _line=_dual_solve(line_n))
 
 
 def test_lambda_pair_dual_checks_e_star_before_any_lp(monkeypatch):

@@ -11,6 +11,7 @@ from schreier.extreme import (
     positive_extreme_points,
 )
 from schreier.cutoffs import admissible_enum_limit
+from schreier.families import is_admissible
 from schreier.linalg import cleared
 from schreier.lambdas import (
     _on_face,
@@ -266,13 +267,34 @@ def test_primal_line_oracle_matches_the_norm_along_the_line(rng):
     assert checked > 300
 
 
+def _newton_pairs(rng) -> list[tuple[Vector, Vector]]:
+    return [
+        (random_unit_vector(rng, max_index=5) * Fraction(rng.randint(1, 4), 4),
+         random_unit_vector(rng, max_index=5))
+        for _ in range(80)
+    ]
+
+
 def test_newton_weights_and_bindings_match_the_reference(rng):
-    for _ in range(80):
-        x = random_unit_vector(rng, max_index=5) * Fraction(rng.randint(1, 4), 4)
-        e = random_unit_vector(rng, max_index=5)
-        lam, binding, _ = reference_max_feasible_weight(x, e)
+    # The line starts at the root of its t = 0 minorant, so its binding is
+    # that of the reference started there; from 1 the weight is the same.
+    for x, e in _newton_pairs(rng):
+        lam, binding, _ = reference_max_feasible_weight(x, e, minorant_start=True)
         assert max_feasible_weight(x, e, _primal_solve) == (lam, binding)
+        assert reference_max_feasible_weight(x, e)[0] == lam
         assert lambda_pair(x, e).lam == lam
+
+
+def test_newton_binding_certifies_the_weight(rng):
+    # The binding g is a signed indicator of an admissible set, so it lies in
+    # the dual ball; <g, e> < 1 and <g, x - lam e> = 1 - lam then give
+    # ||x - t e|| >= <g, x - t e> > 1 - t for every t > lam.  No pair has
+    # x = e, so every weight is below 1 and has a binding.
+    for x, e in _newton_pairs(rng):
+        lam, g = max_feasible_weight(x, e, _primal_solve)
+        assert is_admissible(g.support, 1) and all(abs(q) == 1 for _, q in g.items())
+        assert g.dot(e) < 1
+        assert g.dot(x - lam * e) == 1 - lam
 
 
 def _placed_extreme_point(rng, index_max):
