@@ -16,7 +16,6 @@ from .extreme import (
     EXTREME,
     NOT_EXTREME,
     ExtremenessCertificate,
-    NecessaryConditions,
     SignedConstraint,
     active_constraints,
     certify_extreme,

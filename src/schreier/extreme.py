@@ -54,34 +54,6 @@ class SignedConstraint:
 
 
 @dataclass
-class NecessaryConditions:
-    has_non_maximal_one_set: bool
-    non_maximal_unique: bool | None
-    tail_matches_support: bool | None
-    head_is_initial_segment: bool | None
-    support_twice_one_set: bool | None
-    covered: bool
-    uncovered_indices: list[int]
-    non_maximal_one_set: IndexSet | None
-
-    def failed(self) -> list[str]:
-        names = []
-        if not self.has_non_maximal_one_set:
-            names.append("non_maximal_one_set_exists")
-        if self.non_maximal_unique is False:
-            names.append("non_maximal_one_set_unique")
-        if self.tail_matches_support is False:
-            names.append("tail_matches_support")
-        if self.head_is_initial_segment is False:
-            names.append("head_is_initial_segment")
-        if self.support_twice_one_set is False:
-            names.append("support_twice_one_set")
-        if not self.covered:
-            names.append("coverage")
-        return names
-
-
-@dataclass
 class ExtremenessCertificate:
     verdict: str
     active_rank: int
@@ -151,43 +123,35 @@ def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
     return r == N, r
 
 
-def necessary_conditions(e: Vector) -> NecessaryConditions:
-    """Evaluate every known necessary condition for membership in E(X)."""
+def necessary_conditions(e: Vector) -> list[str]:
+    """The names of the necessary conditions for membership in E(X) that e
+    fails, in report order (see _failed_conditions)."""
     _require_unit(e, "necessary_conditions")
-    return _necessary_conditions(e, _one_sets(e))
+    return _failed_conditions(e, _one_sets(e))
 
 
-def _necessary_conditions(e: Vector, sets: list[IndexSet]) -> NecessaryConditions:
-    """necessary_conditions for a unit vector e whose 1-sets are given."""
-    non_max = [F for F in sets if F[0] > len(F)]
-    support = e.support
-    max_supp = e.max_index
-    uncovered = [i for i in range(1, max_supp + 2) if not covered_by(sets, i)]
-    if not non_max:
-        return NecessaryConditions(
-            has_non_maximal_one_set=False,
-            non_maximal_unique=None,
-            tail_matches_support=None,
-            head_is_initial_segment=None,
-            support_twice_one_set=None,
-            covered=not uncovered,
-            uncovered_indices=uncovered,
-            non_maximal_one_set=None,
-        )
-    F = non_max[0]
-    tail_ok = tuple(i for i in support if i >= F[0]) == F
-    m = len(F)
-    head_ok = tuple(i for i in support if i <= m) == tuple(range(1, m + 1))
-    return NecessaryConditions(
-        has_non_maximal_one_set=True,
-        non_maximal_unique=len(non_max) == 1,
-        tail_matches_support=tail_ok,
-        head_is_initial_segment=head_ok,
-        support_twice_one_set=len(support) == 2 * m,
-        covered=not uncovered,
-        uncovered_indices=uncovered,
-        non_maximal_one_set=F,
-    )
+def _failed_conditions(e: Vector, sets: list[IndexSet]) -> list[str]:
+    """necessary_conditions for a unit vector e whose 1-sets are given.
+
+    Let F be a non-maximal 1-set, m = |F| < min F.  A support index j > m
+    off F would make F + {j} admissible (its minimum exceeds m) with a sum
+    above 1, so supp e lies in [1, m] + F.  Another non-maximal 1-set G
+    with |G| <= m lies in [1, |G|] + F and above |G|, so inside F, and
+    G = F: F is the only one, and it is the support past m.  So
+    |supp e| = 2m exactly when [1, m] lies in supp e, and the head and
+    the size conditions fail together.  Every index past m extends F.  An
+    index i <= m extends no 1-set: not F, as i <= |F|, nor a maximal G,
+    as min G = |G|.  So i is uncovered exactly when it lies in no 1-set,
+    which holds when i is off the support.  Without a non-maximal 1-set,
+    max supp e + 1 is uncovered (see certify_extreme).
+    """
+    F = next((G for G in sets if G[0] > len(G)), None)
+    if F is None:
+        return ["non_maximal_one_set_exists", "coverage"]
+    head = range(1, len(F) + 1)
+    if not all(i in e for i in head):
+        return ["head_is_initial_segment", "support_twice_one_set", "coverage"]
+    return [] if all(covered_by(sets, i) for i in head) else ["coverage"]
 
 
 def perturbation_witness(
@@ -298,7 +262,7 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     rank_n = _active_rank(e, sets, N)
     if rank_n == N and any(F[0] > len(F) for F in sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
-    failed = _necessary_conditions(e, sets).failed()
+    failed = _failed_conditions(e, sets)
     witness = perturbation_witness(e, N + 1, sets=sets)
     if witness is None:
         raise RuntimeError(f"no perturbation witness for a non-extreme point at window {N + 1}")

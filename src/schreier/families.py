@@ -10,7 +10,6 @@ admissible_subsets.
 """
 
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import combinations
 
 from . import cutoffs
@@ -54,14 +53,34 @@ def is_admissible(F: Iterable[int], k: int = 1) -> bool:
     """Decide membership of F in the Schreier family of order k.
 
     Membership stops changing at k = |F|: F is in S_k exactly when it is
-    in S_min(k, |F|), so the order is capped there and the recursion of
-    _in_family is at most |F| deep, whatever k.  Proof by induction on
+    in S_min(k, |F|), so the order is capped there.  Proof by induction on
     |F|.  S_k is inside S_(k+1): a set of S_k is one block, and 1 <= min F.
     A split of F into d >= 2 blocks has blocks smaller than F, so for
     k > |F| each block is in S_(k-1) exactly when it is in S_(|F|-1), by
     induction on |F|.  So for k > |F|, F is in S_k exactly when it is in
     S_(k-1) or has such a split with blocks in S_(|F|-1); by induction on k
     the first puts F in S_|F|, and so does the second, d <= min F.
+
+    For k >= 2, F is in S_k exactly when its greedy split into S_(k-1)
+    blocks has at most min F blocks: each block grows until the next
+    element would take it out of S_(k-1), then a new block starts.  The
+    greedy split has the fewest blocks: its t-th block ends no earlier
+    than the t-th block of any split.  By induction on t, the t-th greedy
+    block starts no earlier than that block, so up to that block's end it
+    is a subset of it, in S_(k-1) since S_(k-1) is hereditary, and the
+    greedy block does not end before there.
+
+    The greedy splits of every level run in one left-to-right pass.  A
+    greedy split of a prefix is the split of the shorter prefix with the
+    new element put in the last block or in a new one, so a block plus x
+    is in S_j exactly when x fits the last S_(j-1) block of its split or
+    that split has fewer blocks than its minimum.  The pass keeps the open
+    block of each level j < k as its minimum and its number of S_(j-1)
+    blocks (of elements at j = 1), and level k as F[0] and its number of
+    S_(k-1) blocks.  Each element joins the lowest level with room, whose
+    count grows by one, and opens a fresh block at every level below; F
+    leaves S_k when no level has room.  That is at most k steps per
+    element, k <= |F|.
     """
     if k < 0:
         raise ValueError("family order must be >= 0")
@@ -73,27 +92,16 @@ def is_admissible(F: Iterable[int], k: int = 1) -> bool:
         return len(F) <= 1
     if k == 1:
         return F[0] >= len(F)
-    return _in_family(F, k)
-
-
-@lru_cache(maxsize=65536)
-def _in_family(F: IndexSet, k: int) -> bool:
-    """Membership of a nonempty F in S_k for k >= 2, by greedy blocks.
-
-    Each block grows until the next element would take it out of S_(k-1),
-    then a new block starts; F is in S_k when at most min F blocks result.
-    The greedy split has the fewest blocks: its t-th block ends no earlier
-    than the t-th block of any split.  By induction on t, the t-th greedy
-    block starts no earlier than that block, so up to that block's end it
-    is a subset of it, in S_(k-1) since S_(k-1) is hereditary, and the
-    greedy block does not end before there.
-    """
-    blocks, start = 1, 0
-    for end in range(2, len(F) + 1):
-        block = F[start:end]
-        if not (block[0] >= len(block) if k == 2 else _in_family(block, min(k - 1, len(block)))):
-            blocks, start = blocks + 1, end - 1
-    return blocks <= F[0]
+    mins, counts = [F[0]] * k, [1] * k
+    for x in F[1:]:
+        j = 0
+        while counts[j] == mins[j]:
+            j += 1
+            if j == k:
+                return False
+        counts[j] += 1
+        mins[:j], counts[:j] = [x] * j, [1] * j
+    return True
 
 
 def is_maximal(F: Iterable[int], k: int = 1) -> bool:

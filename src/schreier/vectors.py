@@ -280,27 +280,21 @@ def make_thm1_vector(n: int) -> Vector:
 
     Coordinates: 1 at index 1, 2/n - 2/n^3 at index 2, 1 - 2/n + 2/n^3 at
     index 3, zeros through n+1, 1/n - 1/n^3 on indices n+2..2n+1, and 1/n^2
-    at index 2n+2.  Every ordering the construction relies on is re-checked
-    here, so the admissible range of n comes out of the inequalities rather
-    than a hard-coded table.
+    at index 2n+2.  The construction needs the orderings
+    1 - 2/n + 2/n^3 > 2/n - 2/n^3 > 0, 1 - 2/n + 2/n^3 > 1/n - 1/n^3 and
+    1/n - 1/n^3 > 1/n^2.  Times n^3 they read n^3 - 4n^2 + 4 > 0,
+    n^2 - 1 > 0, n^3 - 3n^2 + 3 > 0 and n^2 - n - 1 > 0, which all hold
+    for n >= 4: at n = 4 the cubics are 4 and 19, both grow for n >= 3,
+    and n^2 - n - 1 >= 11.  So n >= 4 is the only check.
     """
     if not isinstance(n, int):
         raise ValueError("n must be an integer")
-    x2 = Fraction(2, n) - Fraction(2, n**3) if n >= 1 else Fraction(0)
+    if n < 4:
+        raise ValueError(f"construction requires n >= 4 (got {n})")
+    x2 = Fraction(2, n) - Fraction(2, n**3)
     x3 = 1 - x2
-    tail = Fraction(1, n) - Fraction(1, n**3) if n >= 1 else Fraction(0)
-    last = Fraction(1, n * n) if n >= 1 else Fraction(0)
-    checks = [
-        (n >= 1 and x2 > 0, "2/n - 2/n^3 > 0"),
-        (n >= 1 and x3 > tail, "1 - 2/n + 2/n^3 > 1/n - 1/n^3"),
-        (n >= 1 and tail > last, "1/n - 1/n^3 > 1/n^2"),
-        (n >= 1 and x3 > x2, "1 - 2/n + 2/n^3 > 2/n - 2/n^3"),
-        (n >= 1 and n * n - n - 1 > 0, "n^2 - n - 1 > 0"),
-        (n >= 4, f"n >= 4 (got {n})"),
-    ]
-    for ok, label in checks:
-        if not ok:
-            raise ValueError(f"construction requires {label}")
+    tail = Fraction(1, n) - Fraction(1, n**3)
+    last = Fraction(1, n * n)
     coords = {1: Fraction(1), 2: x2, 3: x3}
     for i in range(n + 2, 2 * n + 2):
         coords[i] = tail

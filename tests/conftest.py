@@ -57,6 +57,44 @@ def in_schreier_family(F: tuple[int, ...], k: int) -> bool:
     return tiles(F, F[0])
 
 
+def reference_failed_conditions(e: Vector) -> list[str]:
+    """The six necessary conditions for extremality, each checked as stated.
+
+    The 1-sets come from the definition: the admissible subsets of supp e
+    summing to 1 in |e|.  An index is covered when it lies in a 1-set or
+    extends one admissibly.  Names come in report order.
+    """
+    support = e.support
+    sets = [
+        F
+        for size in range(1, len(support) + 1)
+        for F in combinations(support, size)
+        if F[0] >= size and sum(abs(e[i]) for i in F) == 1
+    ]
+    uncovered = [
+        i for i in range(1, e.max_index + 2)
+        if not any(i in G or min(G[0], i) > len(G) for G in sets)
+    ]
+    non_max = [F for F in sets if F[0] > len(F)]
+    failed = []
+    if not non_max:
+        failed.append("non_maximal_one_set_exists")
+    else:
+        F = non_max[0]
+        m = len(F)
+        if len(non_max) != 1:
+            failed.append("non_maximal_one_set_unique")
+        if tuple(i for i in support if i >= F[0]) != F:
+            failed.append("tail_matches_support")
+        if tuple(i for i in support if i <= m) != tuple(range(1, m + 1)):
+            failed.append("head_is_initial_segment")
+        if len(support) != 2 * m:
+            failed.append("support_twice_one_set")
+    if uncovered:
+        failed.append("coverage")
+    return failed
+
+
 def reference_admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[tuple[int, ...], Fraction]]:
     """(F, sum of |x| over F) in Fractions for every nonempty F of S_order
     in [1, window], in lexicographic order: the sums admissible_sums clears."""

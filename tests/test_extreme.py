@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,6 +37,7 @@ from conftest import (
     powerset_admissible,
     random_unit_vector,
     reference_admissible_sums,
+    reference_failed_conditions,
     solve_square,
     vertices_by_combination_search,
 )
@@ -123,19 +123,54 @@ def test_is_vertex_examples():
 
 
 def test_necessary_conditions_examples():
-    report = necessary_conditions(E1)
-    assert "non_maximal_one_set_exists" in report.failed()
-    report = necessary_conditions(E12)
-    assert report.failed() == []
-    assert report.non_maximal_one_set == (2,)
-    report = necessary_conditions(X5)
-    assert "coverage" in report.failed()
-    assert 4 in report.uncovered_indices
-    # No unit vector fails these two: a second non-maximal 1-set, or a
-    # support index past min F off F, would extend F admissibly and sum
-    # above 1.  So their names are checked on a hand-made record.
-    report = dataclasses.replace(report, non_maximal_unique=False, tail_matches_support=False)
-    assert {"non_maximal_one_set_unique", "tail_matches_support"} <= set(report.failed())
+    assert necessary_conditions(E1) == ["non_maximal_one_set_exists", "coverage"]
+    assert necessary_conditions(E12) == []
+    assert [F for F in one_sets(E12) if F[0] > len(F)] == [(2,)]
+    assert necessary_conditions(Vector.unit(2)) == [
+        "head_is_initial_segment", "support_twice_one_set", "coverage"]
+    assert "coverage" in necessary_conditions(X5)
+    assert not covered_by(one_sets(X5), 4)
+
+
+def _failed_condition_inputs():
+    """Seeded unit vectors, then every pool point at windows 6, 8 and 10."""
+    rng = random.Random(2425)
+    for _ in range(2000):
+        yield random_unit_vector(rng, max_index=rng.randint(1, 7), density=rng.choice((0.4, 0.7)))
+    for N in (6, 8, 10):
+        yield from positive_extreme_points(N)
+
+
+def test_failed_conditions_match_the_six_checks():
+    # The list is read off the 1-sets; the reference evaluates all six
+    # conditions, two of which no unit vector fails.  Every list the
+    # report can carry must turn up: a head index off the support is
+    # always uncovered, so the head and size conditions never fail alone.
+    seen = set()
+    for e in _failed_condition_inputs():
+        failed = necessary_conditions(e)
+        assert failed == reference_failed_conditions(e), e
+        seen.add(tuple(failed))
+    assert seen == {
+        ("non_maximal_one_set_exists", "coverage"),
+        ("head_is_initial_segment", "support_twice_one_set", "coverage"),
+        ("coverage",),
+        (),
+    }
+
+
+def test_a_non_maximal_one_set_is_unique_and_bounds_the_support():
+    # supp e lies in [1, m] + F for a non-maximal 1-set F with m = |F|,
+    # and no other 1-set is non-maximal.
+    found = 0
+    for e in _failed_condition_inputs():
+        non_max = [F for F in one_sets(e) if F[0] > len(F)]
+        assert len(non_max) <= 1, e
+        if non_max:
+            F = non_max[0]
+            assert set(e.support) <= set(range(1, len(F) + 1)) | set(F), e
+            found += 1
+    assert found > 500
 
 
 def test_perturbation_witness_examples():
@@ -375,12 +410,10 @@ def test_in_space_integer_sort_is_the_canonical_order():
 def test_in_space_supports_and_even_cardinality():
     for N in (3, 4, 5, 6):
         for e in positive_extreme_points(N):
-            report = necessary_conditions(e)
-            F = report.non_maximal_one_set
-            assert F is not None
-            assert report.failed() == []
-            assert len(e.support) == 2 * len(F)
+            assert necessary_conditions(e) == []
+            (F,) = [G for G in one_sets(e) if G[0] > len(G)]
             m = len(F)
+            assert len(e.support) == 2 * m
             assert e.support == tuple(range(1, m + 1)) + F
 
 

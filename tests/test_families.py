@@ -63,6 +63,14 @@ def test_membership_stops_changing_at_the_set_size():
                 assert is_admissible(F, k) == in_schreier_family(F, k), (F, k)
 
 
+def test_long_sets_at_a_large_order():
+    # One pass over F, a few levels at a time: a thousand elements at
+    # order 5000 answer at once, as at the capped order |F| = 1000.
+    F = range(2, 1002)
+    assert is_admissible(F, 5000) == is_admissible(F, 1000) is True
+    assert is_maximal(F, 5000) is False
+
+
 def test_maximality_examples():
     assert is_maximal((1,), 1) is True
     assert is_maximal((3, 5), 1) is False
