@@ -1,7 +1,8 @@
 """Size limits for the exhaustive enumerations, overridable via SCHREIER_MAX_DIM.
 
 Every cutoff guards an enumeration whose cost grows at least exponentially
-in the window size; the defaults keep all operations at desk scale.
+in the window size, or a dense table that grows with its square; the
+defaults keep all operations at desk scale.
 """
 
 import os
@@ -11,8 +12,13 @@ from .errors import CutoffExceeded
 ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support walks alike
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
 VERTEX_ENUM_MAX = 6
-EXTREME_ENUM_MAX = 12
+EXTREME_ENUM_MAX = 12  # the positive pool: verify thm1 --n 5 and lambda lower reach window 12
+# The signed in-space list expands every pool point over its sign patterns:
+# 164,516 points at window 10, 805,992 at 11 and 9,257,980 at 12.
+EXTREME_SIGNED_ENUM_MAX = 10
 THM2_WINDOW_MAX = 31  # verify thm2 up to n = 5; at n = 6 its unit dual-norm LP ran past 14 min
+# A dual tableau on [1, N] starts with N singleton rows of N integers.
+DUAL_WINDOW_MAX = 1024
 
 
 def _limit(default: int) -> int:
@@ -39,6 +45,14 @@ def vertex_enum_limit() -> int:
 
 def extreme_enum_limit() -> int:
     return _limit(EXTREME_ENUM_MAX)
+
+
+def extreme_signed_enum_limit() -> int:
+    return _limit(EXTREME_SIGNED_ENUM_MAX)
+
+
+def dual_window_limit() -> int:
+    return _limit(DUAL_WINDOW_MAX)
 
 
 def check_thm2_window(n: int) -> None:

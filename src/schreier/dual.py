@@ -49,7 +49,11 @@ def _section_cuts(N: int):
     norm(x), and norm(x) <= 1 exactly when the greedy value of num is at
     most d.  A repeated F means the LP returned an optimum that breaks one
     of its own rows.
+
+    Raises before any row exists when N is over the dual window cutoff:
+    every tableau on [1, N] starts with N rows of N integers.
     """
+    cutoffs.check("dual norm window", N, cutoffs.dual_window_limit())
     sets: list[IndexSet] = [(i,) for i in range(1, N + 1)]
     seen = set(sets)
 

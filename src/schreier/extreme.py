@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from . import cutoffs
 from .dd import DDPolytope, box_seed
-from .families import IndexSet, admissible_subsets
+from .families import IndexSet, admissible_subsets, enumerate_admissible
 from .linalg import cleared, nullspace_vector, rank
 from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
 
@@ -76,7 +76,7 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
     out = []
-    for F in _tight_sets(e, N):
+    for F in _tight_sets(e, enumerate_admissible(1, N)):
         choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
         for signs in product(*choices):
             out.append(SignedConstraint(F, signs))
@@ -206,7 +206,7 @@ def perturbation_witness(
     # gives a bound, from e_j or from the slack singleton {j}.
     bounds = [abs(e[i]) / (2 * abs(d)) for i, d in enumerate(direction, start=1) if d and i in e]
     ground = set(e.support).union(i for i, d in enumerate(direction, start=1) if d)
-    scale, sums = admissible_sums(e, window, within=ground)
+    scale, sums = admissible_sums(e, enumerate_admissible(1, window, ground))
     act = [0] + [abs(d) for d in direction]
     at = act.__getitem__
     least = None  # (slack, action) with the least ratio so far
@@ -533,8 +533,12 @@ def enumerate_extreme_in_space(N: int) -> list[Vector]:
     (r_i / D, b_i), and (r_i, b_i) -> 2 r_i + b_i is strictly increasing
     in their lexicographic order (b_i is 0 or 1), so both keys give the same
     order.  The signed points are distinct, so no keys tie.
+
+    The signed list has its own window cutoff, below the pool's and checked
+    before the pool is built: at window 12 it would hold 9,257,980 points.
     """
     _check_extreme_cutoff(N)
+    cutoffs.check("signed in-space list", N, cutoffs.extreme_signed_enum_limit())
     points, rows, _ = _positive_pool(N)
     keyed = []
     for e, row in zip(points, rows):

@@ -24,10 +24,11 @@ from .extreme import (
     SignedConstraint,
     _check_extreme_cutoff,
     _positive_pool,
+    _sign,
     certify_extreme,
     positive_extreme_points,
 )
-from .families import IndexSet, index_set, is_admissible
+from .families import IndexSet, enumerate_admissible, index_set, is_admissible
 from .linalg import cleared
 from .vectors import (
     Vector,
@@ -140,12 +141,14 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
         raise RuntimeError(f"lambda verification failed: ||x-le|| = {check} > {1 - lam}")
     residual = v / (1 - lam)
     # v sums to 1 - lam over F exactly when the residual sums to 1 over F.
-    # Signs follow v; a zero of v gets +1.
-    window = max(x.max_index, e.max_index, 1)
-    sign = {i: 1 if q > 0 else -1 for i, q in residual.items()}
+    # Signs follow v; a zero of v gets +1.  They are read once per index of
+    # the window: a Fraction comparison per member of every set costs more
+    # than the scan.
+    window = max(x.max_index, e.max_index)
+    sign = [_sign(residual[i]) for i in range(window + 1)]
     binding = [
-        SignedConstraint(F, tuple(sign.get(i, 1) for i in F))
-        for F in _tight_sets(residual, window)
+        SignedConstraint(F, tuple(map(sign.__getitem__, F)))
+        for F in _tight_sets(residual, enumerate_admissible(1, window))
     ]
     return LambdaResult(lam, e, residual, binding)
 

@@ -2,18 +2,22 @@
 
 The norm of order k is the supremum of |x| summed over a member of S_k.
 Order 1 is computed by an exact greedy over the minima in the support;
-higher orders take the best of the one scan of |x|-sums over a window
-(admissible_sums) on [1, max supp x].  Both scans of sums, over the sets
-of a window and over the admissible subsets of the support, clear |x| once
-by the LCM of its denominators and sum integers, so a caller compares a
-total with that scale where it would compare a rational sum with 1.  Also
-provides the 1-set inventory, the coverage predicate, the second-best gap,
-and the decay-witness constructor used by the theorem-1 verifier.
+higher orders take the first best |x|-sum over the window [1, max supp x].
+admissible_sums is the one scan of |x|-sums: its caller names the sets
+(a window list of families.enumerate_admissible, or the admissible
+subsets of the support), and it clears |x| once by the LCM of its
+denominators and sums integers, so a caller compares a total with that
+scale where it would compare a rational sum with 1; _tight_sets keeps the
+sets whose total is the scale.  Also provides the 1-set inventory, the
+coverage predicate, the second-best gap, and the decay-witness constructor
+used by the theorem-1 verifier.
 """
 
-from collections.abc import Iterable, Mapping
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import cutoffs
 from .errors import UnitNormRequired
@@ -148,11 +152,8 @@ def norm(x: Vector, k: int = 1) -> NormReport:
         values, scale = cleared(q for _, q in x.items())
         value, witness = _greedy({i: abs(n) for (i, _), n in zip(x.items(), values)})
         return NormReport(Fraction(value, scale), witness)
-    scale, sums = admissible_sums(x, x.max_index, k)
-    best, witness = 0, ()
-    for F, total in sums:
-        if total > best:
-            best, witness = total, F
+    scale, sums = admissible_sums(x, enumerate_admissible(k, x.max_index))
+    witness, best = max(sums, key=itemgetter(1))
     return NormReport(Fraction(best, scale), witness)
 
 
@@ -194,43 +195,23 @@ def _require_unit(x: Vector, op: str) -> None:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
 
 
-def admissible_sums(
-    x: Vector, window: int, order: int = 1, within: Iterable[int] | None = None
-) -> tuple[int, list[tuple[IndexSet, int]]]:
-    """(scale, sums): the LCM of the denominators of x, and (F, sum of
-    scale * |x| over F) for every nonempty F of S_order in [1, window]
-    (and inside ``within`` when given).
+def admissible_sums(x: Vector, sets: Iterable[IndexSet]) -> tuple[int, Iterator[tuple[IndexSet, int]]]:
+    """(scale, sums): the LCM of the denominators of x, and a lazy scan of
+    (F, sum of scale * |x| over F) over ``sets``, in their order.
 
     The sums are integers: |x| sums to exactly 1 over F when its total is
-    scale.  Sets come in enumerate_admissible order, under its cutoff.
+    scale.  An index off supp x adds 0, so the empty set totals 0: it is
+    never tight and never the first maximum of a nonzero x.
     """
-    sets = enumerate_admissible(order, window, within)
     values, scale = cleared(q for _, q in x.items())
-    size = [0] * (window + 1)
-    for (i, _), v in zip(x.items(), values):
-        if i <= window:
-            size[i] = abs(v)
-    at = size.__getitem__
-    return scale, [(F, sum(map(at, F))) for F in sets if F]
+    at = defaultdict(int, zip(x.support, map(abs, values))).__getitem__
+    return scale, ((F, sum(map(at, F))) for F in sets)
 
 
-def _tight_sets(x: Vector, window: int) -> list[IndexSet]:
-    """The nonempty sets of S_1 in [1, window] on which |x| sums to exactly 1."""
-    scale, sums = admissible_sums(x, window)
+def _tight_sets(x: Vector, sets: Iterable[IndexSet]) -> list[IndexSet]:
+    """The sets among ``sets``, in their order, on which |x| sums to exactly 1."""
+    scale, sums = admissible_sums(x, sets)
     return [F for F, total in sums if total == scale]
-
-
-def _admissible_support_subsets(x: Vector, op: str):
-    """(scale, subsets): the LCM of the denominators of x, and a lazy scan of
-    (subset, sum of scale * |x| over it) over the admissible subsets of supp x.
-
-    The sums are integers.  Raises at once, before any subset is scanned,
-    when the support is over its cutoff.
-    """
-    cutoffs.check(f"{op} support size", len(x), cutoffs.admissible_enum_limit(1))
-    values, scale = cleared(q for _, q in x.items())
-    at = {i: abs(v) for i, v in zip(x.support, values)}.__getitem__
-    return scale, ((F, sum(map(at, F))) for F in admissible_subsets(x.support))
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
@@ -240,11 +221,11 @@ def one_sets(x: Vector) -> list[IndexSet]:
 
 
 def _one_sets(x: Vector) -> list[IndexSet]:
-    """one_sets for a vector already checked to be a unit vector."""
-    scale, subsets = _admissible_support_subsets(x, "one_sets")
-    found = [F for F, total in subsets if F and total == scale]
-    found.sort()
-    return found
+    """one_sets for a vector already checked to be a unit vector: the tight
+    sets of the admissible subsets of supp x, sorted.  Raises before any
+    subset is walked when the support is over its cutoff."""
+    cutoffs.check("one_sets support size", len(x), cutoffs.admissible_enum_limit(1))
+    return sorted(_tight_sets(x, admissible_subsets(x.support)))
 
 
 def covered_by(sets: list[IndexSet], i: int) -> bool:
@@ -267,12 +248,9 @@ def covers_index(x: Vector, i: int) -> bool:
 def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
     _require_unit(x, "eps_gap")
-    scale, subsets = _admissible_support_subsets(x, "eps_gap")
-    second = 0
-    for _, total in subsets:
-        if second < total < scale:
-            second = total
-    return 1 - Fraction(second, scale)
+    cutoffs.check("eps_gap support size", len(x), cutoffs.admissible_enum_limit(1))
+    scale, sums = admissible_sums(x, admissible_subsets(x.support))
+    return 1 - Fraction(max(total for _, total in sums if total < scale), scale)
 
 
 def make_thm1_vector(n: int) -> Vector:

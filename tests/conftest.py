@@ -95,13 +95,16 @@ def reference_failed_conditions(e: Vector) -> list[str]:
     return failed
 
 
-def reference_admissible_sums(x: Vector, window: int, order: int = 1) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(F, sum of |x| over F) in Fractions for every nonempty F of S_order
-    in [1, window], in lexicographic order: the sums admissible_sums clears."""
-    universe = range(1, window + 1)
+def reference_admissible_sums(
+    x: Vector, window: int, order: int = 1, within=None
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(F, sum of |x| over F) in Fractions for every F of S_order in
+    [1, window] (and inside ``within`` when given), the empty set included,
+    in lexicographic order: the sums admissible_sums clears."""
+    universe = [i for i in range(1, window + 1) if within is None or i in within]
     sets = sorted(
         F
-        for size in range(1, window + 1)
+        for size in range(len(universe) + 1)
         for F in combinations(universe, size)
         if in_schreier_family(F, order)
     )

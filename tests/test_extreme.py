@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -97,8 +98,6 @@ def test_active_rank_rows_match_the_signed_active_constraints():
 
 
 def test_extreme_certificates_scan_no_window(monkeypatch):
-    import schreier.vectors
-
     head, tail = _class_positive_vertices(4)[0]  # built before counting
     embedded = _embed(head, tail, (6, 8, 9, 11))
     calls = []
@@ -107,7 +106,16 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
         calls.append(args)
         return enumerate_admissible(*args, **kwargs)
 
-    monkeypatch.setattr(schreier.vectors, "enumerate_admissible", counted)
+    # Every module imports the walk under its own name, so every binding
+    # under schreier is replaced.
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "schreier" or name.startswith("schreier."):
+            for attr, value in list(vars(module).items()):
+                if value is enumerate_admissible:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add(name)
+    assert {"schreier.extreme", "schreier.lambdas", "schreier.vectors"} <= patched
     assert certify_extreme(E12).verdict == EXTREME
     assert certify_extreme(embedded).verdict == EXTREME
     assert is_vertex(E12, 2) == (True, 2)

@@ -5,6 +5,7 @@ import pytest
 
 import schreier.cli as cli_mod
 from schreier import dual as dual_mod
+from schreier import extreme as extreme_mod
 from schreier import lambdas as lambdas_mod
 from schreier import cutoffs
 from schreier.cli import lambda_table, run
@@ -237,6 +238,33 @@ def test_verify_thm1_stops_at_its_pool_cutoff_before_building(monkeypatch):
     with pytest.raises(CutoffExceeded, match="requested 200002 exceeds cutoff 12"):
         verify_thm1(100000)
     assert run(["verify", "thm1", "--n", "100000"]) == 2
+
+
+def test_in_space_enumeration_stops_at_its_signed_cutoff_before_building(monkeypatch):
+    # The signed list would hold 805,992 points at window 11; the positive
+    # pool keeps its own cutoff of 12.
+    monkeypatch.setattr(extreme_mod, "_positive_pool", _refuse_to_build)
+    with pytest.raises(_Built):
+        enumerate_extreme_in_space(10)
+    with pytest.raises(_Built):
+        positive_extreme_points(12)
+    for N in (11, 12):
+        with pytest.raises(CutoffExceeded, match=f"signed in-space list: requested {N} exceeds cutoff 10"):
+            enumerate_extreme_in_space(N)
+    assert run(["extreme", "enumerate", "--dim", "11"]) == 2
+
+
+def test_dual_norm_stops_at_its_window_cutoff_before_building(tmp_path, monkeypatch):
+    assert dual_mod.dual_norm(Vector({1024: 1})) == 1
+    monkeypatch.setattr(dual_mod, "_indicator", _refuse_to_build)
+    monkeypatch.setattr(dual_mod, "_Tableau", _refuse_to_build)
+    for far in (1025, 1000000):
+        f = Vector({far: 1})
+        with pytest.raises(CutoffExceeded, match=f"dual norm window: requested {far} exceeds cutoff 1024"):
+            dual_mod.dual_norm(f)
+        with pytest.raises(CutoffExceeded, match=f"requested {far} exceeds cutoff 1024"):
+            dual_mod.lambda_pair_dual(f, Vector({1: 1}))
+    assert run(["dual", "norm", _write(tmp_path, "f.json", Vector({1000000: 1}), SPACE_DUAL)]) == 2
 
 
 @pytest.mark.parametrize("error", [RuntimeError("witness verification failed"),

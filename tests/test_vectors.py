@@ -6,6 +6,7 @@ import pytest
 
 from schreier.errors import CutoffExceeded, UnitNormRequired
 from schreier.extreme import certify_extreme, necessary_conditions
+from schreier.families import admissible_subsets, enumerate_admissible
 from schreier.vectors import (
     Vector,
     _greedy,
@@ -202,20 +203,36 @@ def test_eps_gap_is_second_best(rng):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_admissible_sums_are_the_cleared_fraction_sums(order, rng):
-    # Windows end before, at and past max supp x, with zeros inside.
+    # Set sources: window lists ending before, at and past max supp x, with
+    # zeros inside; a window list inside a ground set that skips some
+    # support indices and holds some zeros; the S_1 walk of the support.
+    # Each list holds the empty set, whose total is 0.
     checked = 0
     while checked < 25:
         x = random_vector(rng, max_index=7)
         if len(x) == x.max_index:
             continue
         checked += 1
-        for window in range(1, x.max_index + 3):
-            scale, sums = admissible_sums(x, window, order)
-            reference = reference_admissible_sums(x, window, order)
+        window = x.max_index + 2
+        ground = {i for i in range(1, window + 1) if rng.random() < 0.6}
+        sources = [
+            (enumerate_admissible(order, w), reference_admissible_sums(x, w, order))
+            for w in range(1, window + 1)
+        ]
+        sources.append(
+            (enumerate_admissible(order, window, ground), reference_admissible_sums(x, window, order, ground))
+        )
+        sources.append(
+            (list(admissible_subsets(x.support)), reference_admissible_sums(x, x.max_index, 1, x.support))
+        )
+        for sets, reference in sources:
+            scale, sums = admissible_sums(x, sets)
+            sums = list(sums)
             assert scale == lcm(*(q.denominator for _, q in x.items()))
-            assert [F for F, _ in sums] == [F for F, _ in reference]
-            for (_, total), (_, exact) in zip(sums, reference):
-                assert type(total) is int and total == scale * exact
+            assert [F for F, _ in sums] == sets
+            assert sorted(sums) == [(F, scale * exact) for F, exact in reference]
+            assert all(type(total) is int for _, total in sums)
+            assert ((), 0) in sums
 
 
 def test_greedy_matches_brute_force(rng):
