@@ -30,7 +30,7 @@ from . import cutoffs
 from .dd import DDPolytope, box_seed
 from .families import IndexSet, admissible_subsets, enumerate_admissible
 from .linalg import cleared, nullspace_vector, rank
-from .vectors import Vector, _one_sets, _require_unit, _tight_sets, admissible_sums, covered_by, norm
+from .vectors import Vector, _one_sets, _require_unit, _window_tight_sets, admissible_sums, covered_by, norm
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -76,7 +76,7 @@ def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
     if e.max_index > N:
         raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
     out = []
-    for F in _tight_sets(e, enumerate_admissible(1, N)):
+    for F in _window_tight_sets(e, N):
         choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
         for signs in product(*choices):
             out.append(SignedConstraint(F, signs))

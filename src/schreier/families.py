@@ -5,8 +5,8 @@ the sets of size at most one, S_1 the admissible sets (min F >= |F|), and
 S_{k+1} is built from S_k by constrained unions: F is in S_{k+1} when the
 sorted elements of F split into d consecutive blocks E_1 < ... < E_d with
 d <= min E_1 and every block in S_k.  The empty set belongs to every S_k.
-Every walk of S_1, over a window or over the support of a vector, is
-admissible_subsets.
+admissible_subsets is the one full walk of S_1, over a window or any
+ground; the |x|-sum questions that prune it walk in vectors._pruned_walk.
 """
 
 from collections.abc import Iterable

@@ -28,14 +28,14 @@ from .extreme import (
     certify_extreme,
     positive_extreme_points,
 )
-from .families import IndexSet, enumerate_admissible, index_set, is_admissible
+from .families import IndexSet, index_set, is_admissible
 from .linalg import cleared
 from .vectors import (
     Vector,
     _greedy,
     _one_sets,
     _require_unit,
-    _tight_sets,
+    _window_tight_sets,
     covered_by,
     make_thm1_vector,
     norm,
@@ -148,7 +148,7 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     sign = [_sign(residual[i]) for i in range(window + 1)]
     binding = [
         SignedConstraint(F, tuple(map(sign.__getitem__, F)))
-        for F in _tight_sets(residual, enumerate_admissible(1, window))
+        for F in _window_tight_sets(residual, window)
     ]
     return LambdaResult(lam, e, residual, binding)
 

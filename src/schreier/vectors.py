@@ -3,25 +3,28 @@
 The norm of order k is the supremum of |x| summed over a member of S_k.
 Order 1 is computed by an exact greedy over the minima in the support;
 higher orders take the first best |x|-sum over the window [1, max supp x].
-admissible_sums is the one scan of |x|-sums: its caller names the sets
-(a window list of families.enumerate_admissible, or the admissible
-subsets of the support), and it clears |x| once by the LCM of its
-denominators and sums integers, so a caller compares a total with that
-scale where it would compare a rational sum with 1; _tight_sets keeps the
-sets whose total is the scale.  Also provides the 1-set inventory, the
-coverage predicate, the second-best gap, and the decay-witness constructor
-used by the theorem-1 verifier.
+The sums run on integers: |x| is cleared once by the LCM of its
+denominators, so a caller compares a total with that scale where it would
+compare a rational sum with 1.  _pruned_walk answers "sums to exactly 1"
+and "best sum below 1" in one pruned walk of the admissible subsets of a
+ground (the support, or a window with zeros): the 1-sets, coverage, the
+gap, the binding sets of a pair lambda and the active constraints.
+admissible_sums scans every set its caller names, for the questions a
+total alone does not prune: norms of order >= 2 and the slack bounds of a
+perturbation witness.  Also provides the decay-witness constructor used
+by the theorem-1 verifier.
 """
 
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 
 from . import cutoffs
 from .errors import UnitNormRequired
-from .families import IndexSet, admissible_subsets, enumerate_admissible, index_set
+from .families import IndexSet, enumerate_admissible, index_set
 from .linalg import cleared
 
 
@@ -199,19 +202,111 @@ def admissible_sums(x: Vector, sets: Iterable[IndexSet]) -> tuple[int, Iterator[
     """(scale, sums): the LCM of the denominators of x, and a lazy scan of
     (F, sum of scale * |x| over F) over ``sets``, in their order.
 
-    The sums are integers: |x| sums to exactly 1 over F when its total is
-    scale.  An index off supp x adds 0, so the empty set totals 0: it is
-    never tight and never the first maximum of a nonzero x.
+    The full scan, for questions a set's total alone does not prune: the
+    norms of order >= 2 and the slack bounds of a perturbation witness.
+    "Sums to exactly 1" and "best sum below 1" are _pruned_walk's.  The sums
+    are integers: |x| sums to exactly 1 over F when its total is scale.  An
+    index off supp x adds 0, so the empty set totals 0: it is never tight
+    and never the first maximum of a nonzero x.
     """
     values, scale = cleared(q for _, q in x.items())
     at = defaultdict(int, zip(x.support, map(abs, values))).__getitem__
     return scale, ((F, sum(map(at, F))) for F in sets)
 
 
-def _tight_sets(x: Vector, sets: Iterable[IndexSet]) -> list[IndexSet]:
-    """The sets among ``sets``, in their order, on which |x| sums to exactly 1."""
-    scale, sums = admissible_sums(x, sets)
-    return [F for F, total in sums if total == scale]
+def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet], int]:
+    """(scale, tight, below) over the admissible subsets of ``ground``, an
+    increasing sequence of positive integers that may hold zeros of x.
+
+    scale is the LCM of the denominators of x and the totals are sums of
+    the integer sizes scale * |x|, as in admissible_sums.  tight lists the
+    sets with total scale (|x| sums to exactly 1), in lexicographic order;
+    below is the best total under scale, 0 for the empty set at least.
+
+    One depth-first walk in preorder.  The root is the empty set (total 0)
+    and its children are the singletons, in ground order.  Below them a
+    node is an admissible F with minimum m, total s, the position p in
+    ground past max F and r = m - |F| free slots; its children are
+    F + {ground[q]} for q = p, p + 1, ..., each with one slot fewer.  Every
+    admissible nonempty F is reached exactly once, by adding its elements
+    in increasing order: each prefix keeps min F and has at most |F| <= m
+    elements.  The recursion is as deep as the largest set, at most
+    len(ground), which every caller's cutoff holds to 24.
+
+    Lexicographic order: a node comes before its descendants, which are
+    its proper extensions and sort after it, and the subtree of an earlier
+    sibling G + {a} before that of G + {b}, a < b, whose members sort
+    after every extension of G + {a}, since they agree on G and differ
+    first at a against b.  So preorder is the lexicographic order of the
+    tuples, and tight needs no sort.
+
+    Two prunes, both sound because every size is >= 0, so a descendant
+    totals at least s:
+    - s > scale: no descendant is tight or below scale.
+    - bound = s + (sum of the r largest sizes of ground[p:]) < scale.  A
+      descendant adds at most r elements of ground[p:], so totals at most
+      bound: none is tight.  The bound is attained: F plus the r largest
+      later elements (all of them, if fewer are left) keeps minimum m and
+      has m elements or fewer, so it is admissible, and it is the best
+      total of the subtree.  The walk takes bound as a candidate for below
+      and does not descend.
+    Every other node has s <= scale <= bound, and its own total counts
+    (tight at s = scale, else a candidate for below).  So tight and below
+    are those of the full listing.
+    """
+    ground = tuple(ground)
+    values, scale = cleared(q for _, q in x.items())
+    size = dict(zip(x.support, map(abs, values)))
+    sizes = [size.get(i, 0) for i in ground]
+    n = len(ground)
+    # top[p][r] is the sum of the r largest sizes of ground[p:] (all of them
+    # past n - p), for r <= n; the singletons cap r at the elements left.
+    top = []
+    for p in range(n + 1):
+        row = list(accumulate(sorted(sizes[p:], reverse=True), initial=0))
+        top.append(row + [row[-1]] * p)
+    tight: list[IndexSet] = []
+    below = 0
+
+    def visit(F: IndexSet, s: int, p: int, r: int) -> None:
+        nonlocal below
+        if s == scale:
+            tight.append(F)
+        elif s > below:
+            below = s
+        if not r:
+            return
+        r -= 1
+        for q in range(p, n):
+            t = s + sizes[q]
+            if t > scale:
+                continue
+            bound = t + top[q + 1][r]
+            if bound < scale:
+                if bound > below:
+                    below = bound
+                continue
+            visit(F + (ground[q],), t, q + 1, r)
+
+    for q, m in enumerate(ground):
+        t = sizes[q]
+        if t > scale:
+            continue
+        r = min(m - 1, n - q - 1)
+        bound = t + top[q + 1][r]
+        if bound < scale:
+            if bound > below:
+                below = bound
+            continue
+        visit((m,), t, q + 1, r)
+    return scale, tight, below
+
+
+def _window_tight_sets(x: Vector, N: int) -> list[IndexSet]:
+    """The admissible sets of [1, N] on which |x| sums to exactly 1,
+    lexicographically, behind the window cutoff of enumerate_admissible."""
+    cutoffs.check("enumerate_admissible(k=1)", N, cutoffs.admissible_enum_limit(1))
+    return _pruned_walk(x, range(1, N + 1))[1]
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
@@ -222,10 +317,10 @@ def one_sets(x: Vector) -> list[IndexSet]:
 
 def _one_sets(x: Vector) -> list[IndexSet]:
     """one_sets for a vector already checked to be a unit vector: the tight
-    sets of the admissible subsets of supp x, sorted.  Raises before any
+    sets of the support walk, in lexicographic order.  Raises before any
     subset is walked when the support is over its cutoff."""
     cutoffs.check("one_sets support size", len(x), cutoffs.admissible_enum_limit(1))
-    return sorted(_tight_sets(x, admissible_subsets(x.support)))
+    return _pruned_walk(x, x.support)[1]
 
 
 def covered_by(sets: list[IndexSet], i: int) -> bool:
@@ -249,8 +344,8 @@ def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
     _require_unit(x, "eps_gap")
     cutoffs.check("eps_gap support size", len(x), cutoffs.admissible_enum_limit(1))
-    scale, sums = admissible_sums(x, admissible_subsets(x.support))
-    return 1 - Fraction(max(total for _, total in sums if total < scale), scale)
+    scale, _, below = _pruned_walk(x, x.support)
+    return 1 - Fraction(below, scale)
 
 
 def make_thm1_vector(n: int) -> Vector:

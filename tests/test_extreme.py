@@ -31,7 +31,7 @@ from schreier.extreme import (
 from schreier.families import enumerate_admissible
 from schreier.lambdas import lambda_pair
 from schreier.linalg import nullspace_vector, rank
-from schreier.vectors import Vector, covered_by, make_thm1_vector, norm, one_sets
+from schreier.vectors import Vector, _window_tight_sets, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
     pairwise_maximal,
@@ -102,20 +102,29 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
     embedded = _embed(head, tail, (6, 8, 9, 11))
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_admissible(*args, **kwargs)
+    def spy(scan):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
 
-    # Every module imports the walk under its own name, so every binding
-    # under schreier is replaced.
+        return counted
+
+    # A window reaches the sums through the window list or the pruned walk
+    # of the window.  Every module imports them under its own name, so
+    # every binding under schreier is replaced.
     patched = set()
     for name, module in list(sys.modules.items()):
         if name == "schreier" or name.startswith("schreier."):
             for attr, value in list(vars(module).items()):
-                if value is enumerate_admissible:
-                    monkeypatch.setattr(module, attr, counted)
-                    patched.add(name)
-    assert {"schreier.extreme", "schreier.lambdas", "schreier.vectors"} <= patched
+                if value is enumerate_admissible or value is _window_tight_sets:
+                    monkeypatch.setattr(module, attr, spy(value))
+                    patched.add((name, value.__name__))
+    assert {
+        ("schreier.extreme", "enumerate_admissible"),
+        ("schreier.vectors", "enumerate_admissible"),
+        ("schreier.extreme", "_window_tight_sets"),
+        ("schreier.lambdas", "_window_tight_sets"),
+    } <= patched
     assert certify_extreme(E12).verdict == EXTREME
     assert certify_extreme(embedded).verdict == EXTREME
     assert is_vertex(E12, 2) == (True, 2)

@@ -11,7 +11,7 @@ from schreier.extreme import (
     positive_extreme_points,
 )
 from schreier.cutoffs import admissible_enum_limit
-from schreier.families import is_admissible
+from schreier.families import enumerate_admissible, is_admissible
 from schreier.linalg import cleared
 from schreier.lambdas import (
     _on_face,
@@ -24,7 +24,7 @@ from schreier.lambdas import (
     max_feasible_weight,
     verify_thm1,
 )
-from schreier.vectors import Vector, make_thm1_vector, norm, one_sets
+from schreier.vectors import Vector, admissible_sums, make_thm1_vector, norm, one_sets
 
 from conftest import (
     random_unit_vector,
@@ -328,6 +328,29 @@ def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
         assert result.binding == expected
         bound += bool(expected)
     assert bound > 100
+
+
+def test_lambda_pair_at_the_window_cutoff():
+    # BAD4 and BAD5 continued to n = 11: 1, 2/n, 1 - 2/n, 1/n on [4, n], 0 at
+    # n + 1 and 1/n on [n + 2, 2n + 1].  With x_11 the pair's window is 24,
+    # the order-1 cutoff.  The bindings are checked on integers against the
+    # window list: the Fraction reference over its 121,393 sets is slow.
+    n = 11
+    x = make_thm1_vector(n)
+    e = Vector({1: 1, 2: Fraction(2, n), 3: 1 - Fraction(2, n)}
+               | {i: Fraction(1, n) for i in (*range(4, n + 1), *range(n + 2, 2 * n + 2))})
+    assert one_sets(x) == expected_one_sets(n) and len(expected_one_sets(n)) == 58
+    result = lambda_pair(x, e)
+    assert result.lam == Fraction(60, 121) == (1 - Fraction(1, n * n)) / 2
+    v = result.residual
+    scale, sums = admissible_sums(v, enumerate_admissible(1, 2 * n + 2))
+    expected = [
+        SignedConstraint(F, tuple(1 if v[i] >= 0 else -1 for i in F))
+        for F, total in sums
+        if total == scale
+    ]
+    assert result.binding == expected
+    assert len(expected) == 174
 
 
 def test_lambda_lower_matches_the_reference(rng):

@@ -10,6 +10,7 @@ from schreier.families import admissible_subsets, enumerate_admissible
 from schreier.vectors import (
     Vector,
     _greedy,
+    _pruned_walk,
     admissible_sums,
     covers_index,
     eps_gap,
@@ -233,6 +234,42 @@ def test_admissible_sums_are_the_cleared_fraction_sums(order, rng):
             assert sorted(sums) == [(F, scale * exact) for F, exact in reference]
             assert all(type(total) is int for _, total in sums)
             assert ((), 0) in sums
+
+
+def test_pruned_walk_matches_the_fraction_reference(rng):
+    # Grounds: the support, up to 16 indices, and windows [1, N] with zeros
+    # of x inside, for ||x|| = 1 and ||x|| < 1 (no tight sets).  Small
+    # numerators and denominators make ties, so many vectors have several
+    # 1-sets.  The tight sets must come in lexicographic order unsorted.
+    def check(x, ground):
+        reference = reference_admissible_sums(x, max(ground), 1, ground)
+        scale, tight, below = _pruned_walk(x, ground)
+        assert scale == lcm(*(q.denominator for _, q in x.items()))
+        assert all(F < G for F, G in zip(tight, tight[1:]))
+        assert tight == [F for F, total in reference if total == 1]
+        assert Fraction(below, scale) == max(total for _, total in reference if total < 1)
+        return tight
+
+    assert check(Vector({3: 1}), (3,)) == [(3,)]
+    assert check(Vector({3: 1}), range(1, 7)) == [
+        (2, 3), (3,), (3, 4), (3, 4, 5), (3, 4, 6), (3, 5), (3, 5, 6), (3, 6)
+    ]
+    assert check(Vector({5: HALF}), range(1, 7)) == []
+    for _ in range(3):
+        x = Vector({i: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for i in rng.sample(range(1, 31), 16)})
+        check(x / norm(x).value, x.support)
+    several = 0
+    for n in range(120):
+        small = n % 2
+        x = random_vector(rng, rng.randint(6, 12), 0.7, max_num=2 if small else 20, max_den=2 if small else 20)
+        if not x:
+            continue
+        x = x / norm(x).value
+        several += len(check(x, x.support)) > 1
+        ground = range(1, rng.randint(x.max_index, 12) + 1)
+        check(x, ground)
+        assert check(x * Fraction(rng.randint(1, 9), 10), ground) == []
+    assert several >= 15
 
 
 def test_greedy_matches_brute_force(rng):
