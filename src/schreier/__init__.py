@@ -2,7 +2,6 @@
 
 from .dual import (
     Thm2Report,
-    dual_extreme_traces,
     dual_norm,
     is_dual_extreme,
     lambda_pair_dual,
@@ -17,12 +16,9 @@ from .extreme import (
     NOT_EXTREME,
     ExtremenessCertificate,
     SignedConstraint,
-    active_constraints,
     certify_extreme,
     enumerate_extreme_in_space,
     enumerate_vertices,
-    is_vertex,
-    necessary_conditions,
     perturbation_witness,
     positive_extreme_points,
 )

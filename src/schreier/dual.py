@@ -247,24 +247,6 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector, *, _line=None) -> Fraction:
     return lam
 
 
-def dual_extreme_traces(n: int) -> list[IndexSet]:
-    """All G inside [1, 2^n - 1] with |G| = min G, lexicographically.
-
-    The oracle for the closed forms of ``verify_thm2``: their number is its
-    candidate_count, and the largest bound over them is its max_bound.
-    These are the traces of full length only.  The trace of a dual extreme
-    support can be any admissible G' in [1, 2^n - 1] (for example {3} from
-    {3, 4, 5} at n = 2), but each such G' lies in a listed G: pad G' above
-    min G' to min G' elements when min G' <= 2^(n-1); otherwise
-    |G'| < 2^(n-1) < min G' and {|G'| + 1} + G' is listed.  The bound
-    <1_G, w> / n never falls as G grows, so its maximum over this list is
-    its maximum over every admissible trace.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return list(admissible_subsets(range(1, 2**n), maximal=True))
-
-
 @dataclass(frozen=True)
 class Thm2Report:
     n: int

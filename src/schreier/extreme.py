@@ -30,7 +30,7 @@ from . import cutoffs
 from .dd import DDPolytope, box_seed
 from .families import IndexSet, admissible_subsets, enumerate_admissible
 from .linalg import cleared, nullspace_vector, rank
-from .vectors import Vector, _one_sets, _require_unit, _window_tight_sets, admissible_sums, covered_by, norm
+from .vectors import Vector, _one_sets, _require_unit, admissible_sums, covered_by, norm
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -49,9 +49,6 @@ class SignedConstraint:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs are +1 or -1")
 
-    def value_at(self, v: Vector) -> Fraction:
-        return sum((s * v[i] for i, s in zip(self.indices, self.signs)), Fraction(0))
-
 
 @dataclass
 class ExtremenessCertificate:
@@ -64,24 +61,6 @@ class ExtremenessCertificate:
 
 def _sign(q: Fraction) -> int:
     return 1 if q >= 0 else -1
-
-
-def active_constraints(e: Vector, N: int) -> list[SignedConstraint]:
-    """All signed admissible sets within [1, N] that are tight at e.
-
-    Signs are forced by e on its support; indices in the set where e
-    vanishes get both signs, so each tight set expands to a family.
-    """
-    _require_unit(e, "active_constraints")
-    if e.max_index > N:
-        raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    out = []
-    for F in _window_tight_sets(e, N):
-        choices = [(_sign(e[i]),) if i in e else (1, -1) for i in F]
-        for signs in product(*choices):
-            out.append(SignedConstraint(F, signs))
-    out.sort(key=lambda c: (c.indices, c.signs))
-    return out
 
 
 def _active_rank_rows(e: Vector, sets: list[IndexSet], N: int) -> list[list[int]]:
@@ -114,24 +93,9 @@ def _active_rank(e: Vector, sets: list[IndexSet], N: int) -> int:
     return rank(_active_rank_rows(e, sets, N))
 
 
-def is_vertex(e: Vector, N: int) -> tuple[bool, int]:
-    """Whether the active constraints pin e within the section [1, N]."""
-    _require_unit(e, "is_vertex")
-    if e.max_index > N:
-        raise ValueError(f"support reaches {e.max_index}, beyond window {N}")
-    r = _active_rank(e, _one_sets(e), N)
-    return r == N, r
-
-
-def necessary_conditions(e: Vector) -> list[str]:
-    """The names of the necessary conditions for membership in E(X) that e
-    fails, in report order (see _failed_conditions)."""
-    _require_unit(e, "necessary_conditions")
-    return _failed_conditions(e, _one_sets(e))
-
-
 def _failed_conditions(e: Vector, sets: list[IndexSet]) -> list[str]:
-    """necessary_conditions for a unit vector e whose 1-sets are given.
+    """The necessary conditions for membership in E(X) that the unit vector
+    e fails, named in report order, read off its 1-sets ``sets``.
 
     Let F be a non-maximal 1-set, m = |F| < min F.  A support index j > m
     off F would make F + {j} admissible (its minimum exceeds m) with a sum

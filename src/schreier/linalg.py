@@ -13,10 +13,12 @@ from math import lcm
 
 
 def cleared(values) -> tuple[list[int], int]:
-    """The values times the LCM of their denominators, and that LCM."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    """The ints and Fractions ``values`` times the LCM of their denominators,
+    and that LCM.  Any other value, a float included, raises."""
+    values = list(values)
+    dens = [v.denominator for v in values]
+    scale = lcm(*dens)
+    return [v.numerator * (scale // d) for v, d in zip(values, dens)], scale
 
 
 def eliminate(other, pivot_row, col, p, d):

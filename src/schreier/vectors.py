@@ -8,7 +8,7 @@ denominators, so a caller compares a total with that scale where it would
 compare a rational sum with 1.  _pruned_walk answers "sums to exactly 1"
 and "best sum below 1" in one pruned walk of the admissible subsets of a
 ground (the support, or a window with zeros): the 1-sets, coverage, the
-gap, the binding sets of a pair lambda and the active constraints.
+gap and the binding sets of a pair lambda.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
+from operator import index, itemgetter
 
 from . import cutoffs
 from .errors import UnitNormRequired
@@ -32,7 +32,12 @@ _ZERO = Fraction(0)
 
 
 class Vector:
-    """Immutable map from positive 1-based indices to nonzero rationals."""
+    """Immutable map from positive 1-based indices to nonzero rationals.
+
+    Indices are integers (``operator.index``); values are ints, Fractions or
+    rational strings, and a float, which is binary and not the rational its
+    digits spell, is a TypeError.
+    """
 
     __slots__ = ("_coords", "_items")
 
@@ -43,10 +48,15 @@ class Vector:
             pairs = list(coords)
         clean: dict[int, Fraction] = {}
         for i, value in pairs:
-            i = int(i)
+            i = index(i)
             if i < 1:
                 raise ValueError(f"indices are 1-based positive integers, got {i}")
-            q = value if type(value) is Fraction else Fraction(value)
+            if type(value) is Fraction:
+                q = value
+            elif isinstance(value, float):
+                raise TypeError(f"coordinate {i} is the float {value!r}; use a Fraction or a string")
+            else:
+                q = Fraction(value)
             if not q:
                 continue
             if i in clean:
@@ -57,6 +67,9 @@ class Vector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
+
+    def __reduce__(self):
+        return Vector, (self._items,)
 
     @classmethod
     def unit(cls, i: int) -> "Vector":

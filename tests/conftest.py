@@ -111,6 +111,29 @@ def reference_admissible_sums(
     return [(F, sum((abs(x[i]) for i in F), Fraction(0))) for F in sets]
 
 
+def reference_active_rows(e: Vector, N: int) -> list[list[Fraction]]:
+    """The signed row of every admissible F in [1, N] with |e|(F) = 1, in
+    Fractions: the sign of e on its support, and both signs at a zero of e."""
+    rows = []
+    for F, total in reference_admissible_sums(e, N):
+        if total != 1:
+            continue
+        choices = [(1 if e[i] > 0 else -1,) if i in e else (1, -1) for i in F]
+        for signs in product(*choices):
+            row = [Fraction(0)] * N
+            for i, s in zip(F, signs):
+                row[i - 1] = Fraction(s)
+            rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def full_length_traces(n: int) -> list[tuple[int, ...]]:
+    """The admissible G in [1, 2^n - 1] with |G| = min G, lexicographically,
+    from the power set."""
+    return sorted(F for F in powerset_admissible(2**n - 1) if F and len(F) == F[0])
+
+
 def pairwise_maximal(sets):
     """Inclusion-maximal members of a finite family, by pairwise subset tests."""
     as_sets = [set(F) for F in sets]

@@ -7,7 +7,6 @@ from schreier import dual
 from schreier.dual import (
     _check_dual_bound,
     _dual_solve,
-    dual_extreme_traces,
     dual_norm,
     dual_norm_witness,
     is_dual_extreme,
@@ -19,13 +18,14 @@ from schreier.dual import (
 )
 from schreier.errors import UnitNormRequired
 from schreier.extreme import enumerate_vertices
-from schreier.families import admissible_subsets, enumerate_admissible, is_maximal
+from schreier.families import admissible_subsets, enumerate_admissible
 from schreier.lambdas import max_feasible_weight
 from schreier.linalg import cleared
 from schreier.simplex import lp_max
 from schreier.vectors import Vector, norm
 
 from conftest import (
+    full_length_traces,
     powerset_admissible,
     random_vector,
     reference_lambda_pair_dual,
@@ -150,8 +150,6 @@ def test_thm2_lambda_bound_is_the_t_sum_on_every_admissible_trace(n):
 def test_thm2_n_below_one_is_rejected(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
         thm2_lambda_bound((), n)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        dual_extreme_traces(n)
     for make in (make_thm2_functional, make_thm2_witness):
         with pytest.raises(ValueError, match="n must be >= 1"):
             make(n)
@@ -160,7 +158,7 @@ def test_thm2_n_below_one_is_rejected(n):
 def test_thm2_lambda_bound_sign_independent_by_construction(rng):
     # The bound only reads the trace, never signs: same G, same bound.
     for n in (2, 3):
-        for G in dual_extreme_traces(n)[:6]:
+        for G in full_length_traces(n)[:6]:
             assert thm2_lambda_bound(G, n) == thm2_lambda_bound(tuple(G), n)
 
 
@@ -179,7 +177,7 @@ def test_lambda_pair_dual_examples():
 
 def test_lambda_pair_dual_respects_trace_bound(rng):
     x4 = make_thm2_functional(3)
-    for G in dual_extreme_traces(3)[:8]:
+    for G in full_length_traces(3)[:8]:
         signs = {i: rng.choice((-1, 1)) for i in G}
         e_star = Vector(signs)
         lam = lambda_pair_dual(x4, e_star)
@@ -206,7 +204,7 @@ def _line_pairs(rng) -> list[tuple[Vector, Vector]]:
          Vector({3: -1, 4: -1, 5: 1})),
     ]
     x3 = make_thm2_functional(3)
-    pairs += [(x3, Vector({i: 1 for i in G})) for G in dual_extreme_traces(3)]
+    pairs += [(x3, Vector({i: 1 for i in G})) for G in full_length_traces(3)]
     for _ in range(60):
         e_star = _random_dual_extreme(rng, 7)
         x_star = random_vector(rng, max_index=rng.randint(1, 7), max_num=10, max_den=10)
@@ -251,7 +249,7 @@ def _line_certificate(x_star: Vector, e_star: Vector):
 
 def _spot_check_pairs(n: int) -> list[tuple[Vector, Vector]]:
     x_star = make_thm2_functional(n)
-    return [(x_star, Vector({i: 1 for i in G})) for G in dual_extreme_traces(n)[:10]]
+    return [(x_star, Vector({i: 1 for i in G})) for G in full_length_traces(n)[:10]]
 
 
 def test_dual_certificate_sums_to_the_cold_dual_norm(rng):
@@ -387,7 +385,7 @@ def test_shared_line_matches_fresh_pairs_in_either_order():
     # One line carries the cuts of every earlier pair: the 13 n = 3 traces,
     # solved forward and then reversed on it, answer as on fresh lines.
     x3 = make_thm2_functional(3)
-    pairs = [(x3, Vector({i: 1 for i in G})) for G in dual_extreme_traces(3)]
+    pairs = [(x3, Vector({i: 1 for i in G})) for G in full_length_traces(3)]
     assert len(pairs) == 13
     fresh = [lambda_pair_dual(x, e) for x, e in pairs]
     line = _dual_solve(7)
@@ -462,17 +460,6 @@ def test_dual_characterization_vs_section_perturbation(rng):
     assert not _dual_section_vertex(f, 3)
 
 
-def test_dual_extreme_traces_counts():
-    assert dual_extreme_traces(2) == [(1,), (2, 3)]
-    assert len(dual_extreme_traces(4)) == 610
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_dual_extreme_traces_are_the_maximal_sets(n):
-    full = enumerate_admissible(1, 2**n - 1)
-    assert dual_extreme_traces(n) == [F for F in full if F and is_maximal(F, 1)]
-
-
 def test_verify_thm2_small():
     report = verify_thm2(2, 3)
     assert report.passed
@@ -484,16 +471,13 @@ def test_verify_thm2_small():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_thm2_candidate_count_is_the_enumerated_count(n):
-    assert verify_thm2(n).candidate_count == len(dual_extreme_traces(n))
+    assert verify_thm2(n).candidate_count == len(full_length_traces(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_verify_thm2_draws_at_most_ten_traces(n, monkeypatch):
     # The maximum and the count are closed forms: only the ten spot checks
-    # draw traces, and the full list is never built.
-    def no_list(*args):
-        raise AssertionError("dual_extreme_traces was called")
-
+    # draw traces.
     drawn = []
 
     def counted(*args, **kwargs):
@@ -501,7 +485,6 @@ def test_verify_thm2_draws_at_most_ten_traces(n, monkeypatch):
             drawn.append(G)
             yield G
 
-    monkeypatch.setattr(dual, "dual_extreme_traces", no_list)
     monkeypatch.setattr(dual, "admissible_subsets", counted)
     assert verify_thm2(n).passed
     assert 0 < len(drawn) <= 10

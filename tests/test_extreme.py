@@ -18,13 +18,10 @@ from schreier.extreme import (
     _maximal_in_window,
     _positive_pool,
     _sign_patterns,
-    active_constraints,
     canonical_key,
     certify_extreme,
     enumerate_extreme_in_space,
     enumerate_vertices,
-    is_vertex,
-    necessary_conditions,
     perturbation_witness,
     positive_extreme_points,
 )
@@ -37,6 +34,7 @@ from conftest import (
     pairwise_maximal,
     powerset_admissible,
     random_unit_vector,
+    reference_active_rows,
     reference_admissible_sums,
     reference_failed_conditions,
     solve_square,
@@ -46,31 +44,6 @@ from conftest import (
 E1 = Vector.unit(1)
 E12 = Vector({1: 1, 2: 1})
 X5 = make_thm1_vector(5)
-
-
-def test_active_constraints_examples():
-    actives = active_constraints(E12, 2)
-    assert [(c.indices, c.signs) for c in actives] == [((1,), (1,)), ((2,), (1,))]
-    actives = active_constraints(E1, 1)
-    assert [(c.indices, c.signs) for c in actives] == [((1,), (1,))]
-    sets = {c.indices for c in active_constraints(X5, 12)}
-    assert (2, 3) in sets and tuple(range(7, 13)) in sets
-    with pytest.raises(ValueError, match="beyond window"):
-        active_constraints(X5, 11)
-
-
-def test_active_constraints_expand_zero_coordinates():
-    v = Vector({1: 1, 3: 1})  # {2,3} is tight with both signs on index 2
-    actives = active_constraints(v, 3)
-    signed = {(c.indices, c.signs) for c in actives}
-    assert ((2, 3), (1, 1)) in signed and ((2, 3), (-1, 1)) in signed
-
-
-def test_active_constraints_hold_at_the_point(rng):
-    for _ in range(40):
-        e = random_unit_vector(rng, max_index=5)
-        for c in active_constraints(e, 6):
-            assert c.value_at(e) == 1
 
 
 def test_active_rank_rows_match_the_signed_active_constraints():
@@ -86,12 +59,7 @@ def test_active_rank_rows_match_the_signed_active_constraints():
         checked += 1
         sets = one_sets(e)
         for N in range(e.max_index, e.max_index + 4):
-            full = []
-            for c in active_constraints(e, N):
-                row = [0] * N
-                for i, s in zip(c.indices, c.signs):
-                    row[i - 1] = s
-                full.append(row)
+            full = reference_active_rows(e, N)
             compact = _active_rank_rows(e, sets, N)
             assert rank(compact) == rank(full)
             assert nullspace_vector(compact, N) == nullspace_vector(full, N)
@@ -122,30 +90,20 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
     assert {
         ("schreier.extreme", "enumerate_admissible"),
         ("schreier.vectors", "enumerate_admissible"),
-        ("schreier.extreme", "_window_tight_sets"),
         ("schreier.lambdas", "_window_tight_sets"),
     } <= patched
     assert certify_extreme(E12).verdict == EXTREME
     assert certify_extreme(embedded).verdict == EXTREME
-    assert is_vertex(E12, 2) == (True, 2)
     assert calls == []
 
 
-def test_is_vertex_examples():
-    assert is_vertex(E12, 2) == (True, 2)
-    assert is_vertex(E1, 2) == (False, 1)
-    assert is_vertex(Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)}), 3) == (False, 2)
-    with pytest.raises(ValueError, match="beyond window"):
-        is_vertex(E12, 1)
-
-
 def test_necessary_conditions_examples():
-    assert necessary_conditions(E1) == ["non_maximal_one_set_exists", "coverage"]
-    assert necessary_conditions(E12) == []
+    assert certify_extreme(E1).failed_conditions == ["non_maximal_one_set_exists", "coverage"]
+    assert certify_extreme(E12).failed_conditions == []
     assert [F for F in one_sets(E12) if F[0] > len(F)] == [(2,)]
-    assert necessary_conditions(Vector.unit(2)) == [
+    assert certify_extreme(Vector.unit(2)).failed_conditions == [
         "head_is_initial_segment", "support_twice_one_set", "coverage"]
-    assert "coverage" in necessary_conditions(X5)
+    assert "coverage" in certify_extreme(X5).failed_conditions
     assert not covered_by(one_sets(X5), 4)
 
 
@@ -163,10 +121,14 @@ def test_failed_conditions_match_the_six_checks():
     # conditions, two of which no unit vector fails.  Every list the
     # report can carry must turn up: a head index off the support is
     # always uncovered, so the head and size conditions never fail alone.
+    # The rank is checked against the signed rows of every tight set of the
+    # window from the power set.
     seen = set()
     for e in _failed_condition_inputs():
-        failed = necessary_conditions(e)
+        cert = certify_extreme(e)
+        failed = cert.failed_conditions
         assert failed == reference_failed_conditions(e), e
+        assert cert.active_rank == rank(reference_active_rows(e, e.max_index)), e
         seen.add(tuple(failed))
     assert seen == {
         ("non_maximal_one_set_exists", "coverage"),
@@ -357,11 +319,7 @@ def test_far_windows_stop_at_the_window_cutoff():
     with pytest.raises(CutoffExceeded):
         certify_extreme(Vector({1: 1, beyond: 1}))
     with pytest.raises(CutoffExceeded):
-        is_vertex(E12, beyond)
-    with pytest.raises(CutoffExceeded):
         perturbation_witness(E12, beyond)
-    with pytest.raises(CutoffExceeded):
-        active_constraints(E12, beyond)
     with pytest.raises(CutoffExceeded):
         lambda_pair(E1, Vector({1: 1, beyond: 1}))
 
@@ -427,7 +385,7 @@ def test_in_space_integer_sort_is_the_canonical_order():
 def test_in_space_supports_and_even_cardinality():
     for N in (3, 4, 5, 6):
         for e in positive_extreme_points(N):
-            assert necessary_conditions(e) == []
+            assert certify_extreme(e).failed_conditions == []
             (F,) = [G for G in one_sets(e) if G[0] > len(G)]
             m = len(F)
             assert len(e.support) == 2 * m
@@ -477,7 +435,7 @@ def test_sign_symmetry_of_certification(rng):
 
 def test_one_sets_of_extreme_points_are_active(rng):
     for e in positive_extreme_points(5):
-        active_sets = {c.indices for c in active_constraints(e, e.max_index)}
+        active_sets = {F for F, total in reference_admissible_sums(e, e.max_index) if total == 1}
         for F in one_sets(e):
             assert F in active_sets
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -5,7 +7,7 @@ from math import lcm
 import pytest
 
 from schreier.errors import CutoffExceeded, UnitNormRequired
-from schreier.extreme import certify_extreme, necessary_conditions
+from schreier.extreme import certify_extreme
 from schreier.families import admissible_subsets, enumerate_admissible
 from schreier.vectors import (
     Vector,
@@ -128,7 +130,7 @@ def test_covers_examples():
 
 @pytest.mark.parametrize("op, call, x", [
     ("covers_index", lambda x: covers_index(x, 4), X5),
-    ("necessary_conditions", necessary_conditions, X5),
+    ("eps_gap", eps_gap, X5),
     ("certify_extreme", certify_extreme, Vector({1: 1, 2: 1})),
 ])
 def test_unit_norm_is_checked_once_per_call(monkeypatch, op, call, x):
@@ -357,3 +359,26 @@ def test_vector_keeps_fractions_and_converts_everything_else():
     assert Vector([(2, Fraction(1, 2)), (1, 1)]) == Vector({1: "1", 2: "1/2"})
     assert Vector({1: Fraction(0)}) == Vector.zero()
 
+
+@pytest.mark.parametrize("round_trip", [
+    lambda v: pickle.loads(pickle.dumps(v)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_vector_round_trips_through_pickle_and_copy(round_trip):
+    v = Vector({1: 1, 4: Fraction(-2, 3), 9: Fraction(1, 7)})
+    u = round_trip(v)
+    assert u == v and hash(u) == hash(v)
+    assert u.items() == v.items()
+
+
+def test_vector_rejects_float_indices_and_values():
+    # int() would truncate 1.9 to 1, and Fraction(0.1) is the binary double,
+    # not 1/10.
+    for coords in ({1.9: 1}, {2.0: 1}, {"1": 1}):
+        with pytest.raises(TypeError):
+            Vector(coords)
+    for value in (0.1, 0.5, 0.0):
+        with pytest.raises(TypeError, match="float"):
+            Vector({1: value})
+    assert Vector({True: "1/2", 2: Fraction(1, 3)}) == Vector({1: Fraction(1, 2), 2: Fraction(1, 3)})
