@@ -23,7 +23,6 @@ known; callers here use boxes, simplices, and their products.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .linalg import cleared
@@ -34,11 +33,6 @@ class DDVertex:
     num: tuple[int, ...]
     den: int  # > 0, and coprime to the numerators as a whole
     tight: int  # bitmask over the constraint list
-
-    @property
-    def point(self) -> tuple[Fraction, ...]:
-        """The exact point num / den."""
-        return tuple(Fraction(a, self.den) for a in self.num)
 
 
 class DDPolytope:
@@ -125,17 +119,19 @@ def _dot(row, num) -> int:
 
 
 def box_seed(bounds) -> tuple[list, list]:
-    """Seed rows and vertices for a product of intervals [lo_i, hi_i]."""
+    """Seed rows and vertices for a product of intervals [lo_i, hi_i].
+
+    The rows are -x_i <= -lo_i and x_i <= hi_i with int coefficients; the
+    bounds, ints or Fractions, are kept as they were given.
+    """
     dim = len(bounds)
     rows = []
     for i, (lo, hi) in enumerate(bounds):
-        row_lo = [Fraction(0)] * dim
-        row_lo[i] = Fraction(-1)
-        rows.append((row_lo, -Fraction(lo)))
-        row_hi = [Fraction(0)] * dim
-        row_hi[i] = Fraction(1)
-        rows.append((row_hi, Fraction(hi)))
+        for sign, b in ((-1, -lo), (1, hi)):
+            row = [0] * dim
+            row[i] = sign
+            rows.append((row, b))
     vertices = [()]
     for lo, hi in bounds:
-        vertices = [v + (val,) for v in vertices for val in ((Fraction(lo), Fraction(hi)) if lo != hi else (Fraction(lo),))]
+        vertices = [v + (val,) for v in vertices for val in ((lo, hi) if lo != hi else (lo,))]
     return rows, vertices

@@ -59,23 +59,19 @@ class ExtremenessCertificate:
     failed_conditions: list[str] = field(default_factory=list)
 
 
-def _sign(q: Fraction) -> int:
-    return 1 if q >= 0 else -1
-
-
 def _active_rank_rows(e: Vector, sets: list[IndexSet], N: int) -> list[list[int]]:
     """Rank-equivalent compact basis of the active constraints at e on [1, N].
 
     ``sets`` are the 1-sets of e.  A tight set of the window is a 1-set plus
     zeros of e that the 1-set covers, and both signs are tight at a zero, so
-    the rows are the signed indicator of each 1-set and a unit row for each
-    zero of e in [1, N] that ``covered_by`` the 1-sets.
+    the rows are the signed indicator of each 1-set (inside supp e) and a
+    unit row for each zero of e in [1, N] that ``covered_by`` the 1-sets.
     """
     rows: list[list[int]] = []
     for F in sets:
         row = [0] * N
         for i in F:
-            row[i - 1] = _sign(e[i])
+            row[i - 1] = 1 if e[i] > 0 else -1
         rows.append(row)
     for z in range(1, N + 1):
         if z not in e and covered_by(sets, z):
@@ -157,12 +153,13 @@ def perturbation_witness(
         direction = [0] * window
         direction[uncovered[0] - 1] = 1
     else:
-        kernel = nullspace_vector(_active_rank_rows(e, sets, window), window)
-        if kernel is None:
+        direction = nullspace_vector(_active_rank_rows(e, sets, window), window)
+        if direction is None:
             return None
-        direction, _ = cleared(kernel)
 
-    # w = s * direction.  Bound s so that no sign of e flips (the signed sums
+    # w = s * direction, an integer unit or primitive kernel vector; every
+    # bound on s below scales as 1 / the direction's scale, so w does not
+    # depend on it.  Bound s so that no sign of e flips (the signed sums
     # of tight sets stay exact) and every slack set stays slack.  The slack
     # bound of F is (scale - total) / (2 scale action), with the integer
     # action of the direction on F; the least (scale - total) / action is
@@ -325,26 +322,26 @@ def _class_polytope_pieces(m: int):
 
     seed_rows = []
     for t in range(n_v):
-        row = [Fraction(0)] * dim
-        row[t] = Fraction(-1)
-        seed_rows.append((row, Fraction(0)))
-        row = [Fraction(0)] * dim
-        row[t] = Fraction(1)
-        seed_rows.append((row, Fraction(1)))
+        row = [0] * dim
+        row[t] = -1
+        seed_rows.append((row, 0))
+        row = [0] * dim
+        row[t] = 1
+        seed_rows.append((row, 1))
     for i in range(n_w - 1):  # w_{i+1} <= w_i
-        row = [Fraction(0)] * dim
-        row[n_v + i + 1] = Fraction(1)
-        row[n_v + i] = Fraction(-1)
-        seed_rows.append((row, Fraction(0)))
-    row = [Fraction(0)] * dim  # w_m <= w_{m-1}
+        row = [0] * dim
+        row[n_v + i + 1] = 1
+        row[n_v + i] = -1
+        seed_rows.append((row, 0))
+    row = [0] * dim  # w_m <= w_{m-1}
     for i in range(n_w - 1):
-        row[n_v + i] = Fraction(-1)
-    row[n_v + n_w - 1] = Fraction(-2)
-    seed_rows.append((row, Fraction(-1)))
-    row = [Fraction(0)] * dim  # w_m >= 0
+        row[n_v + i] = -1
+    row[n_v + n_w - 1] = -2
+    seed_rows.append((row, -1))
+    row = [0] * dim  # w_m >= 0
     for i in range(n_w):
-        row[n_v + i] = Fraction(1)
-    seed_rows.append((row, Fraction(1)))
+        row[n_v + i] = 1
+    seed_rows.append((row, 1))
 
     simplex_vertices = []
     for j in range(1, m + 1):
@@ -352,7 +349,7 @@ def _class_polytope_pieces(m: int):
         simplex_vertices.append(tuple(ws[:n_w]))
     seed_vertices = [
         corner + w
-        for corner in product((Fraction(0), Fraction(1)), repeat=n_v)
+        for corner in product((0, 1), repeat=n_v)
         for w in simplex_vertices
     ]
 
@@ -362,13 +359,13 @@ def _class_polytope_pieces(m: int):
         for h in range(0, min(t - 1, len(heads_after)) + 1):
             prefix = t - 1 - h  # <= m - 1, so it always fits the reduced tail
             for H in combinations(heads_after, h):
-                row = [Fraction(0)] * dim
-                row[t - 2] += Fraction(1)
+                row = [0] * dim
+                row[t - 2] += 1
                 for p in H:
-                    row[p] += Fraction(1)
+                    row[p] += 1
                 for j in range(prefix):
-                    row[n_v + j] += Fraction(1)
-                cut_rows.append((row, Fraction(1)))
+                    row[n_v + j] += 1
+                cut_rows.append((row, 1))
     return dim, seed_rows, seed_vertices, cut_rows
 
 

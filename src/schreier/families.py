@@ -11,6 +11,7 @@ ground; the |x|-sum questions that prune it walk in vectors._pruned_walk.
 
 from collections.abc import Iterable
 from itertools import combinations
+from operator import index
 
 from . import cutoffs
 from .errors import VectorFormatError
@@ -19,8 +20,12 @@ IndexSet = tuple[int, ...]
 
 
 def index_set(elements: Iterable[int]) -> IndexSet:
-    """Canonicalize to a sorted tuple of distinct positive integers."""
-    items = sorted(set(int(i) for i in elements))
+    """Canonicalize to a sorted tuple of distinct positive integers.
+
+    Elements are integers (``operator.index``): a float or a string is a
+    TypeError, not a truncated index.
+    """
+    items = sorted(set(map(index, elements)))
     if items and items[0] < 1:
         raise ValueError(f"index sets contain positive integers only, got {items[0]}")
     return tuple(items)
@@ -149,12 +154,13 @@ def enumerate_admissible(k: int, N: int, within: Iterable[int] | None = None) ->
     """
     if N < 0:
         raise ValueError("window must be >= 0")
+    what, limit = f"enumerate_admissible(k={k})", cutoffs.admissible_enum_limit(k)
     if within is None:
+        cutoffs.check(what, N, limit)  # before [1, N] is built
         universe = list(range(1, N + 1))
     else:
         universe = sorted(i for i in set(within) if 1 <= i <= N)
-    limit = cutoffs.admissible_enum_limit(k)
-    cutoffs.check(f"enumerate_admissible(k={k})", len(universe), limit)
+        cutoffs.check(what, len(universe), limit)
     if k == 0:
         return [()] + [(i,) for i in universe]
     if k == 1:

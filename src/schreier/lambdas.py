@@ -24,7 +24,6 @@ from .extreme import (
     SignedConstraint,
     _check_extreme_cutoff,
     _positive_pool,
-    _sign,
     certify_extreme,
     positive_extreme_points,
 )
@@ -34,8 +33,8 @@ from .vectors import (
     Vector,
     _greedy,
     _one_sets,
+    _pruned_walk,
     _require_unit,
-    _window_tight_sets,
     covered_by,
     make_thm1_vector,
     norm,
@@ -130,7 +129,14 @@ def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:
 
 
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
-    """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda."""
+    """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda.
+
+    The binding sets are walked over the window [1, N], N the largest index
+    of x and e, and the Newton line is dense over it too, so N is checked
+    against the order-1 cutoff before anything else.
+    """
+    window = max(x.max_index, e.max_index)
+    cutoffs.check("lambda_pair window", window, cutoffs.admissible_enum_limit(1))
     _require_unit(e, "lambda_pair e")
     lam, _ = max_feasible_weight(x, e, _primal_solve)
     if lam == 1:
@@ -141,14 +147,11 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
         raise RuntimeError(f"lambda verification failed: ||x-le|| = {check} > {1 - lam}")
     residual = v / (1 - lam)
     # v sums to 1 - lam over F exactly when the residual sums to 1 over F.
-    # Signs follow v; a zero of v gets +1.  They are read once per index of
-    # the window: a Fraction comparison per member of every set costs more
-    # than the scan.
-    window = max(x.max_index, e.max_index)
-    sign = [_sign(residual[i]) for i in range(window + 1)]
+    # Signs follow v; a zero of v gets +1.
+    negative = {i for i, q in residual.items() if q < 0}
     binding = [
-        SignedConstraint(F, tuple(map(sign.__getitem__, F)))
-        for F in _window_tight_sets(residual, window)
+        SignedConstraint(F, tuple(-1 if i in negative else 1 for i in F))
+        for F in _pruned_walk(residual, range(1, window + 1))[1]
     ]
     return LambdaResult(lam, e, residual, binding)
 

@@ -5,11 +5,10 @@ which changes neither rank nor kernel.  Elimination then pivots fraction-free
 (Edmonds 1967, Bareiss 1968): after each pivot every entry is d times its
 rational value, d the last pivot, and the division by the previous d is exact
 by Sylvester's identity.  ``rank``, ``nullspace_vector`` and the simplex
-tableau all pivot with ``pivot_rows``.
+tableau all pivot with ``pivot_rows``, and every answer is an integer.
 """
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def cleared(values) -> tuple[list[int], int]:
@@ -74,21 +73,23 @@ def rank(rows) -> int:
     return len(_reduce(rows)[1])
 
 
-def nullspace_vector(rows, dim: int) -> list[Fraction] | None:
-    """One nonzero kernel element of the row system, or None if trivial.
+def nullspace_vector(rows, dim: int) -> list[int] | None:
+    """The primitive integer kernel vector of the row system, or None if trivial.
 
-    With j the first free column, the vector is 1 at j, -row[j]/d at the
-    pivot column of each reduced row and 0 elsewhere: the vector that reduced
-    row echelon form gives, since its free coordinates fix it.
+    With j the first free column, the vector is d at j, -row[j] at the pivot
+    column of each reduced row and 0 elsewhere, divided by the gcd of its
+    entries: d times the vector that reduced row echelon form gives (1 at j),
+    made primitive.  It is positive at j, and since the kernel fixes j and the
+    echelon vector, every row set with that kernel gives the same vector.
     """
     reduced, pivots, d = _reduce(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
-    if not free:
+    j_free = next((j for j in range(dim) if j not in pivot_set), None)
+    if j_free is None:
         return None
-    j_free = free[0]
-    vec = [Fraction(0)] * dim
-    vec[j_free] = Fraction(1)
+    vec = [0] * dim
+    vec[j_free] = d
     for row, col in zip(reduced, pivots):
-        vec[col] = Fraction(-row[j_free], d)
-    return vec
+        vec[col] = -row[j_free]
+    g = gcd(*vec)
+    return [v // g for v in vec]

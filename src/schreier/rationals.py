@@ -3,10 +3,12 @@
 File formats carry rationals as canonical strings: ``"p"`` or ``"p/q"`` with
 q > 0 and gcd(|p|, q) = 1.  Anything non-canonical ("2/4", "-0", "+1",
 whitespace, a trailing newline) is rejected so that parse/serialize
-round-trips are the identity.
+round-trips are the identity.  A float is binary, not the rational its
+digits spell, so it is never taken as a rational (``exact``).
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -33,17 +35,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
-    if not isinstance(q, (int, Fraction)):  # ints and Fractions carry their own terms
-        q = Fraction(q)
+def exact(q) -> Fraction | int:
+    """q as an exact rational: an int or a Fraction as it is, a Decimal as
+    its Fraction; anything else, a float or a string included, is a TypeError."""
+    if isinstance(q, (int, Fraction)):
+        return q
+    if isinstance(q, Decimal):
+        return Fraction(q)
+    raise TypeError(f"{type(q).__name__} {q!r} is not exact; use an int or a Fraction")
+
+
+def format_rational(q: Fraction | int) -> str:
+    q = exact(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_string(q: Fraction, places: int = 6) -> str:
+def decimal_string(q: Fraction | int, places: int = 6) -> str:
     """Render q to fixed decimal places with exact round-half-even."""
-    q = Fraction(q)
+    q = exact(q)
     sign = "-" if q < 0 else ""
     q = abs(q)
     scale = 10**places

@@ -44,24 +44,26 @@ The cut callback reads the optimum on the tableau's own integers:
 sides of the structural variables (0 for a nonbasic one), and the common
 denominator d > 0; num >= 0 because the basis is primal feasible whenever
 the callback runs.  No Fraction is built inside the cut loop; ``lp_max``
-and ``maximize`` build them once, for the optimum they return.
+builds them once, for the optimum it returns.
 
-The objective can change while the tableau lives too.  ``optimize`` (and
-``maximize``, which runs it) re-prices the objective row for a new c in the
-current basis as ``-d * c + sum(c[v] * T[i])`` over the structural basic
-variables v of rows i, again an integer combination with no division; it is
-d times the rational reduced-cost row, zero in every basic column.  The
-basis stays primal feasible, so primal Bland's rule resumes from it.
+The objective can change while the tableau lives too.  ``optimize``
+re-prices the objective row for a new c in the current basis as
+``-d * c + sum(c[v] * T[i])`` over the structural basic variables v of
+rows i, c cleared by the LCM of its denominators, again an integer
+combination with no division; it is d times that LCM times the rational
+reduced-cost row, zero in every basic column.  The basis stays primal
+feasible, so primal Bland's rule resumes from it.
 ``row_duals`` prices an objective the same way without pivoting and reads
 the slack entries: the reduced cost of a row's slack is that row's LP dual
 value, so at an optimal basis they form a dual solution that certifies the
 optimum by weak duality.
-``lp_max`` is a fresh tableau with its rows and one ``maximize``: on the
+``lp_max`` is a fresh tableau with its rows and one ``optimize``: on the
 all-slack basis with d = 1 the re-priced row is -c, so it takes the same
 pivots as a cold solve.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .linalg import cleared, eliminate, pivot_rows
 
@@ -70,14 +72,13 @@ class _Tableau:
     """Rows ``[rhs, x_1..x_n, slack_1..slack_m]`` of integers over d.
 
     Column j of a row holds variable j (1-based); ``basis[i]`` is the column
-    basic in row i, and ``obj`` is the objective row, whose rhs entry is
-    d * c_scale times the objective value.  A new tableau has no rows and
-    the zero objective; ``maximize`` prices one in.
+    basic in row i, and ``obj`` is the objective row, whose rhs entry is d
+    times the LCM of the objective's denominators times its value.  A new
+    tableau has no rows and the zero objective; ``optimize`` prices one in.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.c_scale = 1
         self.obj = [0] * (n + 1)
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
@@ -103,22 +104,15 @@ class _Tableau:
         self.rows.append(new)
         self.basis.append(len(new) - 1)
 
-    def maximize(self, c, cut=None) -> tuple[Fraction, list[Fraction]]:
-        """Optimum of c over the rows, re-priced in the current basis.
+    def optimize(self, c, cut=None) -> list[int]:
+        """Optimum of c over the rows, re-priced in the current basis: the
+        numerators over d of the optimal x.
 
         ``cut(num, d)`` gets the optimum as integers x = num / d and works as
-        in ``lp_max``; its rows stay in the tableau.  The optimum is turned
-        into Fractions once, here.
+        in ``lp_max``; its rows stay in the tableau.  With c cleared to ints
+        over its LCM scale, the objective value is ``obj[0] / (d * scale)``.
         """
-        x = self.optimize(c, cut)
-        return Fraction(self.obj[0], self.d * self.c_scale), [Fraction(v, self.d) for v in x]
-
-    def optimize(self, c, cut=None) -> list[int]:
-        """``maximize`` on integers: the numerators over d of the optimal x.
-
-        The objective value is ``obj[0] / (d * c_scale)``.
-        """
-        ints, self.c_scale = cleared(c)
+        ints, _ = cleared(c)
         self.obj = self._priced(ints)
         self.primal()
         while True:
@@ -135,11 +129,11 @@ class _Tableau:
         """The dual values of the rows for objective c, in row order, over D.
 
         They are the reduced costs of the slack columns, ``obj[n + 1 + k]``
-        over D = d * c_scale once c is priced in the current basis; the basis
-        is read, never pivoted.  Each value belongs to its row as cleared to
-        integers (the row itself when it already was).  At a basis optimal
-        for c they are an optimal LP dual: nonnegative, covering c, and
-        summing to the optimum.
+        over D = d times the LCM of c's denominators, once c is priced in the
+        current basis; the basis is read, never pivoted.  Each value belongs
+        to its row as cleared to integers (the row itself when it already
+        was).  At a basis optimal for c they are an optimal LP dual:
+        nonnegative, covering c, and summing to the optimum.
         """
         ints, scale = cleared(c)
         return self._priced(ints)[self.n + 1:], self.d * scale
@@ -232,4 +226,7 @@ def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     tab = _Tableau(len(c))
     for row, b in zip(rows, rhs, strict=True):
         tab.add_row(row, b)
-    return tab.maximize(c, cut)
+    num = tab.optimize(c, cut)
+    ints, scale = cleared(c)
+    value = Fraction(sum(map(mul, ints, num)), scale * tab.d)
+    return value, [Fraction(v, tab.d) for v in num]

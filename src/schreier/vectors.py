@@ -7,8 +7,8 @@ The sums run on integers: |x| is cleared once by the LCM of its
 denominators, so a caller compares a total with that scale where it would
 compare a rational sum with 1.  _pruned_walk answers "sums to exactly 1"
 and "best sum below 1" in one pruned walk of the admissible subsets of a
-ground (the support, or a window with zeros): the 1-sets, coverage, the
-gap and the binding sets of a pair lambda.
+ground (the support, or a window with zeros) for a vector of norm at most
+1: the 1-sets, coverage, the gap and the binding sets of a pair lambda.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
@@ -26,6 +26,7 @@ from . import cutoffs
 from .errors import UnitNormRequired
 from .families import IndexSet, enumerate_admissible, index_set
 from .linalg import cleared
+from .rationals import exact
 
 
 _ZERO = Fraction(0)
@@ -36,7 +37,7 @@ class Vector:
 
     Indices are integers (``operator.index``); values are ints, Fractions or
     rational strings, and a float, which is binary and not the rational its
-    digits spell, is a TypeError.
+    digits spell, is a TypeError; so is a float scalar (``rationals.exact``).
     """
 
     __slots__ = ("_coords", "_items")
@@ -125,13 +126,13 @@ class Vector:
         return Vector({i: -q for i, q in self._items})
 
     def __mul__(self, scalar) -> "Vector":
-        s = Fraction(scalar)
+        s = exact(scalar)
         return Vector({i: s * q for i, q in self._items})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Vector":
-        return self * (1 / Fraction(scalar))
+        return self * Fraction(1, exact(scalar))
 
     def __abs__(self) -> "Vector":
         return Vector({i: abs(q) for i, q in self._items})
@@ -231,6 +232,12 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
     """(scale, tight, below) over the admissible subsets of ``ground``, an
     increasing sequence of positive integers that may hold zeros of x.
 
+    Precondition: ||x|| <= 1, so no admissible set totals above scale.
+    Every caller holds it: one_sets, covers_index, eps_gap and
+    certify_extreme check the unit norm, lambda_lower walks only at
+    ||x|| = 1, enumerate_vertices walks vertices of the section and
+    lambda_pair a residual whose norm it has just checked.
+
     scale is the LCM of the denominators of x and the totals are sums of
     the integer sizes scale * |x|, as in admissible_sums.  tight lists the
     sets with total scale (|x| sums to exactly 1), in lexicographic order;
@@ -253,19 +260,16 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
     first at a against b.  So preorder is the lexicographic order of the
     tuples, and tight needs no sort.
 
-    Two prunes, both sound because every size is >= 0, so a descendant
-    totals at least s:
-    - s > scale: no descendant is tight or below scale.
-    - bound = s + (sum of the r largest sizes of ground[p:]) < scale.  A
-      descendant adds at most r elements of ground[p:], so totals at most
-      bound: none is tight.  The bound is attained: F plus the r largest
-      later elements (all of them, if fewer are left) keeps minimum m and
-      has m elements or fewer, so it is admissible, and it is the best
-      total of the subtree.  The walk takes bound as a candidate for below
-      and does not descend.
-    Every other node has s <= scale <= bound, and its own total counts
-    (tight at s = scale, else a candidate for below).  So tight and below
-    are those of the full listing.
+    One prune: bound = s + (sum of the r largest sizes of ground[p:]) <
+    scale.  A descendant adds at most r elements of ground[p:], so totals
+    at most bound: none is tight.  The bound is attained: F plus the r
+    largest later elements (all of them, if fewer are left) keeps minimum m
+    and has m elements or fewer, so it is admissible, and it is the best
+    total of the subtree.  The walk takes bound as a candidate for below
+    and does not descend.  Every other node is admissible, so by the
+    precondition s <= scale, and its own total counts (tight at s = scale,
+    else a candidate for below).  So tight and below are those of the full
+    listing.
     """
     ground = tuple(ground)
     values, scale = cleared(q for _, q in x.items())
@@ -292,8 +296,6 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
         r -= 1
         for q in range(p, n):
             t = s + sizes[q]
-            if t > scale:
-                continue
             bound = t + top[q + 1][r]
             if bound < scale:
                 if bound > below:
@@ -303,8 +305,6 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
 
     for q, m in enumerate(ground):
         t = sizes[q]
-        if t > scale:
-            continue
         r = min(m - 1, n - q - 1)
         bound = t + top[q + 1][r]
         if bound < scale:
@@ -313,13 +313,6 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
             continue
         visit((m,), t, q + 1, r)
     return scale, tight, below
-
-
-def _window_tight_sets(x: Vector, N: int) -> list[IndexSet]:
-    """The admissible sets of [1, N] on which |x| sums to exactly 1,
-    lexicographically, behind the window cutoff of enumerate_admissible."""
-    cutoffs.check("enumerate_admissible(k=1)", N, cutoffs.admissible_enum_limit(1))
-    return _pruned_walk(x, range(1, N + 1))[1]
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
@@ -347,6 +340,7 @@ def covered_by(sets: list[IndexSet], i: int) -> bool:
 
 def covers_index(x: Vector, i: int) -> bool:
     """True when some admissible set containing i has |x|-sum exactly 1."""
+    i = index(i)
     if i < 1:
         raise ValueError("indices are positive")
     _require_unit(x, "covers_index")

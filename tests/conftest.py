@@ -183,6 +183,11 @@ def vertices_by_combination_search(dim, rows):
     return found
 
 
+def dd_point(v) -> tuple[Fraction, ...]:
+    """The exact point num / den of a DD vertex."""
+    return tuple(Fraction(a, v.den) for a in v.num)
+
+
 def reference_newton(x: Vector, e: Vector, norming,
                      minorant_start: bool = False) -> tuple[Fraction, Vector | None, list[Fraction]]:
     """Newton search on Fraction Vectors: norming(v) returns (||v||, g) with

@@ -514,3 +514,8 @@ def test_verify_thm2_n1_degenerate():
 def test_verify_thm2_window_check():
     with pytest.raises(ValueError):
         verify_thm2(3, 4)
+
+
+def test_thm2_lambda_bound_takes_integer_indices_only():
+    with pytest.raises(TypeError):
+        thm2_lambda_bound((1.5,), 3)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -7,7 +7,7 @@ from schreier.dd import DDPolytope, box_seed
 from schreier.linalg import nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
 
-from conftest import solve_square, vertices_by_combination_search
+from conftest import dd_point, solve_square, vertices_by_combination_search
 
 
 def test_rank_basics():
@@ -41,14 +41,15 @@ def test_rank_matches_sympy(rng):
 
 
 def test_nullspace_vector(rng):
-    # The kernel vector is pinned, not just checked: it must be sympy's first
-    # nullspace basis vector (1 at the first free column, 0 at the others).
-    # Perturbation witnesses and the golden reports depend on that choice.
+    # The kernel vector is pinned, not just checked: it must be the primitive
+    # integer multiple of sympy's first nullspace basis vector (1 at the first
+    # free column, 0 at the others), positive at that column.  Perturbation
+    # witnesses and the golden reports depend on that choice.
     sympy = pytest.importorskip("sympy")
     assert nullspace_vector([], 3) == [1, 0, 0]
     assert nullspace_vector([[0, 2, 4]], 3) == [1, 0, 0]
     assert nullspace_vector([[1, 2, 4]], 3) == [-2, 1, 0]
-    assert nullspace_vector([[-2, 1]], 2) == [Fraction(1, 2), 1]
+    assert nullspace_vector([[-2, 1]], 2) == [1, 2]
     assert nullspace_vector([[1, 0], [0, Fraction(1, 3)]], 2) is None
     for _ in range(100):
         dim = rng.randint(1, 6)
@@ -59,8 +60,13 @@ def test_nullspace_vector(rng):
             assert not basis
             assert rank(rows) == dim
             continue
-        assert kernel == [Fraction(int(q.p), int(q.q)) for q in basis[0]]
-        assert all(type(v) is Fraction for v in kernel)
+        assert all(type(v) is int for v in kernel)
+        assert gcd(*kernel) == 1
+        pivots = _sympy_matrix(sympy, rows, dim).rref()[1]
+        free = min(set(range(dim)) - set(pivots))
+        assert kernel[free] > 0
+        assert [Fraction(v, kernel[free]) for v in kernel] == [
+            Fraction(int(q.p), int(q.q)) for q in basis[0]]
         for row in rows:
             assert sum(a * b for a, b in zip(row, kernel)) == 0
 
@@ -103,7 +109,8 @@ def test_lp_matches_vertex_scan(rng):
 
 def test_live_tableau_reprices_each_objective(rng):
     # One tableau keeps its basis and its cuts across 50 seeded objectives;
-    # each optimum must match a cold solve over the box and every cut.
+    # each optimum must match a cold solve over the box and every cut, and
+    # the objective row must hold it over d times the LCM of c's denominators.
     dim = 5
     box = [[int(i == j) for j in range(dim)] for i in range(dim)]
     bounds = [rng.randint(1, 4) for _ in range(dim)]
@@ -126,7 +133,8 @@ def test_live_tableau_reprices_each_objective(rng):
     rhs = bounds + [b for _, b in cuts]
     for _ in range(50):
         c = [Fraction(rng.randint(-5, 6), rng.randint(1, 4)) for _ in range(dim)]
-        value, x = tab.maximize(c, cut)
+        x = [Fraction(v, tab.d) for v in tab.optimize(c, cut)]
+        value = Fraction(tab.obj[0], tab.d * lcm(*(q.denominator for q in c)))
         assert value == lp_max(c, rows, rhs)[0]
         assert all(v >= 0 for v in x)
         for row, b in zip(rows, rhs):
@@ -140,7 +148,7 @@ def test_dd_cube_cut():
     poly = DDPolytope(3, rows, vertices)
     assert len(poly.vertices) == 8
     poly.add_constraint([1, 1, 1], Fraction(3, 2))
-    points = {v.point for v in poly.vertices}
+    points = {dd_point(v) for v in poly.vertices}
     # Four corners with coordinate sum >= 3/2 are cut; six edges cross.
     assert (Fraction(1), Fraction(1), Fraction(1)) not in points
     assert (Fraction(1), Fraction(1, 2), Fraction(0)) in points
@@ -153,16 +161,16 @@ def test_dd_simplex_from_cube():
     rows, vertices = box_seed([(0, 1)] * 2)
     poly = DDPolytope(2, rows, vertices)
     poly.add_constraint([1, 1], 1)
-    points = sorted(v.point for v in poly.vertices)
+    points = sorted(dd_point(v) for v in poly.vertices)
     assert points == [
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
     ]
     # A cut that no vertex violates keeps every vertex, in order.
-    before = [(v.point, v.tight) for v in poly.vertices]
+    before = [(dd_point(v), v.tight) for v in poly.vertices]
     poly.add_constraint([1, 1], 2)
-    assert [(v.point, v.tight) for v in poly.vertices] == before
+    assert [(dd_point(v), v.tight) for v in poly.vertices] == before
     assert len(poly.rows) == 6
 
 
@@ -170,7 +178,7 @@ def test_dd_empty_intersection_face():
     rows, vertices = box_seed([(0, 1)] * 2)
     poly = DDPolytope(2, rows, vertices)
     poly.add_constraint([1, 0], 0)  # x <= 0 collapses to a facet
-    points = sorted(v.point for v in poly.vertices)
+    points = sorted(dd_point(v) for v in poly.vertices)
     assert points == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
@@ -188,7 +196,7 @@ def test_dd_fuzz_against_combination_search(rng):
             poly.add_constraint(coeffs, b)
             all_rows.append((tuple(coeffs), b))
         expected = vertices_by_combination_search(dim, all_rows)
-        got = {v.point for v in poly.vertices}
+        got = {dd_point(v) for v in poly.vertices}
         assert got == expected, f"trial {trial}: DD {len(got)} vs oracle {len(expected)}"
 
 
@@ -212,9 +220,9 @@ def test_dd_rational_box_and_cuts_match_combination_search():
     for coeffs, b in cuts:
         poly.add_constraint(coeffs, b)
         rows.append((tuple(Fraction(a) for a in coeffs), Fraction(b)))
-        assert {v.point for v in poly.vertices} == vertices_by_combination_search(3, rows)
+        assert {dd_point(v) for v in poly.vertices} == vertices_by_combination_search(3, rows)
         _assert_lowest_terms(poly)
-    assert (Fraction(0), Fraction(2, 5), Fraction(0)) in {v.point for v in poly.vertices}
+    assert (Fraction(0), Fraction(2, 5), Fraction(0)) in {dd_point(v) for v in poly.vertices}
 
 
 def test_dd_fuzz_rational_boxes_against_combination_search(rng):
@@ -235,7 +243,7 @@ def test_dd_fuzz_rational_boxes_against_combination_search(rng):
             poly.add_constraint(coeffs, b)
             rows.append((tuple(coeffs), b))
         expected = vertices_by_combination_search(dim, rows)
-        assert {v.point for v in poly.vertices} == expected, f"trial {trial}"
+        assert {dd_point(v) for v in poly.vertices} == expected, f"trial {trial}"
         _assert_lowest_terms(poly)
 
 

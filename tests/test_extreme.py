@@ -28,7 +28,7 @@ from schreier.extreme import (
 from schreier.families import enumerate_admissible
 from schreier.lambdas import lambda_pair
 from schreier.linalg import nullspace_vector, rank
-from schreier.vectors import Vector, _window_tight_sets, covered_by, make_thm1_vector, norm, one_sets
+from schreier.vectors import Vector, _pruned_walk, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
     pairwise_maximal,
@@ -70,27 +70,32 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
     embedded = _embed(head, tail, (6, 8, 9, 11))
     calls = []
 
-    def spy(scan):
+    def spy(scan, on_window):
         def counted(*args, **kwargs):
-            calls.append(args)
+            if on_window(*args):
+                calls.append(args)
             return scan(*args, **kwargs)
 
         return counted
 
-    # A window reaches the sums through the window list or the pruned walk
-    # of the window.  Every module imports them under its own name, so
-    # every binding under schreier is replaced.
+    # A window reaches the sums through the window list or a pruned walk
+    # whose ground is not the vector's support.  Every module imports them
+    # under its own name, so every binding under schreier is replaced.
+    spies = {
+        enumerate_admissible: spy(enumerate_admissible, lambda *args: True),
+        _pruned_walk: spy(_pruned_walk, lambda x, ground: tuple(ground) != x.support),
+    }
     patched = set()
     for name, module in list(sys.modules.items()):
         if name == "schreier" or name.startswith("schreier."):
             for attr, value in list(vars(module).items()):
-                if value is enumerate_admissible or value is _window_tight_sets:
-                    monkeypatch.setattr(module, attr, spy(value))
+                if value is enumerate_admissible or value is _pruned_walk:
+                    monkeypatch.setattr(module, attr, spies[value])
                     patched.add((name, value.__name__))
     assert {
         ("schreier.extreme", "enumerate_admissible"),
         ("schreier.vectors", "enumerate_admissible"),
-        ("schreier.lambdas", "_window_tight_sets"),
+        ("schreier.lambdas", "_pruned_walk"),
     } <= patched
     assert certify_extreme(E12).verdict == EXTREME
     assert certify_extreme(embedded).verdict == EXTREME

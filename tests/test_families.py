@@ -183,3 +183,21 @@ def test_admissible_subsets_match_the_powerset_filter(rng):
             assert sorted(walk) == _powerset_filter(ground, maximal)
             if maximal:
                 assert walk == sorted(walk)
+
+
+def test_enumerate_admissible_checks_its_window_before_building_it():
+    # [1, 10^18] as a list is a MemoryError; the cutoff comes first.
+    with pytest.raises(CutoffExceeded, match=r"enumerate_admissible\(k=2\): requested 10{18} "):
+        enumerate_admissible(2, 10**18)
+
+
+def test_index_sets_take_integers_only():
+    # int() would truncate 1.9 and 2.5 and parse "2".
+    for bad in ([1.9, 2.2], ["2", "3"]):
+        with pytest.raises(TypeError):
+            index_set(bad)
+    with pytest.raises(TypeError):
+        is_admissible(["2", "3"])
+    with pytest.raises(TypeError):
+        is_maximal((2.5, 3.1))
+    assert index_set([3, True, 2, 3]) == (1, 2, 3)

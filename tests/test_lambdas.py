@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from schreier.errors import UnitNormRequired
+from schreier import lambdas as lambdas_mod
+from schreier.errors import CutoffExceeded, UnitNormRequired
 from schreier.extreme import (
     SignedConstraint,
     _class_positive_vertices,
@@ -570,3 +571,18 @@ def test_verify_thm1_report_is_frozen():
         report.claims["iii"] = True
     assert isinstance(report.violations, tuple)
     assert verify_thm1(4, 10).claims["iii"] is False
+
+
+def test_lambda_pair_refuses_a_far_window_before_the_line(monkeypatch):
+    # The Newton line is dense over [1, max index of x and e], so a window
+    # past the order-1 cutoff is refused before its first step, even for
+    # x = e, where the line would answer 1 at once.
+    def no_line(*args):
+        raise AssertionError("the Newton line ran")
+
+    monkeypatch.setattr(lambdas_mod, "max_feasible_weight", no_line)
+    far = Vector({2: Fraction(1, 2), 10**9: Fraction(1, 2)})
+    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
+        lambda_pair(far, E1)
+    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
+        lambda_pair(Vector.unit(25), Vector.unit(25))

@@ -397,3 +397,11 @@ def test_cli_lambda_table_report(tmp_path, capsys):
 
 def test_cli_lambda_table_range_error():
     assert run(["report", "lambda-table", "--n-from", "3", "--n-to", "4"]) == 2
+
+
+def test_rationals_refuse_floats():
+    # Fraction(0.1) is the binary double 3602879701896397/36028797018963968.
+    for render in (format_rational, decimal_string):
+        with pytest.raises(TypeError, match="float"):
+            render(0.1)
+    assert decimal_string(Fraction(1, 3)) == "0.333333" and decimal_string(2) == "2.000000"

@@ -382,3 +382,13 @@ def test_vector_rejects_float_indices_and_values():
         with pytest.raises(TypeError, match="float"):
             Vector({1: value})
     assert Vector({True: "1/2", 2: Fraction(1, 3)}) == Vector({1: Fraction(1, 2), 2: Fraction(1, 3)})
+
+
+def test_vector_scalars_and_indices_are_exact():
+    v = Vector({1: 1, 3: Fraction(-1, 2)})
+    for scaled in (lambda: v * 0.1, lambda: 0.1 * v, lambda: v / 0.5, lambda: v * "1/2"):
+        with pytest.raises(TypeError, match="not exact"):
+            scaled()
+    assert v * Fraction(2, 3) == 2 * v / 3 == Vector({1: Fraction(2, 3), 3: Fraction(-1, 3)})
+    with pytest.raises(TypeError):
+        covers_index(Vector({3: Fraction(1, 2), 4: Fraction(1, 2)}), 3.5)
