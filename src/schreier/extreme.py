@@ -18,13 +18,17 @@ certified once, on its canonical embedding with the tail on [m+1, 2m];
 certification is invariant under moving the tail to any legal F and
 permuting it (see _positive_pool), so every other embedding is
 extreme by construction.
+
+Both enumerations end in one signed-list helper, _signed_points: it takes
+nonnegative integer rows over one denominator, expands every sign
+pattern and sorts on integer keys into the canonical order.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from operator import itemgetter
+from math import lcm
 
 from . import cutoffs
 from .dd import DDPolytope, box_seed
@@ -232,22 +236,38 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration for the full section polytope (small windows): double
-# description of its nonnegative part, then every sign pattern.
+# description of its nonnegative part, then every sign pattern through the
+# signed-list helper that the in-space list shares.
 
 
-def canonical_key(v: Vector, N: int):
-    """Deterministic vector order: by magnitude then sign, coordinatewise."""
-    return tuple((abs(v[i]), 0 if v[i] >= 0 else 1) for i in range(1, N + 1))
+def _signed_points(rows, D: int) -> list[Vector]:
+    """Every sign pattern of the points rows / D, in canonical order.
 
-
-def _sign_patterns(v: Vector):
-    """v under every sign pattern of its support, all signs kept first.
-
-    Yields (bits, u): bits[k] is 1 where u negates the k-th support index.
+    ``rows`` are distinct nonnegative integer rows on [1, N] over D > 0.
+    The canonical order compares two points coordinatewise on the pairs
+    (|u_i|, b_i), i in [1, N], where b_i = 1 if u_i < 0 and 0 otherwise.
+    A point u = s r / D gets the integer key of 2 r_i + b_i over [1, N].
+    Its pairs are (r_i / D, b_i), and (r_i, b_i) -> 2 r_i + b_i is strictly
+    increasing in their lexicographic order (b_i is 0 or 1), so sorting on
+    the keys gives the canonical order.  The signed points are distinct,
+    so no keys tie.  Each key value k stands for (-1)^(k mod 2) (k // 2) / D,
+    one Fraction per distinct value.
     """
-    signed = [(i, q, -q) for i, q in v.items()]
-    for bits in product((0, 1), repeat=len(signed)):
-        yield bits, Vector({i: neg if b else q for (i, q, neg), b in zip(signed, bits)})
+    keys = []
+    for row in rows:
+        base = [2 * a for a in row]
+        support = [i for i, a in enumerate(row) if a]
+        for bits in product((0, 1), repeat=len(support)):
+            key = base[:]
+            for i, b in zip(support, bits):
+                key[i] += b
+            keys.append(tuple(key))
+    keys.sort()
+    value = {}
+    for a in {a for row in rows for a in row if a}:
+        value[2 * a] = Fraction(a, D)
+        value[2 * a + 1] = -value[2 * a]
+    return [Vector({i: value[k] for i, k in enumerate(key, start=1) if k}) for key in keys]
 
 
 def _maximal_in_window(N: int) -> list[IndexSet]:
@@ -269,9 +289,10 @@ def enumerate_vertices(N: int) -> list[Vector]:
     Double description cuts the unit box with sum(v over F) <= 1 for every
     maximal admissible F, which gives the nonnegative part of the section.
     A vertex of that part is a vertex of the section when its active rows
-    have full rank; the sign patterns of those vertices are the rest.  At
-    N = 0 the box has one vertex, the empty point, which is the zero vector
-    and is dropped, so the list is empty.
+    have full rank; the sign patterns of those vertices are the rest.  The
+    kept vertices go to _signed_points as rows over the LCM D of their
+    denominators.  At N = 0 the box has one vertex, the empty point, which
+    is the zero vector and is dropped, so D = 1 and the list is empty.
     """
     if N < 0:
         raise ValueError("window must be >= 0")
@@ -280,15 +301,13 @@ def enumerate_vertices(N: int) -> list[Vector]:
     for F in _maximal_in_window(N):
         poly.add_constraint([1 if i in F else 0 for i in range(1, N + 1)], 1)
 
-    reps = []
+    kept = []
     for vert in poly.vertices:
         v = Vector({i: Fraction(a, vert.den) for i, a in enumerate(vert.num, start=1) if a})
         if v and _active_rank(v, _one_sets(v), N) == N:
-            reps.append(v)
-
-    out = [u for v in reps for _, u in _sign_patterns(v)]
-    out.sort(key=lambda u: canonical_key(u, N))
-    return out
+            kept.append(vert)
+    D = lcm(*(vert.den for vert in kept))
+    return _signed_points([tuple(a * (D // vert.den) for a in vert.num) for vert in kept], D)
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +318,38 @@ def enumerate_vertices(N: int) -> list[Vector]:
 # only on positions, not on the actual tail indices: head value 1 at
 # position 1, tail summing to 1, and for every head position t in [2, m]
 # each (t-1)-subset A of the later positions gives value(t) + sum(A) <= 1.
-
-
-def _embed(head: tuple[Fraction, ...], tail: tuple[Fraction, ...], F) -> Vector:
-    """The vector with head on [1, len(head)] and tail on F, in order."""
-    coords = dict(enumerate(head, start=1))
-    coords.update(zip(F, tail))
-    return Vector(coords)
+# The pool clears its classes to integer rows, and the signed list expands
+# them through _signed_points, like the section vertices above.
 
 
 def _class_polytope_pieces(m: int):
     """Seed rows/vertices and cut rows for the sorted-tail class polytope.
 
     Reduced coordinates: (v_2..v_m, w_1..w_{m-1}) with w_m = 1 - sum(w).
-    The seed is the product of the v-box [0,1]^(m-1) with the sorted
-    probability simplex; the cuts are the head-subset + tail-prefix rows
-    (with sorted tails those dominate every later-position subset).
+    The seed is the product of the v-box [0,1]^(m-1), from box_seed like
+    the box of enumerate_vertices, with the sorted probability simplex; the
+    cuts are the head-subset + tail-prefix rows (with sorted tails those
+    dominate every later-position subset).  At m = 1 there are no
+    coordinates: the one seed vertex is the empty point, head (1,) and
+    tail (1,), and no row cuts it.
     """
     n_v = m - 1
     n_w = m - 1
     dim = n_v + n_w
 
-    seed_rows = []
-    for t in range(n_v):
-        row = [0] * dim
-        row[t] = -1
-        seed_rows.append((row, 0))
-        row = [0] * dim
-        row[t] = 1
-        seed_rows.append((row, 1))
+    box_rows, corners = box_seed([(0, 1)] * n_v)
+    seed_rows = [(row + [0] * n_w, b) for row, b in box_rows]
     for i in range(n_w - 1):  # w_{i+1} <= w_i
         row = [0] * dim
         row[n_v + i + 1] = 1
         row[n_v + i] = -1
         seed_rows.append((row, 0))
-    row = [0] * dim  # w_m <= w_{m-1}
-    for i in range(n_w - 1):
-        row[n_v + i] = -1
-    row[n_v + n_w - 1] = -2
-    seed_rows.append((row, -1))
+    if n_w:  # w_m <= w_{m-1}
+        row = [0] * dim
+        for i in range(n_w - 1):
+            row[n_v + i] = -1
+        row[n_v + n_w - 1] = -2
+        seed_rows.append((row, -1))
     row = [0] * dim  # w_m >= 0
     for i in range(n_w):
         row[n_v + i] = 1
@@ -347,11 +359,7 @@ def _class_polytope_pieces(m: int):
     for j in range(1, m + 1):
         ws = [Fraction(1, j)] * j + [Fraction(0)] * (m - j)
         simplex_vertices.append(tuple(ws[:n_w]))
-    seed_vertices = [
-        corner + w
-        for corner in product((0, 1), repeat=n_v)
-        for w in simplex_vertices
-    ]
+    seed_vertices = [corner + w for corner in corners for w in simplex_vertices]
 
     cut_rows = []
     for t in range(2, m + 1):
@@ -386,7 +394,7 @@ def _class_reps(m: int, pieces) -> tuple:
             continue
         head = (Fraction(1),) + tuple(Fraction(v, d) for v in vs)
         ws = tuple(Fraction(w, d) for w in ws) + (Fraction(last, d),)
-        canonical = _embed(head, ws, range(m + 1, 2 * m + 1))
+        canonical = Vector(enumerate(head + ws, start=1))  # the tail on [m+1, 2m]
         if certify_extreme(canonical).verdict == EXTREME:
             reps.append((head, ws))
     reps.sort()
@@ -399,12 +407,9 @@ def _class_positive_vertices(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[
 
     Returns (head, tail) pairs with head[0] == 1 and tail sorted
     descending; tails are interchangeable, so each pair stands for its
-    whole arrangement orbit.  For m >= 2 each pair is a vertex of the DD
-    output certified EXTREME on its canonical embedding (tail on
-    [m+1, 2m]); the one class of m = 1 is e_1 + e_2.
+    whole arrangement orbit.  Each pair is a vertex of the DD output
+    certified EXTREME on its canonical embedding (tail on [m+1, 2m]).
     """
-    if m == 1:
-        return (((Fraction(1),), (Fraction(1),)),)
     return _class_reps(m, _class_polytope_pieces(m))
 
 
@@ -447,11 +452,11 @@ def _positive_pool(N: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], .
     stays a non-maximal 1-set.  Hence EXTREME holds for every embedding
     exactly when it holds for the canonical one.
 
-    The points are in canonical order, the order of ``rows.sort()``.  For
-    e >= 0 every sign bit of canonical_key(e, N) is 0, so the key orders
-    the points as the value tuples (e_1, ..., e_N) in lexicographic order.
-    q -> qD is strictly increasing, so that is the lexicographic order of
-    the rows.  No two points tie: points with different (m, F) have
+    The points are in canonical order (see _signed_points), the order of
+    ``rows.sort()``.  For e >= 0 every sign bit is 0, so the order is that
+    of the value tuples (e_1, ..., e_N), lexicographically.  q -> qD is
+    strictly increasing, so that is the lexicographic order of the rows.
+    No two points tie: points with different (m, F) have
     different supports [1, m] + F, since every value is positive; on one
     support, two points with different heads differ on [1, m], and two
     with one head differ on F, being distinct arrangements of one tail or
@@ -486,28 +491,13 @@ def enumerate_extreme_in_space(N: int) -> list[Vector]:
     The output is closed under sign flips (the norm is 1-unconditional), so
     it is the positive list expanded over all sign patterns.  The signed
     list grows as 4^(|F|) per support; lambda_lower and verify_thm1 scan
-    positive_extreme_points instead.
-
-    The expansion is sorted on integers: a point u = s e, e in the pool with
-    row r over D, gets the key of 2 r_i + b_i over i in [1, N], b_i = 1
-    where u_i < 0.  canonical_key(u, N) has the pairs (|u_i|, b_i) =
-    (r_i / D, b_i), and (r_i, b_i) -> 2 r_i + b_i is strictly increasing
-    in their lexicographic order (b_i is 0 or 1), so both keys give the same
-    order.  The signed points are distinct, so no keys tie.
+    positive_extreme_points instead.  The expansion is _signed_points of
+    the pool's rows.
 
     The signed list has its own window cutoff, below the pool's and checked
     before the pool is built: at window 12 it would hold 9,257,980 points.
     """
     _check_extreme_cutoff(N)
     cutoffs.check("signed in-space list", N, cutoffs.extreme_signed_enum_limit())
-    points, rows, _ = _positive_pool(N)
-    keyed = []
-    for e, row in zip(points, rows):
-        support, base = e.support, [2 * a for a in row]
-        for bits, u in _sign_patterns(e):
-            key = base[:]
-            for i, b in zip(support, bits):
-                key[i - 1] += b
-            keyed.append((tuple(key), u))
-    keyed.sort(key=itemgetter(0))
-    return [u for _, u in keyed]
+    _, rows, D = _positive_pool(N)
+    return _signed_points(rows, D)

@@ -9,6 +9,7 @@ admissible_subsets is the one full walk of S_1, over a window or any
 ground; the |x|-sum questions that prune it walk in vectors._pruned_walk.
 """
 
+import re
 from collections.abc import Iterable
 from itertools import combinations
 from operator import index
@@ -17,6 +18,9 @@ from . import cutoffs
 from .errors import VectorFormatError
 
 IndexSet = tuple[int, ...]
+# A positive base-10 index as the file formats and the CLI write it: ASCII
+# digits, no sign, no leading zero, no underscore.
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def index_set(elements: Iterable[int]) -> IndexSet:
@@ -39,12 +43,13 @@ def parse_index_set(text: str) -> IndexSet:
     body = text[1:-1].strip()
     if not body:
         return ()
-    try:
-        items = [int(part.strip()) for part in body.split(",")]
-    except ValueError as exc:
-        raise VectorFormatError(f"bad index set literal {text!r}: {exc}") from None
-    if any(i < 1 for i in items):
-        raise VectorFormatError(f"index set {text!r} has non-positive entries")
+    parts = [part.strip() for part in body.split(",")]
+    bad = next((part for part in parts if not _INDEX_RE.fullmatch(part)), None)
+    if bad is not None:
+        raise VectorFormatError(
+            f"bad index set literal {text!r}: {bad!r} is not a positive base-10 index"
+        )
+    items = [int(part) for part in parts]
     if sorted(items) != items or len(set(items)) != len(items):
         raise VectorFormatError(f"index set {text!r} must be strictly increasing")
     return tuple(items)

@@ -52,15 +52,14 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_string(q: Fraction | int, places: int = 6) -> str:
-    """Render q to fixed decimal places with exact round-half-even."""
+def decimal_string(q: Fraction | int) -> str:
+    """Render q to six decimal places with exact round-half-even."""
     q = exact(q)
     sign = "-" if q < 0 else ""
     q = abs(q)
-    scale = 10**places
-    scaled, rem = divmod(q.numerator * scale, q.denominator)
+    scaled, rem = divmod(q.numerator * 10**6, q.denominator)
     twice = 2 * rem
     if twice > q.denominator or (twice == q.denominator and scaled % 2 == 1):
         scaled += 1
-    whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"

@@ -7,17 +7,15 @@ rationals are all rejected, which makes parse/serialize a bijection.
 
 import hashlib
 import json
-import re
 
 from .errors import VectorFormatError
 from .extreme import ExtremenessCertificate, SignedConstraint
-from .families import format_index_set
+from .families import _INDEX_RE, format_index_set
 from .rationals import format_rational, parse_rational
 from .vectors import Vector
 
 SPACE_PRIMAL = "schreier"
 SPACE_DUAL = "schreier-dual"
-_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def vector_to_payload(v: Vector, space: str = SPACE_PRIMAL, order: int = 1) -> dict:

@@ -57,6 +57,25 @@ def in_schreier_family(F: tuple[int, ...], k: int) -> bool:
     return tiles(F, F[0])
 
 
+def canonical_key(v: Vector, N: int):
+    """The canonical order on [1, N]: by magnitude then sign, coordinatewise."""
+    return tuple((abs(v[i]), 0 if v[i] >= 0 else 1) for i in range(1, N + 1))
+
+
+def sign_patterns(v: Vector):
+    """v under every sign pattern of its support, all signs kept first."""
+    support = v.support
+    for signs in product((1, -1), repeat=len(support)):
+        yield Vector({i: s * v[i] for i, s in zip(support, signs)})
+
+
+def embed(head, tail, F) -> Vector:
+    """The vector with head on [1, len(head)] and tail on F, in order."""
+    coords = dict(enumerate(head, start=1))
+    coords.update(zip(F, tail))
+    return Vector(coords)
+
+
 def reference_failed_conditions(e: Vector) -> list[str]:
     """The six necessary conditions for extremality, each checked as stated.
 
@@ -255,9 +274,7 @@ def signed_lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     """
     best_lam, best_e = Fraction(-1), None
     for v in positive_extreme_points(window):
-        support = v.support
-        for signs in product((1, -1), repeat=len(support)):
-            e = Vector({i: s * v[i] for i, s in zip(support, signs)})
+        for e in sign_patterns(v):
             lam, _, _ = reference_max_feasible_weight(x, e)
             if lam > best_lam:
                 best_lam, best_e = lam, e

@@ -13,12 +13,11 @@ from schreier.extreme import (
     NOT_EXTREME,
     SignedConstraint,
     _active_rank_rows,
+    _class_polytope_pieces,
     _class_positive_vertices,
-    _embed,
+    _class_reps,
     _maximal_in_window,
     _positive_pool,
-    _sign_patterns,
-    canonical_key,
     certify_extreme,
     enumerate_extreme_in_space,
     enumerate_vertices,
@@ -31,12 +30,15 @@ from schreier.linalg import nullspace_vector, rank
 from schreier.vectors import Vector, _pruned_walk, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
+    canonical_key,
+    embed,
     pairwise_maximal,
     powerset_admissible,
     random_unit_vector,
     reference_active_rows,
     reference_admissible_sums,
     reference_failed_conditions,
+    sign_patterns,
     solve_square,
     vertices_by_combination_search,
 )
@@ -67,7 +69,7 @@ def test_active_rank_rows_match_the_signed_active_constraints():
 
 def test_extreme_certificates_scan_no_window(monkeypatch):
     head, tail = _class_positive_vertices(4)[0]  # built before counting
-    embedded = _embed(head, tail, (6, 8, 9, 11))
+    embedded = embed(head, tail, (6, 8, 9, 11))
     calls = []
 
     def spy(scan, on_window):
@@ -383,7 +385,7 @@ def test_in_space_integer_sort_is_the_canonical_order():
         assert len(set(points)) == len(points)
         assert points == sorted(points, key=lambda v: canonical_key(v, N))
         assert sorted(points, key=lambda v: v.items()) == sorted(
-            (u for e in positive_extreme_points(N) for _, u in _sign_patterns(e)),
+            (u for e in positive_extreme_points(N) for u in sign_patterns(e)),
             key=lambda v: v.items())
 
 
@@ -486,7 +488,7 @@ def _brute_class(m):
             continue
         head = (Fraction(1),) + tuple(sol[: m - 1])
         tail = tuple(sorted(sol[m - 1 :], reverse=True))
-        if certify_extreme(_embed(head, tail, range(m + 1, 2 * m + 1))).verdict == EXTREME:
+        if certify_extreme(embed(head, tail, range(m + 1, 2 * m + 1))).verdict == EXTREME:
             sols.add((head, tail))
     return sorted(sols)
 
@@ -500,8 +502,6 @@ def test_class_vertices_match_brute_force(m):
 def test_class_vertices_insertion_order_independent(m, rng):
     # Double-description output must not depend on the cut order; shuffled
     # and reversed insertions exercise different adjacency decisions.
-    from schreier.extreme import _class_polytope_pieces, _class_reps
-
     *seed, cut_rows = _class_polytope_pieces(m)
     baseline = _class_positive_vertices(m)
     assert _class_reps(m, (*seed, list(reversed(cut_rows)))) == baseline
@@ -512,6 +512,9 @@ def test_class_vertices_insertion_order_independent(m, rng):
 
 def test_class_reps_known_members():
     assert ((Fraction(1),), (Fraction(1),)) in _class_positive_vertices(1)
+    # The class polytope of m = 1 has dimension 0; its one vertex is
+    # e_1 + e_2, certified like every other class.
+    assert _class_reps(1, _class_polytope_pieces(1)) == (((1,), (1,)),)
     m2 = _class_positive_vertices(2)
     assert ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))) in m2
     m5 = _class_positive_vertices(5)

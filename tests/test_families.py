@@ -157,6 +157,14 @@ def test_index_set_parse_format():
         index_set([0, 1])
 
 
+def test_index_set_literal_takes_only_plain_indices():
+    # int() would read a sign, a leading zero, an underscore or a non-ASCII
+    # digit; an index is written as vector files write it.
+    for text in ("{+2,3}", "{02,3}", "{1_0}", "{\u0663}"):
+        with pytest.raises(VectorFormatError, match="bad index set literal"):
+            parse_index_set(text)
+
+
 def test_maximal_walk_agrees_with_filter():
     for N in (4, 6, 8):
         full = enumerate_admissible(1, N)

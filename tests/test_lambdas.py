@@ -8,7 +8,6 @@ from schreier.errors import CutoffExceeded, UnitNormRequired
 from schreier.extreme import (
     SignedConstraint,
     _class_positive_vertices,
-    _embed,
     positive_extreme_points,
 )
 from schreier.cutoffs import admissible_enum_limit
@@ -28,6 +27,7 @@ from schreier.lambdas import (
 from schreier.vectors import Vector, admissible_sums, make_thm1_vector, norm, one_sets
 
 from conftest import (
+    embed,
     random_unit_vector,
     random_vector,
     reference_admissible_sums,
@@ -304,7 +304,7 @@ def _placed_extreme_point(rng, index_max):
     m = rng.randint(1, index_max // 2)
     head, tail = rng.choice(_class_positive_vertices(m))
     F = sorted(rng.sample(range(m + 1, index_max + 1), m))
-    e = _embed(head, rng.sample(tail, m), F)
+    e = embed(head, rng.sample(tail, m), F)
     return e.flip_signs(i for i in e.support if rng.random() < 0.5)
 
 

@@ -291,6 +291,7 @@ def test_cli_admissible(capsys):
     assert "admissible: true" in out and "maximal: false" in out
     assert run(["admissible", "--set", "{2,3}", "--order", "2"]) == 0
     assert run(["admissible", "--set", "{3,2}"]) == 2
+    assert run(["admissible", "--set", "{1_0}"]) == 2  # int() would read 10
     assert run(["admissible", "--set", "{2,3}", "--order", "3000"]) == 0
     assert "admissible: true" in capsys.readouterr().out
 
