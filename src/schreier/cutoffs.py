@@ -6,8 +6,10 @@ defaults keep all operations at desk scale.
 """
 
 import os
+from string import whitespace
 
 from .errors import CutoffExceeded
+from .rationals import _INDEX_RE
 
 ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support walks alike
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
@@ -22,17 +24,19 @@ DUAL_WINDOW_MAX = 1024
 
 
 def _limit(default: int) -> int:
-    """The positive integer in SCHREIER_MAX_DIM, default if unset or blank."""
-    raw = os.environ.get("SCHREIER_MAX_DIM")
-    if raw is None or raw.strip() == "":
+    """The positive integer in SCHREIER_MAX_DIM, default if unset or blank.
+
+    The value is written as an index is (rationals._INDEX_RE), with only
+    ASCII whitespace around it: int() would also read "1_0", "+7", "07"
+    and non-ASCII digits.
+    """
+    raw = os.environ.get("SCHREIER_MAX_DIM", "")
+    text = raw.strip(whitespace)
+    if not text:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if not _INDEX_RE.fullmatch(text):
         raise ValueError(f"SCHREIER_MAX_DIM must be a positive integer, got {raw!r}")
-    return value
+    return int(text)
 
 
 def admissible_enum_limit(k: int) -> int:

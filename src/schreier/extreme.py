@@ -7,7 +7,10 @@ admissible-set constraints have full rank on the window [1, max supp e]
 window, so (a)+(b) is equivalent to extremality in the full ball.  Every
 other unit vector is certified NOT_EXTREME with a perturbation witness w,
 ||e + w|| <= 1 and ||e - w|| <= 1; certify_extreme proves that the witness
-search one index past the support always finds one.
+search one index past the support always finds one.  The rank rows and the
+perturbation direction live on supp e: the zeros that the 1-sets cover each
+add one unit row, so they are counted, not built, and a certificate costs
+the same wherever its support indices lie.
 
 In-space enumeration exploits the forced shape of extreme supports:
 supp e = [1, m] + F for the unique non-maximal 1-set F with |F| = m and
@@ -63,34 +66,33 @@ class ExtremenessCertificate:
     failed_conditions: list[str] = field(default_factory=list)
 
 
-def _active_rank_rows(e: Vector, sets: list[IndexSet], N: int) -> list[list[int]]:
-    """Rank-equivalent compact basis of the active constraints at e on [1, N].
+def _non_maximal(sets: list[IndexSet]) -> IndexSet | None:
+    """The non-maximal 1-set among the 1-sets ``sets`` (min F > |F|), or
+    None; there is at most one (see _failed_conditions)."""
+    return next((F for F in sets if F[0] > len(F)), None)
 
-    ``sets`` are the 1-sets of e.  A tight set of the window is a 1-set plus
-    zeros of e that the 1-set covers, and both signs are tight at a zero, so
-    the rows are the signed indicator of each 1-set (inside supp e) and a
-    unit row for each zero of e in [1, N] that ``covered_by`` the 1-sets.
-    """
-    rows: list[list[int]] = []
-    for F in sets:
-        row = [0] * N
-        for i in F:
-            row[i - 1] = 1 if e[i] > 0 else -1
-        rows.append(row)
-    for z in range(1, N + 1):
-        if z not in e and covered_by(sets, z):
-            row = [0] * N
-            row[z - 1] = 1
-            rows.append(row)
-    return rows
+
+def _support_rows(e: Vector, sets: list[IndexSet]) -> list[list[int]]:
+    """The signed indicator of each 1-set in ``sets``, on the columns supp e."""
+    return [[(1 if q > 0 else -1) if i in F else 0 for i, q in e.items()] for F in sets]
 
 
 def _active_rank(e: Vector, sets: list[IndexSet], N: int) -> int:
-    """Rank of the active constraints at e on the window [1, N]."""
-    # The rows grow with the window, not with the support: bound the window
-    # as a window scan would.
-    cutoffs.check("active rank window", N, cutoffs.admissible_enum_limit(1))
-    return rank(_active_rank_rows(e, sets, N))
+    """Rank of the active constraints at e on the window [1, N], N >= max supp e.
+
+    ``sets`` are the 1-sets of e.  A tight set of the window is a 1-set plus
+    zeros of e that the 1-set covers, and both signs are tight at a zero, so
+    the active rows span the signed row of each 1-set, which lives on
+    supp e, and a unit row for each covered zero.  The rows are
+    block-diagonal, so the rank is the rank of the support rows plus the
+    number of covered zeros.  A zero z lies in no 1-set, and it extends a
+    maximal G never, as min(G[0], z) <= |G|.  It extends the non-maximal
+    1-set F, m = |F|, exactly when z > m.  supp e lies in [1, m] + F, so the
+    covered zeros are the N - 2m indices of (m, N] off F; without F there
+    are none.
+    """
+    F = _non_maximal(sets)
+    return rank(_support_rows(e, sets)) + (N - 2 * len(F) if F else 0)
 
 
 def _failed_conditions(e: Vector, sets: list[IndexSet]) -> list[str]:
@@ -109,7 +111,7 @@ def _failed_conditions(e: Vector, sets: list[IndexSet]) -> list[str]:
     which holds when i is off the support.  Without a non-maximal 1-set,
     max supp e + 1 is uncovered (see certify_extreme).
     """
-    F = next((G for G in sets if G[0] > len(G)), None)
+    F = _non_maximal(sets)
     if F is None:
         return ["non_maximal_one_set_exists", "coverage"]
     head = range(1, len(F) + 1)
@@ -127,10 +129,20 @@ def perturbation_witness(
     (preferring a plain uncovered coordinate), scaled by half the worst
     slack-to-action ratio, then re-verified against the norm oracle.
 
-    The 1-sets give the rank rows and the uncovered coordinates.  An
-    uncovered index is a zero column of the rank rows, so the rows are
-    rank-deficient whenever one exists.  Otherwise their kernel is trivial
-    exactly when they have full rank, and then no witness exists.
+    The direction is found on supp e.  An uncovered index is a zero column
+    of the active rows, and the first one in the window is taken.  With a
+    non-maximal 1-set F, m = |F|, every index past m is covered and every
+    other index is uncovered exactly when it lies in no 1-set (see
+    _failed_conditions).  Without F that holds for every index, and
+    max supp e + 1 lies in no 1-set.  So the first uncovered index of the
+    window is the first index of [1, m], or of [1, max supp e + 1], that
+    is uncovered, and the search passes at most |supp e| covered indices.
+    If the window has none, the unit row of each of its zeros zeroes the
+    kernel there and makes that column a pivot column.  The kernel is then
+    the kernel of the support rows, padded with zeros: the same first free
+    column and the same primitive vector (linalg.nullspace_vector).  It is
+    trivial exactly when those rows have full rank, and then no witness
+    exists.
 
     The slack sets are scanned over G = supp e + supp direction, not over
     the window.  Dropping an index of F where both e and the direction
@@ -140,26 +152,23 @@ def perturbation_witness(
     least ratio.
 
     A caller that has checked that e is a unit vector and found its 1-sets
-    passes them as ``sets``; both steps are then skipped, and so is the
-    window cutoff, which bounds the rank rows of a public call as a window
-    scan would (certify_extreme bounds the support and asks one index past
-    it).
+    passes them as ``sets``; both steps are then skipped.
     """
     if sets is None:
         _require_unit(e, "perturbation_witness")
+        sets = _one_sets(e)
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
-    if sets is None:
-        cutoffs.check("perturbation_witness window", window, cutoffs.admissible_enum_limit(1))
-        sets = _one_sets(e)
-    uncovered = [i for i in range(1, window + 1) if not covered_by(sets, i)]
-    if uncovered:
-        direction = [0] * window
-        direction[uncovered[0] - 1] = 1
+    F = _non_maximal(sets)
+    last = min(window, len(F) if F else e.max_index + 1)
+    first = next((i for i in range(1, last + 1) if not covered_by(sets, i)), None)
+    if first is not None:
+        direction = {first: 1}
     else:
-        direction = nullspace_vector(_active_rank_rows(e, sets, window), window)
-        if direction is None:
+        kernel = nullspace_vector(_support_rows(e, sets), len(e))
+        if kernel is None:
             return None
+        direction = {i: d for i, d in zip(e.support, kernel) if d}
 
     # w = s * direction, an integer unit or primitive kernel vector; every
     # bound on s below scales as 1 / the direction's scale, so w does not
@@ -169,11 +178,10 @@ def perturbation_witness(
     # action of the direction on F; the least (scale - total) / action is
     # found on integers.  A nonzero coordinate j of the direction always
     # gives a bound, from e_j or from the slack singleton {j}.
-    bounds = [abs(e[i]) / (2 * abs(d)) for i, d in enumerate(direction, start=1) if d and i in e]
-    ground = set(e.support).union(i for i, d in enumerate(direction, start=1) if d)
+    bounds = [abs(e[i]) / (2 * abs(d)) for i, d in direction.items() if i in e]
+    ground = set(e.support).union(direction)
     scale, sums = admissible_sums(e, enumerate_admissible(1, window, ground))
-    act = [0] + [abs(d) for d in direction]
-    at = act.__getitem__
+    at = (dict.fromkeys(ground, 0) | {i: abs(d) for i, d in direction.items()}).__getitem__
     least = None  # (slack, action) with the least ratio so far
     for F, total in sums:
         if total == scale:
@@ -184,7 +192,7 @@ def perturbation_witness(
     if least is not None:
         bounds.append(Fraction(least[0], 2 * scale * least[1]))
     s = min(bounds)
-    w = Vector({i: s * d for i, d in enumerate(direction, start=1) if d})
+    w = Vector({i: s * d for i, d in direction.items()})
     plus = norm(e + w, 1).value
     minus = norm(e - w, 1).value
     if plus > 1 or minus > 1:
@@ -204,28 +212,25 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
 
     That search always finds a witness.  If every 1-set is maximal, N + 1
     lies in none and extends none (min(G[0], N + 1) = G[0] = |G|), so it is
-    uncovered and its unit vector is the direction.  Otherwise N + 1 is
-    covered, and e is not a vertex: rank_N < N.  Unless some index of
-    [1, N] is uncovered (a direction again), the rank rows on [1, N + 1]
-    are those on [1, N], padded with a zero, plus the unit row of the
-    covered zero N + 1, so their rank is rank_N + 1 < N + 1 and they have
-    a kernel vector.  A witness that comes back empty is therefore a bug,
-    raised as such.
+    uncovered and its unit vector is the direction.  Otherwise e owns the
+    non-maximal F, m = |F|, and is not a vertex: rank_N < N.  Unless some
+    index of [1, m] is uncovered (a direction again), [1, m] lies in the
+    1-sets, so supp e = [1, m] + F, and the support rows have rank
+    rank_N - (N - 2m) < 2m, below their 2m columns: they have a kernel
+    vector.  A witness that comes back empty is therefore a bug, raised as
+    such.
 
-    A wider window gives the same witness.  An index j > N is uncovered
-    exactly when every 1-set is maximal, so the first uncovered index is the
-    same for every window past N.  Without one, the rank rows past N are
-    unit rows at the end, so the kernel vector is the window-N vector padded
-    with zeros.  Indices past N + 1 carry neither |e| nor the direction, so
-    dropping them from a slack set keeps it admissible and keeps its ratio;
-    the slack scan of perturbation_witness runs over supp e and the
-    direction's support only, so the window N + 1 may pass the cutoff.
+    A wider window gives the same witness.  The first uncovered index is
+    the same for every window past N, and so is the support kernel (see
+    perturbation_witness).  Indices past N + 1 carry neither |e| nor the
+    direction, so the slack scan over supp e and the direction's support
+    gives the same least ratio.
     """
     _require_unit(e, "certify_extreme")
     N = e.max_index
     sets = _one_sets(e)
     rank_n = _active_rank(e, sets, N)
-    if rank_n == N and any(F[0] > len(F) for F in sets):
+    if rank_n == N and _non_maximal(sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)
     failed = _failed_conditions(e, sets)
     witness = perturbation_witness(e, N + 1, sets=sets)

@@ -9,18 +9,16 @@ admissible_subsets is the one full walk of S_1, over a window or any
 ground; the |x|-sum questions that prune it walk in vectors._pruned_walk.
 """
 
-import re
 from collections.abc import Iterable
 from itertools import combinations
 from operator import index
+from string import whitespace
 
 from . import cutoffs
 from .errors import VectorFormatError
+from .rationals import _INDEX_RE
 
 IndexSet = tuple[int, ...]
-# A positive base-10 index as the file formats and the CLI write it: ASCII
-# digits, no sign, no leading zero, no underscore.
-_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def index_set(elements: Iterable[int]) -> IndexSet:
@@ -36,14 +34,17 @@ def index_set(elements: Iterable[int]) -> IndexSet:
 
 
 def parse_index_set(text: str) -> IndexSet:
-    """Parse the brace form used by the CLI, e.g. '{2,3,6}' or '{}'."""
-    text = text.strip()
+    """Parse the brace form used by the CLI, e.g. '{2,3,6}' or '{}'.
+
+    Only ASCII whitespace may surround the braces and the indices.
+    """
+    text = text.strip(whitespace)
     if not (text.startswith("{") and text.endswith("}")):
         raise VectorFormatError(f"index set literal must be brace-delimited, got {text!r}")
-    body = text[1:-1].strip()
+    body = text[1:-1].strip(whitespace)
     if not body:
         return ()
-    parts = [part.strip() for part in body.split(",")]
+    parts = [part.strip(whitespace) for part in body.split(",")]
     bad = next((part for part in parts if not _INDEX_RE.fullmatch(part)), None)
     if bad is not None:
         raise VectorFormatError(

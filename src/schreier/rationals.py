@@ -15,6 +15,9 @@ from math import gcd
 from .errors import VectorFormatError
 
 _RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+# A positive base-10 index as the file formats, the CLI and SCHREIER_MAX_DIM
+# write it: ASCII digits, no sign, no leading zero, no underscore.
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def parse_rational(text: str) -> Fraction:

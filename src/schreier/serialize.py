@@ -10,8 +10,8 @@ import json
 
 from .errors import VectorFormatError
 from .extreme import ExtremenessCertificate, SignedConstraint
-from .families import _INDEX_RE, format_index_set
-from .rationals import format_rational, parse_rational
+from .families import format_index_set
+from .rationals import _INDEX_RE, format_rational, parse_rational
 from .vectors import Vector
 
 SPACE_PRIMAL = "schreier"

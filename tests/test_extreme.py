@@ -12,12 +12,13 @@ from schreier.extreme import (
     EXTREME,
     NOT_EXTREME,
     SignedConstraint,
-    _active_rank_rows,
+    _active_rank,
     _class_polytope_pieces,
     _class_positive_vertices,
     _class_reps,
     _maximal_in_window,
     _positive_pool,
+    _support_rows,
     certify_extreme,
     enumerate_extreme_in_space,
     enumerate_vertices,
@@ -48,23 +49,51 @@ E12 = Vector({1: 1, 2: 1})
 X5 = make_thm1_vector(5)
 
 
-def test_active_rank_rows_match_the_signed_active_constraints():
-    # The rows built from the 1-sets and covered zeros span the same space as
-    # the full signed rows of every tight set in the window, so the rank and
-    # the reduced-echelon kernel vector agree.
+def _padded_support_kernel(e, sets, N):
+    """The kernel vector of the support rows, on [1, N] with zeros off supp e."""
+    kernel = nullspace_vector(_support_rows(e, sets), len(e))
+    if kernel is None:
+        return None
+    padded = [0] * N
+    for i, d in zip(e.support, kernel):
+        padded[i - 1] = d
+    return padded
+
+
+def _active_rank_inputs():
+    """Seeded unit vectors with a zero inside [1, max supp e], then the pool
+    points of window 8 and the midpoints of the pairs of them that share a
+    support, whose 1-sets cover every zero of their windows."""
     rng = random.Random(808)
     checked = 0
     while checked < 150:
         e = random_unit_vector(rng, max_index=6)
-        if len(e) == e.max_index:
-            continue  # no zero inside [1, max supp e]
-        checked += 1
+        if len(e) < e.max_index:
+            checked += 1
+            yield e
+    pool = positive_extreme_points(8)
+    yield from pool
+    for a, b in combinations(pool, 2):
+        if a.support == b.support:
+            yield (a + b) / 2
+
+
+def test_active_rank_rows_match_the_signed_active_constraints():
+    # The support rank plus the count of covered zeros is the rank of the
+    # full signed rows of every tight set in the window.  When every index
+    # of the window is covered, the support kernel padded with zeros is the
+    # reduced-echelon kernel vector of the full rows.
+    kernels = 0
+    for e in _active_rank_inputs():
         sets = one_sets(e)
         for N in range(e.max_index, e.max_index + 4):
             full = reference_active_rows(e, N)
-            compact = _active_rank_rows(e, sets, N)
-            assert rank(compact) == rank(full)
-            assert nullspace_vector(compact, N) == nullspace_vector(full, N)
+            assert _active_rank(e, sets, N) == rank(full), (e, N)
+            if all(covered_by(sets, i) for i in range(1, N + 1)):
+                padded = _padded_support_kernel(e, sets, N)
+                assert padded == nullspace_vector(full, N), (e, N)
+                kernels += padded is not None
+    assert kernels > 200
 
 
 def test_extreme_certificates_scan_no_window(monkeypatch):
@@ -178,7 +207,7 @@ def _reference_witness(e, window):
         q = [Fraction(0)] * window
         q[uncovered[0] - 1] = Fraction(1)
     else:
-        q = nullspace_vector(_active_rank_rows(e, sets, window), window)
+        q = nullspace_vector(reference_active_rows(e, window), window)
         if q is None:
             return None
     bounds = [Fraction(1)]
@@ -228,8 +257,9 @@ def test_not_extreme_path_checks_the_unit_norm_and_one_sets_once(monkeypatch):
 
 def test_certify_extreme_answers_at_the_last_support_indices():
     # The witness window is one index past the support, so it reaches 25
-    # at a support index of 24; the slack scan runs over the support and
-    # the direction only, so the window cutoff of 24 does not stop it.
+    # at a support index of 24; the rank rows, the direction and the slack
+    # scan live on the support and the direction only, so no window cutoff
+    # applies.
     for top in (22, 23, 24):
         cert = certify_extreme(Vector({1: 1, top: Fraction(1, 2)}))
         assert cert.verdict == NOT_EXTREME
@@ -319,16 +349,27 @@ def test_enumerate_vertices_cutoff():
         enumerate_vertices(7)
 
 
-def test_far_windows_stop_at_the_window_cutoff():
-    # The rank rows grow with the window, so a far support index or window
-    # is refused rather than eliminated.
+def test_far_indices_certify_and_lambda_pair_stops_at_its_cutoff():
+    # The rank rows live on the support and the covered zeros are counted,
+    # so a far support index or window is answered.  lambda_pair's Newton
+    # line is dense over its window, which stays under the order-1 cutoff.
     beyond = admissible_enum_limit(1) + 1
-    with pytest.raises(CutoffExceeded):
-        certify_extreme(Vector({1: 1, beyond: 1}))
-    with pytest.raises(CutoffExceeded):
-        perturbation_witness(E12, beyond)
+    cert = certify_extreme(Vector({1: 1, beyond: 1}))
+    assert (cert.verdict, cert.active_rank, cert.window) == (EXTREME, beyond, beyond)
+    assert certify_extreme(Vector({1: 1, 10**18: 1})).active_rank == 10**18
+    assert perturbation_witness(E12, beyond) is None
     with pytest.raises(CutoffExceeded):
         lambda_pair(E1, Vector({1: 1, beyond: 1}))
+    # e_12 (24 support coordinates on the window [1, 25]) and x_12 (on [1, 26]).
+    e12 = Vector({1: 1, 2: Fraction(1, 6), 3: Fraction(5, 6),
+                  **{i: Fraction(1, 12) for i in [*range(4, 13), *range(14, 26)]}})
+    cert = certify_extreme(e12)
+    assert (cert.verdict, cert.active_rank, cert.window, cert.witness) == (EXTREME, 25, 25, None)
+    cert = certify_extreme(make_thm1_vector(12))
+    assert (cert.verdict, cert.active_rank, cert.window) == (NOT_EXTREME, 15, 26)
+    assert cert.witness == Vector({4: Fraction(143, 3456)})
+    assert cert.failed_conditions == [
+        "head_is_initial_segment", "support_twice_one_set", "coverage"]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

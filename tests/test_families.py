@@ -163,6 +163,12 @@ def test_index_set_literal_takes_only_plain_indices():
     for text in ("{+2,3}", "{02,3}", "{1_0}", "{\u0663}"):
         with pytest.raises(VectorFormatError, match="bad index set literal"):
             parse_index_set(text)
+    # str.strip() would also remove Unicode whitespace; only ASCII goes.
+    for text in ("\u3000{2}\u3000", "{\u00a02,3}", "{2,\u20033}"):
+        with pytest.raises(VectorFormatError):
+            parse_index_set(text)
+    assert parse_index_set("{ 2, 3 }") == (2, 3)
+    assert parse_index_set(" {2} ") == (2,)
 
 
 def test_maximal_walk_agrees_with_filter():

@@ -155,7 +155,7 @@ def test_cli_rejects_a_file_of_another_order(tmp_path, capsys):
         loads_vector(dumps_vector(Vector({1: 1}), order=2), expect_order=1)
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1_0", "\u0663", "+7", "07"])
 def test_bad_max_dim_override_exits_2(monkeypatch, capsys, raw):
     monkeypatch.setenv("SCHREIER_MAX_DIM", raw)
     with pytest.raises(ValueError, match="SCHREIER_MAX_DIM"):
@@ -309,6 +309,15 @@ def test_cli_extreme_and_lambda(tmp_path, capsys):
     xf = _write(tmp_path, "x4.json", x4.flip_signs(x4.support[1::2]))
     assert run(["lambda", "lower", xf, "--window", "10"]) == 0
     assert "lambda >= 15/32" in capsys.readouterr().out
+    # The certificate and the witness live on the support, so neither a far
+    # support index nor a far witness window is refused.
+    far = _write(tmp_path, "far.json", Vector({1: 1, 10**18: 1}))
+    assert run(["extreme", "check", far]) == 0
+    assert f"EXTREME (active rank {10**18} on [1,{10**18}])" in capsys.readouterr().out
+    out = tmp_path / "e1-far.json"
+    assert run(["extreme", "check", e1f, "--window", str(10**12), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["window_witness"]["coords"] == {"2": "1/2"}
 
 
 def test_cli_extreme_enumerate(capsys):
