@@ -94,32 +94,37 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
         b = sum(s * v for s, v in zip(signed, ce))
         return signed, d, d * L, a, b
 
-    def functional(signed: list[int], d: int) -> Vector:
+    def functional(bound: tuple[list[int], int] | None) -> Vector | None:
+        if bound is None:
+            return None
+        signed, d = bound
         return Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
 
     signed, d, dL, a, b = step(0, 1)
     if a > dL:
         raise UnitNormRequired(f"a pair lambda needs ||x|| <= 1; got {Fraction(a, dL)}")
-    lam, binding = Fraction(1), None
+    # The binding stays (signed, d) until the return, which builds its one
+    # Vector: most callers drop it.
+    lam, bound = Fraction(1), None
     if b < a and b < dL:  # t0 = (dL - a) / (dL - b) < 1
-        lam, binding = Fraction(dL - a, dL - b), functional(signed, d)
+        lam, bound = Fraction(dL - a, dL - b), (signed, d)
         if lam == 0:
-            return lam, binding
+            return lam, functional(bound)
     while True:
         p, q = lam.numerator, lam.denominator
         signed, d, dL, a, b = step(p, q)
         slack = dL * (q - p) - (q * a - p * b)
         if slack >= 0:
-            if slack and binding is not None:
+            if slack and bound is not None:
                 value = Fraction(q * a - p * b, dL * q)
                 raise RuntimeError(f"norm {value} is below its own minorant {1 - lam}")
-            return lam, binding
+            return lam, functional(bound)
         if b >= dL:
             raise RuntimeError("a violated piece must have positive slope")
         new_lam = Fraction(dL - a, dL - b)
         if not 0 <= new_lam < lam:
             raise RuntimeError(f"Newton step to {new_lam} did not decrease within [0, {lam})")
-        lam, binding = new_lam, functional(signed, d)
+        lam, bound = new_lam, (signed, d)
 
 
 def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:

@@ -1,4 +1,4 @@
-"""Exact simplex for small LPs in standard form, on an integer tableau.
+"""Exact simplex for small LPs in standard form, on a compact integer tableau.
 
 Maximize c.x subject to A x <= b, x >= 0 with b >= 0, so the all-slack basis
 is feasible and no phase one is needed.  Bland's rule guarantees termination.
@@ -21,23 +21,45 @@ identity therefore makes the update
 pivot row stays as it is and d becomes the pivot p.  Entries grow like
 determinants, and no gcd is taken while pivoting.
 
+The tableau is compact, as in the integer dictionary of lrs (Avis 2000): a
+basic variable's column is d times a unit vector, so it is not stored.  The
+variable ids are the columns of the dense tableau ``[rhs, x, slacks]``: x_j
+is j, for 1 <= j <= n, and the slack of row k (0-based) is n + 1 + k.  Each
+row holds its rhs and one entry per nonbasic variable, ``cols[j - 1]`` being
+the variable of column j, so every row has n + 1 entries however many rows
+there are, and a pivot rewrites m (n + 1) integers where the dense tableau
+rewrites m (n + m + 1).  A pivot on (r, s) is the dense pivot with the
+basic columns left out.  The entering column becomes p e_r, implicit from
+then on.  The leaving variable's column was d e_r; with sigma the sign of
+T[r][s] (the pivot row is negated when sigma < 0), the same update makes it
+sigma d in row r, -sigma T[i][s] in every other row i and -sigma obj[s] in
+the objective, read from the entries before the pivot.  That column goes
+into column s, and the leaving and entering ids swap places in ``cols`` and
+``basis``.  Every stored entry is the dense tableau's, so d, the optimum,
+the duals and every ratio are the same.  Bland's rules compare variable
+ids, not column positions, and so take the dense tableau's pivots: primal,
+the entering variable is the lowest id with a negative reduced cost, and
+the leaving row wins the ratio test, ties to the lower basic id; dual, the
+leaving row is the infeasible one with the lowest basic id, and the
+entering column has the smallest ratio, ties to the lower id.
+
 Constraints can also arrive while the tableau lives (lazy cuts,
 warm-started as in Applegate, Cook, Dash & Espinoza 2007).  A new row
-``a.x + s = b``, cleared like the others, gets its own slack column, zero in
-every other row, and is written in terms of the current basis as
-``d * row - sum(row[v] * T[i])`` over the basic variables v of rows i; that
-zeroes its basic columns and is an integer combination, so no division is
+``a.x + s = b``, cleared like the others, gets its own slack, which becomes
+basic, so no column is added to any row.  It is written in terms of the
+current basis as ``d * row - sum(row[v] * T[i])`` over the basic variables v
+of rows i: d a_v on a nonbasic x_v, 0 on a nonbasic slack, d b on the rhs.
+In the dense tableau that zeroes its basic columns, the ones the compact
+row leaves out, and it is an integer combination, so no division is
 needed.  The starting matrix grows by that row and column, and the new basis
 (old basis plus the new slack) has the same determinant d, because the slack
 column is a unit vector; so the entries are still d times the rational
 tableau and the divisions of later pivots stay exact.  A cut that the
 optimum x violates leaves a negative right-hand side in its row while the
 reduced costs stay nonnegative, so a dual-simplex phase restores primal
-feasibility: the leaving row is the infeasible one with the lowest basic
-variable, the entering column the smallest ratio of reduced cost to minus
-the (negative) row entry, ties to the lowest index.  That is Bland's rule on
-the dual, which terminates.  A dual pivot is negative; its row is negated
-before pivoting, which keeps the pivot, and so d, positive.
+feasibility.  That is Bland's rule on the dual, which terminates.  A dual
+pivot is negative; its row is negated before pivoting, which keeps the
+pivot, and so d, positive.
 
 The cut callback reads the optimum on the tableau's own integers:
 ``cut(num, d)`` gets the numerators x_j = num[j] / d, the basic right-hand
@@ -49,14 +71,16 @@ builds them once, for the optimum it returns.
 The objective can change while the tableau lives too.  ``optimize``
 re-prices the objective row for a new c in the current basis as
 ``-d * c + sum(c[v] * T[i])`` over the structural basic variables v of
-rows i, c cleared by the LCM of its denominators, again an integer
-combination with no division; it is d times that LCM times the rational
-reduced-cost row, zero in every basic column.  The basis stays primal
-feasible, so primal Bland's rule resumes from it.
+rows i, starting from -d c_v on a nonbasic x_v and 0 on a nonbasic slack,
+c cleared by the LCM of its denominators; again an integer combination
+with no division.  It is d times that LCM times the rational reduced-cost
+row on the nonbasic columns, and zero on the basic ones.  The basis stays
+primal feasible, so primal Bland's rule resumes from it.
 ``row_duals`` prices an objective the same way without pivoting and reads
-the slack entries: the reduced cost of a row's slack is that row's LP dual
-value, so at an optimal basis they form a dual solution that certifies the
-optimum by weak duality.
+the slacks: the reduced cost of a row's slack is that row's LP dual value,
+its priced entry when the slack is nonbasic and 0 when it is basic.  At an
+optimal basis they form a dual solution that certifies the optimum by
+weak duality.
 ``lp_max`` is a fresh tableau with its rows and one ``optimize``: on the
 all-slack basis with d = 1 the re-priced row is -c, so it takes the same
 pivots as a cold solve.
@@ -69,12 +93,15 @@ from .linalg import cleared, eliminate, pivot_rows
 
 
 class _Tableau:
-    """Rows ``[rhs, x_1..x_n, slack_1..slack_m]`` of integers over d.
+    """Compact rows ``[rhs, one entry per nonbasic column]`` of integers over d.
 
-    Column j of a row holds variable j (1-based); ``basis[i]`` is the column
-    basic in row i, and ``obj`` is the objective row, whose rhs entry is d
-    times the LCM of the objective's denominators times its value.  A new
-    tableau has no rows and the zero objective; ``optimize`` prices one in.
+    Variable ids are 1..n for x and n + 1 + k for the slack of row k.
+    ``cols[j - 1]`` is the variable of column j, ``basis[i]`` the variable
+    basic in row i, whose unit column d e_i is implicit, and ``obj`` is the
+    objective row, whose rhs entry is d times the LCM of the objective's
+    denominators times its value.  Every row, the objective included, has
+    n + 1 entries however many rows there are.  A new tableau has no rows
+    and the zero objective; ``optimize`` prices one in.
     """
 
     def __init__(self, n: int):
@@ -82,27 +109,24 @@ class _Tableau:
         self.obj = [0] * (n + 1)
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
+        self.cols = list(range(1, n + 1))
         self.d = 1
 
     def add_row(self, row, b) -> None:
-        """Append a.x <= b with its own slack, written in the current basis."""
+        """Append a.x <= b, written in the current basis; its new slack is basic."""
         if len(row) != self.n:
             raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
         ints, _ = cleared([b, *row])  # a positive LCM keeps the sign of b
         if ints[0] < 0:
             raise ValueError("simplex expects nonnegative right-hand sides")
-        d = self.d
-        new = [d * v for v in ints] + [0] * (len(self.obj) - len(ints))
+        d, n = self.d, self.n
+        new = [d * ints[0]] + [d * ints[var] if var <= n else 0 for var in self.cols]
         for i, var in enumerate(self.basis):
-            if var <= self.n and ints[var]:
+            if var <= n and ints[var]:
                 coeff = ints[var]
                 new = [a - coeff * t for a, t in zip(new, self.rows[i])]
-        for other in self.rows:
-            other.append(0)
-        self.obj.append(0)
-        new.append(d)
+        self.basis.append(n + 1 + len(self.rows))
         self.rows.append(new)
-        self.basis.append(len(new) - 1)
 
     def optimize(self, c, cut=None) -> list[int]:
         """Optimum of c over the rows, re-priced in the current basis: the
@@ -128,37 +152,44 @@ class _Tableau:
     def row_duals(self, c) -> tuple[list[int], int]:
         """The dual values of the rows for objective c, in row order, over D.
 
-        They are the reduced costs of the slack columns, ``obj[n + 1 + k]``
-        over D = d times the LCM of c's denominators, once c is priced in the
-        current basis; the basis is read, never pivoted.  Each value belongs
-        to its row as cleared to integers (the row itself when it already
-        was).  At a basis optimal for c they are an optimal LP dual:
-        nonnegative, covering c, and summing to the optimum.
+        Once c is priced in the current basis, the dual of row k is the
+        reduced cost of its slack: the priced entry of the slack's column
+        when the slack is nonbasic, 0 when it is basic.  D is d times the
+        LCM of c's denominators, and the basis is read, never pivoted.  Each
+        value belongs to its row as cleared to integers (the row itself when
+        it already was).  At a basis optimal for c they are an optimal LP
+        dual: nonnegative, covering c, and summing to the optimum.
         """
         ints, scale = cleared(c)
-        return self._priced(ints)[self.n + 1:], self.d * scale
+        obj, n = self._priced(ints), self.n
+        duals = [0] * len(self.rows)
+        for j, var in enumerate(self.cols, 1):
+            if var > n:
+                duals[var - n - 1] = obj[j]
+        return duals, self.d * scale
 
     def _priced(self, ints) -> list[int]:
         """The objective row of the integer objective ints in the current basis."""
         if len(ints) != self.n:
             raise ValueError(f"objective has {len(ints)} coefficients, expected {self.n}")
-        obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
+        d, n = self.d, self.n
+        obj = [0] + [-d * ints[var - 1] if var <= n else 0 for var in self.cols]
         for i, var in enumerate(self.basis):
-            if var <= self.n and ints[var - 1]:
+            if var <= n and ints[var - 1]:
                 coeff = ints[var - 1]
                 obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
         return obj
 
     def primal(self) -> None:
         """Primal simplex with Bland's rule until no reduced cost is negative."""
-        basis = self.basis
+        basis, cols = self.basis, self.cols
         while True:
             rows, obj = self.rows, self.obj
             enter = None
             for j in range(1, len(obj)):
-                if obj[j] < 0:
-                    enter = j  # Bland: smallest index with negative reduced cost
-                    break
+                # Bland: the lowest variable id with a negative reduced cost
+                if obj[j] < 0 and (enter is None or cols[j - 1] < cols[enter - 1]):
+                    enter = j
             if enter is None:
                 return
             leave = None
@@ -179,7 +210,7 @@ class _Tableau:
 
     def dual(self) -> None:
         """Dual simplex with Bland's rule until no right-hand side is negative."""
-        basis = self.basis
+        basis, cols = self.basis, self.cols
         while True:
             rows, obj = self.rows, self.obj
             leave = None
@@ -192,18 +223,33 @@ class _Tableau:
             enter = None
             for j in range(1, len(row)):
                 if row[j] < 0:
+                    if enter is None:
+                        enter = j
+                        continue
                     # obj[j] / -row[j] against the best ratio, both denominators > 0
-                    if enter is None or obj[j] * -row[enter] < obj[enter] * -row[j]:
+                    here = obj[j] * -row[enter]
+                    best = obj[enter] * -row[j]
+                    if here < best or (here == best and cols[j - 1] < cols[enter - 1]):
                         enter = j
             if enter is None:
                 raise ValueError("linear program is infeasible")
             self.pivot(leave, enter)
 
     def pivot(self, r: int, s: int) -> None:
-        self.rows, p = pivot_rows(self.rows, r, s, self.d)
-        self.obj = eliminate(self.obj, self.rows[r], s, p, self.d)
-        self.d = p
-        self.basis[r] = s
+        """Pivot on row r and column s; column s then holds the leaving variable."""
+        d = self.d
+        column, obj_s = [row[s] for row in self.rows], self.obj[s]
+        sign = 1 if column[r] > 0 else -1
+        rows, p = pivot_rows(self.rows, r, s, d)
+        obj = eliminate(self.obj, rows[r], s, p, d)
+        # The leaving variable's unit column d e_r, through the same update.
+        # The rows may be the old lists; those are dropped, so patch in place.
+        for row, t in zip(rows, column):
+            row[s] = -sign * t
+        rows[r][s] = sign * d
+        obj[s] = -sign * obj_s
+        self.rows, self.obj, self.d = rows, obj, p
+        self.cols[s - 1], self.basis[r] = self.basis[r], self.cols[s - 1]
 
     def point(self) -> list[int]:
         """The numerators over d of x: basic right-hand sides, 0 off the basis."""

@@ -17,6 +17,7 @@ import pytest
 from schreier.dual import dual_norm_witness
 from schreier.errors import UnitNormRequired
 from schreier.extreme import positive_extreme_points
+from schreier.linalg import cleared, eliminate, pivot_rows
 from schreier.vectors import Vector, norm
 
 
@@ -205,6 +206,155 @@ def vertices_by_combination_search(dim, rows):
 def dd_point(v) -> tuple[Fraction, ...]:
     """The exact point num / den of a DD vertex."""
     return tuple(Fraction(a, v.den) for a in v.num)
+
+
+class ReferenceTableau:
+    """The dense integer tableau: rows ``[rhs, x_1..x_n, slack_1..slack_m]`` over d.
+
+    ``simplex._Tableau`` drops the basic columns and must take the same
+    pivots, so it is checked against this one, which keeps every column.
+
+    Column j of a row holds variable j (1-based); ``basis[i]`` is the column
+    basic in row i, and ``obj`` is the objective row, whose rhs entry is d
+    times the LCM of the objective's denominators times its value.  A new
+    tableau has no rows and the zero objective; ``optimize`` prices one in.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.obj = [0] * (n + 1)
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.d = 1
+
+    def add_row(self, row, b) -> None:
+        """Append a.x <= b with its own slack, written in the current basis."""
+        if len(row) != self.n:
+            raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
+        ints, _ = cleared([b, *row])  # a positive LCM keeps the sign of b
+        if ints[0] < 0:
+            raise ValueError("simplex expects nonnegative right-hand sides")
+        d = self.d
+        new = [d * v for v in ints] + [0] * (len(self.obj) - len(ints))
+        for i, var in enumerate(self.basis):
+            if var <= self.n and ints[var]:
+                coeff = ints[var]
+                new = [a - coeff * t for a, t in zip(new, self.rows[i])]
+        for other in self.rows:
+            other.append(0)
+        self.obj.append(0)
+        new.append(d)
+        self.rows.append(new)
+        self.basis.append(len(new) - 1)
+
+    def optimize(self, c, cut=None) -> list[int]:
+        """Optimum of c over the rows, re-priced in the current basis: the
+        numerators over d of the optimal x.
+
+        ``cut(num, d)`` gets the optimum as integers x = num / d and works as
+        in ``lp_max``; its rows stay in the tableau.  With c cleared to ints
+        over its LCM scale, the objective value is ``obj[0] / (d * scale)``.
+        """
+        ints, _ = cleared(c)
+        self.obj = self._priced(ints)
+        self.primal()
+        while True:
+            x = self.point()
+            violated = cut(x, self.d) if cut is not None else None
+            if violated is None:
+                return x
+            self.add_row(*violated)
+            if self.rows[-1][0] >= 0:
+                raise ValueError("cut returned a constraint that x satisfies")
+            self.dual()
+
+    def row_duals(self, c) -> tuple[list[int], int]:
+        """The dual values of the rows for objective c, in row order, over D.
+
+        They are the reduced costs of the slack columns, ``obj[n + 1 + k]``
+        over D = d times the LCM of c's denominators, once c is priced in the
+        current basis; the basis is read, never pivoted.  Each value belongs
+        to its row as cleared to integers (the row itself when it already
+        was).  At a basis optimal for c they are an optimal LP dual:
+        nonnegative, covering c, and summing to the optimum.
+        """
+        ints, scale = cleared(c)
+        return self._priced(ints)[self.n + 1:], self.d * scale
+
+    def _priced(self, ints) -> list[int]:
+        """The objective row of the integer objective ints in the current basis."""
+        if len(ints) != self.n:
+            raise ValueError(f"objective has {len(ints)} coefficients, expected {self.n}")
+        obj = [0] + [-self.d * v for v in ints] + [0] * (len(self.obj) - 1 - self.n)
+        for i, var in enumerate(self.basis):
+            if var <= self.n and ints[var - 1]:
+                coeff = ints[var - 1]
+                obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
+        return obj
+
+    def primal(self) -> None:
+        """Primal simplex with Bland's rule until no reduced cost is negative."""
+        basis = self.basis
+        while True:
+            rows, obj = self.rows, self.obj
+            enter = None
+            for j in range(1, len(obj)):
+                if obj[j] < 0:
+                    enter = j  # Bland: smallest index with negative reduced cost
+                    break
+            if enter is None:
+                return
+            leave = None
+            for i, row in enumerate(rows):
+                coeff = row[enter]
+                if coeff > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    # row[rhs] / coeff against the best ratio, both denominators > 0
+                    here = row[0] * rows[leave][enter]
+                    best = rows[leave][0] * coeff
+                    if here < best or (here == best and basis[i] < basis[leave]):
+                        leave = i
+            if leave is None:
+                raise ValueError("linear program is unbounded")
+            self.pivot(leave, enter)
+
+    def dual(self) -> None:
+        """Dual simplex with Bland's rule until no right-hand side is negative."""
+        basis = self.basis
+        while True:
+            rows, obj = self.rows, self.obj
+            leave = None
+            for i, row in enumerate(rows):
+                if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
+                    leave = i
+            if leave is None:
+                return
+            row = rows[leave]
+            enter = None
+            for j in range(1, len(row)):
+                if row[j] < 0:
+                    # obj[j] / -row[j] against the best ratio, both denominators > 0
+                    if enter is None or obj[j] * -row[enter] < obj[enter] * -row[j]:
+                        enter = j
+            if enter is None:
+                raise ValueError("linear program is infeasible")
+            self.pivot(leave, enter)
+
+    def pivot(self, r: int, s: int) -> None:
+        self.rows, p = pivot_rows(self.rows, r, s, self.d)
+        self.obj = eliminate(self.obj, self.rows[r], s, p, self.d)
+        self.d = p
+        self.basis[r] = s
+
+    def point(self) -> list[int]:
+        """The numerators over d of x: basic right-hand sides, 0 off the basis."""
+        x = [0] * self.n
+        for row, var in zip(self.rows, self.basis):
+            if var <= self.n:
+                x[var - 1] = row[0]
+        return x
 
 
 def reference_newton(x: Vector, e: Vector, norming,

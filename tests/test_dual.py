@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from schreier import dual
+from schreier import dual, simplex
 from schreier.dual import (
     _check_dual_bound,
     _dual_solve,
@@ -379,6 +379,28 @@ def test_verify_thm2_builds_one_dual_tableau(monkeypatch):
     report = verify_thm2(3)
     assert report.passed and len(report.spot_checks) == 10
     assert built == [7]
+
+
+@pytest.mark.parametrize(("n", "pivots", "solves"), [(3, 65, 34), (4, 245, 18)])
+def test_verify_thm2_pivot_work_is_pinned(monkeypatch, n, pivots, solves):
+    # Every pivot and solve of verify_thm2: the unit check's lp_max and the
+    # spot checks' shared line.  A tableau that strays from Bland's order
+    # moves these counts even when every lambda stays the same.
+    counts = {"pivot": 0, "optimize": 0}
+
+    class Counted(simplex._Tableau):
+        def pivot(self, r, s):
+            counts["pivot"] += 1
+            super().pivot(r, s)
+
+        def optimize(self, c, cut=None):
+            counts["optimize"] += 1
+            return super().optimize(c, cut)
+
+    monkeypatch.setattr(simplex, "_Tableau", Counted)
+    monkeypatch.setattr(dual, "_Tableau", Counted)
+    assert verify_thm2(n).passed
+    assert counts == {"pivot": pivots, "optimize": solves}
 
 
 def test_shared_line_matches_fresh_pairs_in_either_order():

@@ -4,10 +4,11 @@ from math import gcd, lcm
 import pytest
 
 from schreier.dd import DDPolytope, box_seed
+from schreier.dual import _indicator, _section_cuts
 from schreier.linalg import nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
 
-from conftest import dd_point, solve_square, vertices_by_combination_search
+from conftest import ReferenceTableau, dd_point, solve_square, vertices_by_combination_search
 
 
 def test_rank_basics():
@@ -141,6 +142,69 @@ def test_live_tableau_reprices_each_objective(rng):
             assert sum(a * v for a, v in zip(row, x)) <= b
         assert sum(a * v for a, v in zip(c, x)) == value
     assert len(tab.rows) > dim  # the cuts stayed in the tableau
+    assert all(len(r) == dim + 1 for r in tab.rows)  # one column per nonbasic variable
+
+
+def _outcomes(cls, dim, rows, rhs, objectives, cut):
+    """Each objective's answer on one live tableau of class cls: the optimum
+    numerators, d, the pivots so far, the basis and the row duals, or the
+    error it raised."""
+    pivots = 0
+
+    class Counted(cls):
+        def pivot(self, r, s):
+            nonlocal pivots
+            pivots += 1
+            super().pivot(r, s)
+
+    tab = Counted(dim)
+    for row, b in zip(rows, rhs):
+        tab.add_row(row, b)
+    out = []
+    for c in objectives:
+        try:
+            num = tab.optimize(c, cut)
+        except ValueError as exc:
+            out.append((type(exc), str(exc), pivots))
+        else:
+            out.append((num, tab.d, pivots, list(tab.basis), tab.row_duals(c)))
+    return out
+
+
+def test_compact_tableau_pivots_as_the_dense_reference(rng):
+    # The compact tableau keeps no basic column, but Bland's rule by variable
+    # id must take the dense tableau's pivots: the same optima, d, pivot
+    # counts, bases, row duals and errors, cuts included.  Dropping some box
+    # rows leaves some of these LPs unbounded.
+    errors = 0
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        box = [([int(i == j) for j in range(dim)], rng.randint(1, 4))
+               for i in range(dim) if rng.random() < 0.8]
+        cuts = [([rng.randint(-2, 3) for _ in range(dim)],
+                 Fraction(rng.randint(1, 12), rng.randint(1, 3))) for _ in range(12)]
+
+        def cut(num, d):
+            for row, b in cuts:
+                if sum(a * v for a, v in zip(row, num)) > b * d:
+                    return row, b
+            return None
+
+        objectives = [[Fraction(rng.randint(-5, 6), rng.randint(1, 4)) for _ in range(dim)]
+                      for _ in range(10)]
+        rows, rhs = [r for r, _ in box], [b for _, b in box]
+        got = _outcomes(_Tableau, dim, rows, rhs, objectives, cut)
+        assert got == _outcomes(ReferenceTableau, dim, rows, rhs, objectives, cut)
+        errors += sum(len(o) == 3 for o in got)
+    assert errors > 0
+    for N in range(1, 11):
+        objectives = [[rng.randint(0, 9) for _ in range(N)] for _ in range(8)]
+        runs = []
+        for cls in (_Tableau, ReferenceTableau):
+            sets, separate = _section_cuts(N)
+            rows = [_indicator(F, N) for F in sets]
+            runs.append((_outcomes(cls, N, rows, [1] * N, objectives, separate), sets))
+        assert runs[0] == runs[1]
 
 
 def test_dd_cube_cut():
