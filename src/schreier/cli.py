@@ -81,7 +81,7 @@ def _command(group, name):
 
 @_command(cli, "norm")
 @click.argument("file", type=click.Path())
-@click.option("--order", "order", type=int, default=1, show_default=True)
+@click.option("--order", "order", type=click.IntRange(min=0), default=1, show_default=True)
 def norm_cmd(file, order):
     """Exact norm of the vector in FILE, with a norming witness."""
     x = _load(file, order=order)
@@ -130,7 +130,7 @@ def covers_cmd(file, index):
 
 @_command(cli, "admissible")
 @click.option("--set", "set_text", required=True, help="Index set, e.g. '{2,3,6}'.")
-@click.option("--order", "order", type=int, default=1, show_default=True)
+@click.option("--order", "order", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--maximal", is_flag=True, help="Also test maximality.")
 def admissible_cmd(set_text, order, maximal):
     """Membership (and optionally maximality) in the order-k family."""

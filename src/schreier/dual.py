@@ -90,21 +90,24 @@ def _dual_solve(N: int):
     """The dual norm on [1, N] as a solve(sizes) for max_feasible_weight,
     and the certificate that the tableau's last basis carries.
 
-    One tableau over [1, N] lives for the whole line: each call re-prices it
-    with the integer objective sizes, re-optimises from the last basis
-    keeping the cuts found so far, and returns the optimum x = num / d on
-    the tableau's integers.  This is exact.  Every cut is x(F) <= 1 for an
-    admissible F in [1, N], valid for the section polytope P_N whatever the
-    objective, and the cut loop stops only at a point of P_N, so each value
-    is the maximum over P_N.  Padding the objective with zeros up to N keeps
-    the value of a shorter functional, since the family is hereditary and
-    P_N projects onto P_N' for N' < N.  A positive multiple of the
-    objective takes the same pivots under Bland's rule and meets the same
-    optima and cuts.  So the tableau can also live across pairs on [1, N],
-    as it does for the ten spot checks of ``verify_thm2``: whatever pairs
-    came before, the cuts it carries are valid for P_N and each value is
-    still the maximum over P_N, so no answer depends on earlier calls.  An objective of another length than N raises ValueError
-    (``_Tableau``).
+    One tableau over [1, N] lives for the whole line.  Each call pads the
+    line's nonzero moduli, sizes = {index: modulus}, with zeros to an
+    integer objective on [1, N], re-prices the tableau with it, re-optimises
+    from the last basis keeping the cuts found so far, and returns the
+    optimum x = num / d on the tableau's integers, num as
+    {index: numerator} over [1, N].  This is the one place where a line
+    meets the window [1, N]; an index of sizes past N raises ValueError.
+    This is exact.  Every cut is x(F) <= 1 for an admissible F in [1, N],
+    valid for the section polytope P_N whatever the objective, and the cut
+    loop stops only at a point of P_N, so each value is the maximum over
+    P_N.  Padding the objective with zeros up to N keeps the value of a
+    shorter functional, since the family is hereditary and P_N projects
+    onto P_N' for N' < N.  A positive multiple of the objective takes the
+    same pivots under Bland's rule and meets the same optima and cuts.  So
+    the tableau can also live across pairs on [1, N], as it does for the
+    ten spot checks of ``verify_thm2``: whatever pairs came before, the cuts
+    it carries are valid for P_N and each value is still the maximum over
+    P_N, so no answer depends on earlier calls.
 
     certificate(f) returns (sets, duals, D): the row sets in tableau order
     and their dual values duals / D for the objective |f| in the current
@@ -119,8 +122,11 @@ def _dual_solve(N: int):
     for F in sets:
         tab.add_row(_indicator(F, N), 1)
 
-    def solve(sizes: list[int]) -> tuple[list[int], int]:
-        return tab.optimize(sizes, separate), tab.d
+    def solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
+        if max(sizes, default=0) > N:
+            raise ValueError(f"the line reaches index {max(sizes)}, expected at most {N}")
+        num = tab.optimize([sizes.get(i, 0) for i in range(1, N + 1)], separate)
+        return dict(enumerate(num, 1)), tab.d
 
     def certificate(f: Vector) -> tuple[list[IndexSet], list[int], int]:
         duals, D = tab.row_duals([abs(f[i]) for i in range(1, N + 1)])
@@ -222,8 +228,9 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector, *, _line=None) -> Fraction:
     the root of that functional's minorant, and solves on one live tableau
     (``_dual_solve``), whose last solve is at the answer.  ``verify_thm2``
     passes its own ``_dual_solve(N)`` as ``_line`` to share one tableau
-    between its spot checks; N must be the largest index of the pair, else
-    the first solve raises ValueError.  The
+    between its spot checks; N must be at least the largest index of the
+    pair, else the first solve raises ValueError, and a larger N pads the
+    line with zeros, which changes no dual norm (see ``_dual_solve``).  The
     answer is then checked by weak duality against the LP dual of that
     final basis, with no second LP.  Let f = x* - lambda e*, let every row
     set F be admissible with y_F >= 0, and let sum_{F ni i} y_F >= |f_i|

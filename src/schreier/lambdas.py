@@ -5,11 +5,12 @@ The feasibility function h(t) = ||x - t e|| + t - 1 is convex piecewise
 linear, so ``max_feasible_weight`` finds the largest feasible weight by
 Newton steps from the right, starting at the root of the minorant that the
 norming functional of x gives.  It is the one integer Newton line of the
-primal and the dual pair lambda; a norm supplies only its norming
-functional on the line's integer moduli, here the order-1 greedy
-(``_primal_solve``), in ``dual`` the section tableau.  Every answer is re-verified against the
-norm and comes with the binding constraint whose positive slope certifies
-infeasibility above the answer.
+primal and the dual pair lambda, on the supports of the pair; a norm
+supplies only its norming functional on the line's nonzero integer moduli,
+keyed by index, here the order-1 greedy (``_primal_solve``), in ``dual``
+the section tableau, which pads them to its window.  Every answer is
+re-verified against the norm and comes with the binding constraint whose
+positive slope certifies infeasibility above the answer.
 """
 
 from collections.abc import Mapping
@@ -53,17 +54,20 @@ class LambdaResult:
 def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector | None]:
     """Largest t in [0, 1] with ||x - t e|| <= 1 - t, in the norm that solve norms.
 
-    One integer Newton line for both norms.  x and e are cleared once over
-    one LCM L, and at t = p/q solve(sizes) gets the moduli of q L x - p L e
-    over [1, N], N the largest index of x and e.  It returns their norming
-    functional as (num, d), num >= 0 and d > 0: <num, sizes> / d is the norm
-    of the sizes and <num, u> / d <= ||u|| for all u.  Both norms are
-    sign-invariant, so g = s num / d, s the sign of the line (+1 at a zero),
-    norms x - t e inside the dual ball.  a = <g, x> and b = <g, e> are
-    integer sums over d L, and t is feasible when q a - p b <= d L (q - p).
-    Else a - t b + t - 1 is an affine minorant of h(t) = ||x - t e|| + t - 1,
-    and its root (d L - a) / (d L - b) is the next t.  The root lies in
-    [0, t): the minorant is positive at t and at most h(0) <= 0 at 0.
+    One integer Newton line for both norms.  The line lives on
+    S = supp x | supp e: a common zero of x and e is a zero of every point
+    of the line and adds nothing to any admissible sum.  x and e are
+    cleared once on S over one LCM L, and at t = p/q solve(sizes) gets the
+    nonzero moduli of q L x - p L e as {index: modulus}.  It returns their
+    norming functional as ({index: num}, d), num >= 0 and d > 0:
+    <num, sizes> / d is the norm of the sizes and <num, u> / d <= ||u|| for
+    all u.  Both norms are sign-invariant, so g = s num / d, s the sign of
+    the line (+1 at a zero), norms x - t e inside the dual ball.  a = <g, x>
+    and b = <g, e> are integer sums over d L, and t is feasible when
+    q a - p b <= d L (q - p).  Else a - t b + t - 1 is an affine minorant of
+    h(t) = ||x - t e|| + t - 1, and its root (d L - a) / (d L - b) is the
+    next t.  The root lies in [0, t): the minorant is positive at t and at
+    most h(0) <= 0 at 0.
 
     The line starts at the root of its t = 0 minorant, not at 1.  The solve
     at t = 0 norms x, so ||x|| = a / d L, and a > d L raises
@@ -82,23 +86,23 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     then a = b, so t0 = 1 or b = d L, the line starts at 1, where it is
     zero, and the first step returns (1, None).
     """
-    N = max(x.max_index, e.max_index)
-    values, L = cleared([v[i] for v in (x, e) for i in range(1, N + 1)])
-    cx, ce = values[:N], values[N:]
+    support = sorted({*x.support, *e.support})
+    values, L = cleared([v[i] for v in (x, e) for i in support])
+    cx, ce = dict(zip(support, values)), dict(zip(support, values[len(support):]))
 
-    def step(p: int, q: int) -> tuple[list[int], int, int, int, int]:
-        line = [q * u - p * v for u, v in zip(cx, ce)]
-        num, d = solve([abs(w) for w in line])
-        signed = [n if w >= 0 else -n for n, w in zip(num, line)]
-        a = sum(s * u for s, u in zip(signed, cx))
-        b = sum(s * v for s, v in zip(signed, ce))
+    def step(p: int, q: int) -> tuple[dict[int, int], int, int, int, int]:
+        line = {i: q * cx[i] - p * ce[i] for i in support}
+        num, d = solve({i: abs(w) for i, w in line.items() if w})
+        signed = {i: -n if line.get(i, 0) < 0 else n for i, n in num.items() if n}
+        a = sum(s * cx.get(i, 0) for i, s in signed.items())
+        b = sum(s * ce.get(i, 0) for i, s in signed.items())
         return signed, d, d * L, a, b
 
-    def functional(bound: tuple[list[int], int] | None) -> Vector | None:
+    def functional(bound: tuple[dict[int, int], int] | None) -> Vector | None:
         if bound is None:
             return None
         signed, d = bound
-        return Vector({i + 1: Fraction(s, d) for i, s in enumerate(signed) if s})
+        return Vector({i: Fraction(s, d) for i, s in signed.items()})
 
     signed, d, dL, a, b = step(0, 1)
     if a > dL:
@@ -127,18 +131,18 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
         lam, bound = new_lam, (signed, d)
 
 
-def _primal_solve(sizes: list[int]) -> tuple[list[int], int]:
-    """The order-1 norming functional of sizes: the greedy witness's indicator, over 1."""
-    witness = set(_greedy({i: v for i, v in enumerate(sizes, 1) if v})[1])
-    return [1 if i in witness else 0 for i in range(1, len(sizes) + 1)], 1
+def _primal_solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
+    """The order-1 norming functional of the nonzero sizes {i: modulus}: the
+    greedy witness's indicator, over 1."""
+    return dict.fromkeys(_greedy(sizes)[1], 1), 1
 
 
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda.
 
-    The binding sets are walked over the window [1, N], N the largest index
-    of x and e, and the Newton line is dense over it too, so N is checked
-    against the order-1 cutoff before anything else.
+    The Newton line runs on supp x | supp e, but the binding sets are
+    walked over the window [1, N] with its zeros, N the largest index of x
+    and e, so N is checked against the order-1 cutoff before anything else.
     """
     window = max(x.max_index, e.max_index)
     cutoffs.check("lambda_pair window", window, cutoffs.admissible_enum_limit(1))
@@ -220,7 +224,8 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     _on_face); the rest weigh 0, so with a best weight of 0 the first
     achiever is the first pool point.  A vector with ||x|| < 1 has no
     1-sets; past the support cutoff the 1-sets are not listed and every
-    point is solved.
+    point is solved.  Each line runs on supp x | supp e, so an index of x
+    far past the window costs no more than a near one.
     """
     nx = norm(x, 1).value
     if nx > 1:

@@ -355,12 +355,13 @@ def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
         solve, _ = _dual_solve(N)
         for t in [Fraction(0)] + iterates:
             f = x_star - t * e_star
-            ints, scale = cleared([f[i] for i in range(1, N + 1)])
-            num, d = solve([abs(w) for w in ints])
-            assert d > 0 and min(num) >= 0
-            value = Fraction(sum(n * abs(w) for n, w in zip(num, ints)), d * scale)
+            ints, scale = cleared([q for _, q in f.items()])
+            sizes = {i: abs(w) for i, w in zip(f.support, ints)}
+            num, d = solve(sizes)
+            assert d > 0 and all(n >= 0 for n in num.values()) and max(num, default=1) <= N
+            value = Fraction(sum(n * sizes.get(i, 0) for i, n in num.items()), d * scale)
             assert value == dual_norm_witness(f)[0]
-            assert norm(Vector({i + 1: Fraction(n, d) for i, n in enumerate(num)}), 1).value <= 1
+            assert norm(Vector({i: Fraction(n, d) for i, n in num.items()}), 1).value <= 1
             checked += 1
     assert checked > 200
 
@@ -422,10 +423,47 @@ def test_shared_line_matches_the_cold_reference_at_n4():
     assert shared == [reference_lambda_pair_dual(x, e) for x, e in pairs]
 
 
-@pytest.mark.parametrize("line_n", [2, 4])
-def test_shared_line_of_another_size_is_rejected(line_n):
-    with pytest.raises(ValueError, match="expected"):
-        lambda_pair_dual(make_thm2_functional(2), Vector({1: 1}), _line=_dual_solve(line_n))
+def test_shared_line_short_of_the_pair_is_rejected():
+    # x* reaches index 3, past the tableau's [1, 2].
+    with pytest.raises(ValueError, match="expected at most 2"):
+        lambda_pair_dual(make_thm2_functional(2), Vector({1: 1}), _line=_dual_solve(2))
+
+
+def test_a_longer_line_pads_the_pair_with_zeros(rng):
+    # The padding lemma of _dual_solve: on [1, N + 3] the zeros past the
+    # pair's largest index N change no dual norm, so a line three indices
+    # too long gives the lambda of a fresh one and, step for step, the same
+    # binding.  The line pairs hold the 13 traces at n = 3.
+    pairs = _line_pairs(rng) + _spot_check_pairs(4)
+    for x_star, e_star in pairs:
+        N = max(x_star.max_index, e_star.max_index)
+        fresh = lambda_pair_dual(x_star, e_star)
+        assert lambda_pair_dual(x_star, e_star, _line=_dual_solve(N + 3)) == fresh
+        assert (max_feasible_weight(x_star, e_star, _dual_solve(N + 3)[0])
+                == max_feasible_weight(x_star, e_star, _dual_solve(N)[0]))
+
+
+def test_dual_line_solves_on_the_pair_supports(rng, monkeypatch):
+    # Every sizes map the line hands the tableau holds only the nonzero
+    # moduli of supp x* | supp e*; the solve pads them up to its [1, N].
+    real = dual._dual_solve
+    seen = []
+
+    def spied(N):
+        solve, certificate = real(N)
+
+        def spy(sizes):
+            seen.append(sizes)
+            return solve(sizes)
+
+        return spy, certificate
+
+    monkeypatch.setattr(dual, "_dual_solve", spied)
+    for x_star, e_star in _line_pairs(rng):
+        seen.clear()
+        lambda_pair_dual(x_star, e_star)
+        support = {*x_star.support, *e_star.support}
+        assert seen and all(set(s) <= support and all(s.values()) for s in seen)
 
 
 def test_lambda_pair_dual_checks_e_star_before_any_lp(monkeypatch):

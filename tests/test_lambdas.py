@@ -94,12 +94,13 @@ def _canned(*answers):
 
 
 # The fakes below run on x = E12, e = E1: the line is (1, 1) at t = 0 and
-# (0, 1) at t = 1.  Each invariant check must survive python -O.
+# (0, 1) at t = 1, and a fake answers {index: numerator}.  Each invariant
+# check must survive python -O.
 @pytest.mark.parametrize("slope", [1, 2])
 def test_max_feasible_weight_rejects_a_piece_without_positive_slope(slope):
     # A violated piece whose functional pairs to >= 1 with e has no root
     # below the current weight.
-    solve = _canned(([0, 0], 1), ([slope, 1], 1))
+    solve = _canned(({1: 0, 2: 0}, 1), ({1: slope, 2: 1}, 1))
     with pytest.raises(RuntimeError, match="positive slope"):
         max_feasible_weight(E12, E1, solve)
 
@@ -107,7 +108,7 @@ def test_max_feasible_weight_rejects_a_piece_without_positive_slope(slope):
 def test_max_feasible_weight_rejects_a_norm_below_its_minorant():
     # The functional (0, 1) at t = 1 sends the line to t = 0, where a zero
     # functional reports a norm of 0 < 1 - 0, below the minorant it came from.
-    solve = _canned(([0, 0], 1), ([0, 1], 1), ([0, 0], 1))
+    solve = _canned(({1: 0, 2: 0}, 1), ({1: 0, 2: 1}, 1), ({1: 0, 2: 0}, 1))
     with pytest.raises(RuntimeError, match="below its own minorant"):
         max_feasible_weight(E12, E1, solve)
 
@@ -115,7 +116,7 @@ def test_max_feasible_weight_rejects_a_norm_below_its_minorant():
 def test_max_feasible_weight_rejects_a_step_out_of_the_interval():
     # (0, 2) pairs to 2 with a unit vector, so it is no norming functional:
     # its minorant lies above h and its root -1 below 0.
-    solve = _canned(([0, 0], 1), ([0, 2], 1))
+    solve = _canned(({1: 0, 2: 0}, 1), ({1: 0, 2: 2}, 1))
     with pytest.raises(RuntimeError, match="did not decrease"):
         max_feasible_weight(E12, E1, solve)
 
@@ -255,17 +256,62 @@ def test_primal_line_oracle_matches_the_norm_along_the_line(rng):
         e = random_unit_vector(rng, max_index=7)
         _, _, iterates = reference_max_feasible_weight(x, e)
         zeroing = [x[i] / e[i] for i in e.support if i in x]
-        N = max(x.max_index, e.max_index)
         for t in iterates + zeroing:
             v = x - t * e
-            ints, scale = cleared([v[i] for i in range(1, N + 1)])
-            num, d = _primal_solve([abs(w) for w in ints])
+            ints, scale = cleared([q for _, q in v.items()])
+            sizes = {i: abs(w) for i, w in zip(v.support, ints)}
+            num, d = _primal_solve(sizes)
             report = norm(v, 1)
             assert d == 1
-            assert num == [1 if i in report.witness else 0 for i in range(1, N + 1)]
-            assert Fraction(sum(n * abs(w) for n, w in zip(num, ints)), scale) == report.value
+            assert num == dict.fromkeys(report.witness, 1)
+            assert Fraction(sum(n * sizes[i] for i, n in num.items()), scale) == report.value
             checked += 1
     assert checked > 300
+
+
+def _on(maps: list[dict[int, int]], support: set[int]) -> bool:
+    """Whether every sizes map holds nonzero moduli on support only."""
+    return all(set(s) <= support and all(s.values()) for s in maps)
+
+
+def test_primal_line_solves_on_the_pair_supports(rng, monkeypatch):
+    # Every sizes map the line hands _primal_solve holds only the nonzero
+    # moduli of supp x | supp e (for lambda_lower, e a pool point in
+    # [1, window]), so an index far past the others costs nothing: a pair
+    # answers the same (lambda, binding) with its top index at 1,000 as at
+    # one past its other indices, and that answer is the reference's.
+    seen = []
+
+    def spy(sizes):
+        seen.append(sizes)
+        return _primal_solve(sizes)
+
+    monkeypatch.setattr(lambdas_mod, "_primal_solve", spy)
+    for _ in range(60):
+        near_x = random_vector(rng, max_index=6, max_num=5, max_den=5)
+        near_e = random_vector(rng, max_index=6, max_num=5, max_den=5)
+        top_e = Fraction(rng.randint(0 if near_e else 1, 5), 5)
+        top_x = Fraction(rng.randint(0 if top_e else 1, 5), 5)
+        scale = Fraction(rng.randint(1, 4), 4)
+        near = max(near_x.max_index, near_e.max_index) + 1
+        answers = []
+        for top in (near, 1000):
+            x, e = near_x + top_x * Vector.unit(top), near_e + top_e * Vector.unit(top)
+            if x:
+                x = x * (scale / norm(x, 1).value)
+            e = e / norm(e, 1).value
+            seen.clear()
+            answers.append(max_feasible_weight(x, e, spy))
+            assert seen and _on(seen, {*x.support, *e.support})
+            seen.clear()
+            lambda_lower(x, 4)
+            assert _on(seen, {*x.support, 1, 2, 3, 4})
+            if top == near:
+                assert reference_max_feasible_weight(x, e, minorant_start=True)[:2] == answers[0]
+        (lam, g), far = answers
+        if g is not None:
+            g = Vector({1000 if i == near else i: q for i, q in g.items()})
+        assert far == (lam, g)
 
 
 def _newton_pairs(rng) -> list[tuple[Vector, Vector]]:
@@ -574,9 +620,10 @@ def test_verify_thm1_report_is_frozen():
 
 
 def test_lambda_pair_refuses_a_far_window_before_the_line(monkeypatch):
-    # The Newton line is dense over [1, max index of x and e], so a window
-    # past the order-1 cutoff is refused before its first step, even for
-    # x = e, where the line would answer 1 at once.
+    # The binding sets are walked over [1, max index of x and e], zeros
+    # included, so a window past the order-1 cutoff is refused before the
+    # line's first step, even for x = e, where the line would answer 1 at
+    # once and no binding walk would run.
     def no_line(*args):
         raise AssertionError("the Newton line ran")
 

@@ -155,6 +155,15 @@ def test_cli_rejects_a_file_of_another_order(tmp_path, capsys):
         loads_vector(dumps_vector(Vector({1: 1}), order=2), expect_order=1)
 
 
+def test_cli_refuses_a_negative_order_as_an_option(tmp_path, capsys):
+    # A negative --order is a bad option, not a file of another order.
+    one = _write(tmp_path, "x1.json", Vector({1: 1}))
+    for argv in (["norm", one], ["admissible", "--set", "{2,3}"]):
+        assert run([*argv, "--order", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "Invalid value for '--order'" in err and "field 'order'" not in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1_0", "\u0663", "+7", "07"])
 def test_bad_max_dim_override_exits_2(monkeypatch, capsys, raw):
     monkeypatch.setenv("SCHREIER_MAX_DIM", raw)
