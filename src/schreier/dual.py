@@ -95,8 +95,9 @@ def _dual_solve(N: int):
     integer objective on [1, N], re-prices the tableau with it, re-optimises
     from the last basis keeping the cuts found so far, and returns the
     optimum x = num / d on the tableau's integers, num as
-    {index: numerator} over [1, N].  This is the one place where a line
-    meets the window [1, N]; an index of sizes past N raises ValueError.
+    {index: numerator} over the nonzero numerators in [1, N].  This is the
+    one place where a line meets the window [1, N]; an index of sizes past
+    N raises ValueError.
     This is exact.  Every cut is x(F) <= 1 for an admissible F in [1, N],
     valid for the section polytope P_N whatever the objective, and the cut
     loop stops only at a point of P_N, so each value is the maximum over
@@ -126,7 +127,7 @@ def _dual_solve(N: int):
         if max(sizes, default=0) > N:
             raise ValueError(f"the line reaches index {max(sizes)}, expected at most {N}")
         num = tab.optimize([sizes.get(i, 0) for i in range(1, N + 1)], separate)
-        return dict(enumerate(num, 1)), tab.d
+        return {i: n for i, n in enumerate(num, 1) if n}, tab.d
 
     def certificate(f: Vector) -> tuple[list[IndexSet], list[int], int]:
         duals, D = tab.row_duals([abs(f[i]) for i in range(1, N + 1)])

@@ -37,7 +37,7 @@ from . import cutoffs
 from .dd import DDPolytope, box_seed
 from .families import IndexSet, admissible_subsets, enumerate_admissible
 from .linalg import cleared, nullspace_vector, rank
-from .vectors import Vector, _one_sets, _require_unit, admissible_sums, covered_by, norm
+from .vectors import Vector, _one_sets, admissible_sums, covered_by, norm
 
 EXTREME = "EXTREME"
 NOT_EXTREME = "NOT_EXTREME"
@@ -151,12 +151,13 @@ def perturbation_witness(
     the same (total, action) pairs, slack or tight alike, and the same
     least ratio.
 
-    A caller that has checked that e is a unit vector and found its 1-sets
-    passes them as ``sets``; both steps are then skipped.
+    Without ``sets`` the support walk finds the 1-sets and checks on the
+    way that e is a unit vector (vectors._pruned_walk).  A caller that has
+    already walked e passes its 1-sets as ``sets``, and that walk is
+    skipped.
     """
     if sets is None:
-        _require_unit(e, "perturbation_witness")
-        sets = _one_sets(e)
+        sets = _one_sets(e, "perturbation_witness")
     if window < e.max_index:
         raise ValueError(f"window {window} is smaller than max support {e.max_index}")
     F = _non_maximal(sets)
@@ -226,9 +227,8 @@ def certify_extreme(e: Vector) -> ExtremenessCertificate:
     direction, so the slack scan over supp e and the direction's support
     gives the same least ratio.
     """
-    _require_unit(e, "certify_extreme")
+    sets = _one_sets(e, "certify_extreme")
     N = e.max_index
-    sets = _one_sets(e)
     rank_n = _active_rank(e, sets, N)
     if rank_n == N and _non_maximal(sets):
         return ExtremenessCertificate(EXTREME, rank_n, N)

@@ -59,11 +59,13 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     of the line and adds nothing to any admissible sum.  x and e are
     cleared once on S over one LCM L, and at t = p/q solve(sizes) gets the
     nonzero moduli of q L x - p L e as {index: modulus}.  It returns their
-    norming functional as ({index: num}, d), num >= 0 and d > 0:
-    <num, sizes> / d is the norm of the sizes and <num, u> / d <= ||u|| for
-    all u.  Both norms are sign-invariant, so g = s num / d, s the sign of
-    the line (+1 at a zero), norms x - t e inside the dual ball.  a = <g, x>
-    and b = <g, e> are integer sums over d L, and t is feasible when
+    norming functional as ({index: num}, d), num >= 0 and d > 0, where an
+    index it leaves out has num 0: <num, sizes> / d is the norm of the
+    sizes and <num, u> / d <= ||u|| for all u.  Both norms are
+    sign-invariant, so g = s num / d, s the sign of the line (+1 at a
+    zero), norms x - t e inside the dual ball.  a = <g, x> and b = <g, e>
+    are integer sums over d L, read in one pass over num (an index off S
+    adds nothing to either), and t is feasible when
     q a - p b <= d L (q - p).  Else a - t b + t - 1 is an affine minorant of
     h(t) = ||x - t e|| + t - 1, and its root (d L - a) / (d L - b) is the
     next t.  The root lies in [0, t): the minorant is positive at t and at
@@ -93,9 +95,14 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     def step(p: int, q: int) -> tuple[dict[int, int], int, int, int, int]:
         line = {i: q * cx[i] - p * ce[i] for i in support}
         num, d = solve({i: abs(w) for i, w in line.items() if w})
-        signed = {i: -n if line.get(i, 0) < 0 else n for i, n in num.items() if n}
-        a = sum(s * cx.get(i, 0) for i, s in signed.items())
-        b = sum(s * ce.get(i, 0) for i, s in signed.items())
+        signed, a, b = {}, 0, 0
+        for i, n in num.items():
+            if i in line:
+                if line[i] < 0:
+                    n = -n
+                a += n * cx[i]
+                b += n * ce[i]
+            signed[i] = n
         return signed, d, d * L, a, b
 
     def functional(bound: tuple[dict[int, int], int] | None) -> Vector | None:

@@ -9,12 +9,17 @@ compare a rational sum with 1.  _pruned_walk answers "sums to exactly 1"
 and "best sum below 1" in one pruned walk of the admissible subsets of a
 ground (the support, or a window with zeros) for a vector of norm at most
 1: the 1-sets, coverage, the gap and the binding sets of a pair lambda.
+Its root bounds are the greedy's sums, so their maximum is the norm: the
+walk checks the unit norm of the 1-set queries, and the norm of at most 1
+of every other caller, before it visits a node, and those queries run no
+norm of their own.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
 by the theorem-1 verifier.
 """
 
+from bisect import insort
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -207,6 +212,12 @@ def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
 
 
 def _require_unit(x: Vector, op: str) -> None:
+    """Raise UnitNormRequired naming op unless ||x|| = 1.
+
+    For a vector that is not walked, such as the e of lambda_pair.  The
+    callers that walk x check the unit norm inside _pruned_walk, which reads
+    it off its root bounds.
+    """
     value = norm(x, 1).value
     if value != 1:
         raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
@@ -228,15 +239,65 @@ def admissible_sums(x: Vector, sets: Iterable[IndexSet]) -> tuple[int, Iterator[
     return scale, ((F, sum(map(at, F))) for F in sets)
 
 
-def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet], int]:
-    """(scale, tight, below) over the admissible subsets of ``ground``, an
-    increasing sequence of positive integers that may hold zeros of x.
+def _root_bounds(ground: tuple[int, ...], sizes: list[int]) -> list[int]:
+    """The best total of an admissible subset of ``ground`` with minimum
+    ground[q], for each q: sizes[q] plus its ground[q] - 1 largest later
+    sizes (all of them, if fewer are left).
 
-    Precondition: ||x|| <= 1, so no admissible set totals above scale.
-    Every caller holds it: one_sets, covers_index, eps_gap and
-    certify_extreme check the unit norm, lambda_lower walks only at
-    ||x|| = 1, enumerate_vertices walks vertices of the section and
-    lambda_pair a residual whose norm it has just checked.
+    With ground holding supp x and sizes = scale * |x| on it, the largest
+    of them is scale * ||x||.  At m = ground[q] in supp x the bound is
+    _greedy's sum at minimum m.  At a zero m it never exceeds the greedy's
+    maximum: a minimum off the support never wins (the proof is in
+    _greedy's docstring), and the zeros of ground add 0 to any sum.
+
+    One pass from the right: an ascending list of the later sizes takes
+    each size by bisect.insort, and the bound sums its largest end.
+    """
+    n = len(ground)
+    run: list[int] = []  # the sizes of ground[q + 1:], ascending
+    roots = [0] * n
+    for q in reversed(range(n)):
+        r = min(ground[q] - 1, n - q - 1)
+        roots[q] = sizes[q] + sum(run[n - q - 1 - r:])
+        insort(run, sizes[q])
+    return roots
+
+
+def _top_table(sizes: list[int]) -> list[list[int]]:
+    """top[p][r], the sum of the r largest of sizes[p:] (all of them past
+    n - p), for 0 <= p, r <= n = len(sizes).
+
+    Built from the right with one ascending list that takes each size by
+    bisect.insort: row p is the prefix sums of that list read from its
+    largest end, padded with its total, instead of one sort per suffix.
+    """
+    run: list[int] = []
+    top = [[0] * (len(sizes) + 1)]
+    for p in reversed(range(len(sizes))):
+        insort(run, sizes[p])
+        row = list(accumulate(reversed(run), initial=0))
+        top.append(row + [row[-1]] * p)
+    top.reverse()
+    return top
+
+
+def _pruned_walk(
+    x: Vector, ground: Iterable[int], op: str | None = None, cutoff: str | None = None
+) -> tuple[int, list[IndexSet], int]:
+    """(scale, tight, below) over the admissible subsets of ``ground``, an
+    increasing sequence of positive integers that holds supp x and may hold
+    zeros of x.
+
+    Precondition: ||x|| <= 1, so no admissible set totals above scale.  The
+    walk checks it before any node, from its root bounds (below).  A
+    caller that needs a unit vector passes its operation name as ``op``:
+    then ||x|| != 1 raises UnitNormRequired naming op, so one_sets,
+    covers_index, eps_gap, certify_extreme and perturbation_witness run no
+    norm of their own.  Every other caller (the lambda_pair residual,
+    lambda_lower, enumerate_vertices) gets ||x|| > 1 raised.  ``cutoff``
+    names the check of len(ground) against the order-1 cutoff, made after
+    the norm check, so a vector off the sphere and past the cutoff raises
+    UnitNormRequired, and before the bound table is built.
 
     scale is the LCM of the denominators of x and the totals are sums of
     the integer sizes scale * |x|, as in admissible_sums.  tight lists the
@@ -270,18 +331,27 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
     precondition s <= scale, and its own total counts (tight at s = scale,
     else a candidate for below).  So tight and below are those of the full
     listing.
+
+    Root bounds.  The bound of the singleton {ground[q]} is the best total
+    of a subset of ground with that minimum (_root_bounds), and the largest
+    is scale * ||x||, so the walk reads the norm off its own first step and
+    checks it before any node.  The bounds below the root read the table
+    of _top_table, built after the checks.
     """
     ground = tuple(ground)
     values, scale = cleared(q for _, q in x.items())
     size = dict(zip(x.support, map(abs, values)))
     sizes = [size.get(i, 0) for i in ground]
     n = len(ground)
-    # top[p][r] is the sum of the r largest sizes of ground[p:] (all of them
-    # past n - p), for r <= n; the singletons cap r at the elements left.
-    top = []
-    for p in range(n + 1):
-        row = list(accumulate(sorted(sizes[p:], reverse=True), initial=0))
-        top.append(row + [row[-1]] * p)
+    roots = _root_bounds(ground, sizes)
+    value = max(roots, default=0)
+    if op is not None and value != scale:
+        raise UnitNormRequired(f"{op} needs a unit vector; got norm {Fraction(value, scale)}")
+    if value > scale:
+        raise UnitNormRequired(f"the pruned walk needs ||x|| <= 1; got {Fraction(value, scale)}")
+    if cutoff is not None:
+        cutoffs.check(cutoff, n, cutoffs.admissible_enum_limit(1))
+    top = _top_table(sizes)
     tight: list[IndexSet] = []
     below = 0
 
@@ -304,29 +374,28 @@ def _pruned_walk(x: Vector, ground: Iterable[int]) -> tuple[int, list[IndexSet],
             visit(F + (ground[q],), t, q + 1, r)
 
     for q, m in enumerate(ground):
-        t = sizes[q]
-        r = min(m - 1, n - q - 1)
-        bound = t + top[q + 1][r]
+        bound = roots[q]
         if bound < scale:
             if bound > below:
                 below = bound
             continue
-        visit((m,), t, q + 1, r)
+        visit((m,), sizes[q], q + 1, min(m - 1, n - q - 1))
     return scale, tight, below
 
 
 def one_sets(x: Vector) -> list[IndexSet]:
     """The complete family of 1-sets: admissible, inside supp x, summing to 1."""
-    _require_unit(x, "one_sets")
-    return _one_sets(x)
+    return _one_sets(x, "one_sets")
 
 
-def _one_sets(x: Vector) -> list[IndexSet]:
-    """one_sets for a vector already checked to be a unit vector: the tight
-    sets of the support walk, in lexicographic order.  Raises before any
-    subset is walked when the support is over its cutoff."""
-    cutoffs.check("one_sets support size", len(x), cutoffs.admissible_enum_limit(1))
-    return _pruned_walk(x, x.support)[1]
+def _one_sets(x: Vector, op: str | None = None) -> list[IndexSet]:
+    """The tight sets of the support walk, in lexicographic order.
+
+    With ``op``, x must be a unit vector and the walk raises
+    UnitNormRequired naming op otherwise; without it x must have norm at
+    most 1.  Either check comes first, then the support cutoff, before any
+    subset is walked."""
+    return _pruned_walk(x, x.support, op, "one_sets support size")[1]
 
 
 def covered_by(sets: list[IndexSet], i: int) -> bool:
@@ -343,15 +412,12 @@ def covers_index(x: Vector, i: int) -> bool:
     i = index(i)
     if i < 1:
         raise ValueError("indices are positive")
-    _require_unit(x, "covers_index")
-    return covered_by(_one_sets(x), i)
+    return covered_by(_one_sets(x, "covers_index"), i)
 
 
 def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
-    _require_unit(x, "eps_gap")
-    cutoffs.check("eps_gap support size", len(x), cutoffs.admissible_enum_limit(1))
-    scale, _, below = _pruned_walk(x, x.support)
+    scale, _, below = _pruned_walk(x, x.support, "eps_gap", "eps_gap support size")
     return 1 - Fraction(below, scale)
 
 

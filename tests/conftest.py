@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -429,6 +430,42 @@ def signed_lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
             if lam > best_lam:
                 best_lam, best_e = lam, e
     return best_lam, best_e
+
+
+def integer_sizes(x: Vector) -> dict[int, int]:
+    """{i: |x_i| times the LCM of the denominators of x}: the sizes that
+    the order-1 greedy and the pruned walk read."""
+    scale = lcm(*(q.denominator for _, q in x.items()))
+    return {i: int(abs(q) * scale) for i, q in x.items()}
+
+
+def spy_norm_work(monkeypatch):
+    """Record the norm work of the calls that follow: the x of each
+    vectors.norm call (under both names it has in schreier), the sizes of
+    each _greedy call that norm makes and the x of each _pruned_walk call."""
+    import schreier.extreme
+    import schreier.vectors
+
+    greedy, walk = schreier.vectors._greedy, schreier.vectors._pruned_walk
+    norms, greedies, walks = [], [], []
+
+    def counted_norm(v, k=1):
+        norms.append(v)
+        return norm(v, k)
+
+    def counted_greedy(size):
+        greedies.append(size)
+        return greedy(size)
+
+    def counted_walk(v, *args):
+        walks.append(v)
+        return walk(v, *args)
+
+    monkeypatch.setattr(schreier.vectors, "norm", counted_norm)
+    monkeypatch.setattr(schreier.extreme, "norm", counted_norm)
+    monkeypatch.setattr(schreier.vectors, "_greedy", counted_greedy)
+    monkeypatch.setattr(schreier.vectors, "_pruned_walk", counted_walk)
+    return norms, greedies, walks
 
 
 def random_fraction(rng, max_num=100, max_den=100, allow_zero=True):

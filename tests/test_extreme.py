@@ -33,6 +33,7 @@ from schreier.vectors import Vector, _pruned_walk, covered_by, make_thm1_vector,
 from conftest import (
     canonical_key,
     embed,
+    integer_sizes,
     pairwise_maximal,
     powerset_admissible,
     random_unit_vector,
@@ -41,6 +42,7 @@ from conftest import (
     reference_failed_conditions,
     sign_patterns,
     solve_square,
+    spy_norm_work,
     vertices_by_combination_search,
 )
 
@@ -114,7 +116,7 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
     # under its own name, so every binding under schreier is replaced.
     spies = {
         enumerate_admissible: spy(enumerate_admissible, lambda *args: True),
-        _pruned_walk: spy(_pruned_walk, lambda x, ground: tuple(ground) != x.support),
+        _pruned_walk: spy(_pruned_walk, lambda x, ground, *checks: tuple(ground) != x.support),
     }
     patched = set()
     for name, module in list(sys.modules.items()):
@@ -233,25 +235,23 @@ def test_perturbation_witness_scale_is_the_fraction_slack_minimum():
 
 
 def test_not_extreme_path_checks_the_unit_norm_and_one_sets_once(monkeypatch):
+    # The one support walk checks the unit norm; norm runs only on the
+    # witness checks e + w and e - w.
     import schreier.extreme
-    import schreier.vectors
 
-    norms, scans = [], []
+    norms, greedies, walks = spy_norm_work(monkeypatch)
+    scans = []
     find_one_sets = schreier.extreme._one_sets
 
-    def counted_norm(v, k=1):
-        norms.append(v)
-        return norm(v, k)
-
-    def counted_one_sets(v):
+    def counted_one_sets(v, *args):
         scans.append(v)
-        return find_one_sets(v)
+        return find_one_sets(v, *args)
 
-    monkeypatch.setattr(schreier.vectors, "norm", counted_norm)
     monkeypatch.setattr(schreier.extreme, "_one_sets", counted_one_sets)
     cert = certify_extreme(X5)
     assert cert.verdict == NOT_EXTREME
-    assert norms == [X5] and scans == [X5]
+    assert X5 not in norms and integer_sizes(X5) not in greedies
+    assert walks == [X5] and scans == [X5]
     assert cert.witness == _reference_witness(X5, X5.max_index + 3)
 
 

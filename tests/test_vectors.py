@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -7,12 +8,14 @@ from math import lcm
 import pytest
 
 from schreier.errors import CutoffExceeded, UnitNormRequired
-from schreier.extreme import certify_extreme
+from schreier.extreme import certify_extreme, perturbation_witness
 from schreier.families import admissible_subsets, enumerate_admissible
 from schreier.vectors import (
     Vector,
     _greedy,
     _pruned_walk,
+    _root_bounds,
+    _top_table,
     admissible_sums,
     covers_index,
     eps_gap,
@@ -21,7 +24,14 @@ from schreier.vectors import (
     one_sets,
 )
 
-from conftest import brute_norm, random_unit_vector, random_vector, reference_admissible_sums
+from conftest import (
+    brute_norm,
+    integer_sizes,
+    random_unit_vector,
+    random_vector,
+    reference_admissible_sums,
+    spy_norm_work,
+)
 
 HALF = Fraction(1, 2)
 X5 = make_thm1_vector(5)
@@ -134,17 +144,12 @@ def test_covers_examples():
     ("certify_extreme", certify_extreme, Vector({1: 1, 2: 1})),
 ])
 def test_unit_norm_is_checked_once_per_call(monkeypatch, op, call, x):
-    import schreier.vectors
-
-    calls = []
-
-    def counted(v, k=1):
-        calls.append(v)
-        return norm(v, k)
-
-    monkeypatch.setattr(schreier.vectors, "norm", counted)
+    # The support walk reads the norm off its root bounds: neither norm nor
+    # the greedy runs on x, and one walk serves the call.
+    norms, greedies, walks = spy_norm_work(monkeypatch)
     call(x)
-    assert calls == [x]
+    assert x not in norms and integer_sizes(x) not in greedies
+    assert walks == [x]
     with pytest.raises(UnitNormRequired, match=op):
         call(2 * x)
 
@@ -243,14 +248,31 @@ def test_pruned_walk_matches_the_fraction_reference(rng):
     # of x inside, for ||x|| = 1 and ||x|| < 1 (no tight sets).  Small
     # numerators and denominators make ties, so many vectors have several
     # 1-sets.  The tight sets must come in lexicographic order unsorted.
+    # Each root bound is the best total with that minimum, their maximum is
+    # the greedy's value (the norm the walk checks), and the incremental
+    # bound table is the one of a sort per suffix.
     def check(x, ground):
+        ground = tuple(ground)
         reference = reference_admissible_sums(x, max(ground), 1, ground)
         scale, tight, below = _pruned_walk(x, ground)
         assert scale == lcm(*(q.denominator for _, q in x.items()))
         assert all(F < G for F, G in zip(tight, tight[1:]))
         assert tight == [F for F, total in reference if total == 1]
         assert Fraction(below, scale) == max(total for _, total in reference if total < 1)
+        size = integer_sizes(x)
+        sizes = [size.get(i, 0) for i in ground]
+        best = dict.fromkeys(ground, Fraction(0))
+        for F, total in reference:
+            if F:
+                best[F[0]] = max(best[F[0]], total)
+        roots = _root_bounds(ground, sizes)
+        assert roots == [scale * best[m] for m in ground]
+        assert max(roots) == _greedy(size)[0] == scale * norm(x).value
+        assert _top_table(sizes) == sorted_suffix_table(sizes)
         return tight
+
+    assert _pruned_walk(Vector(), ()) == (1, [], 0)
+    assert _root_bounds((), []) == [] and _top_table([]) == sorted_suffix_table([]) == [[0]]
 
     assert check(Vector({3: 1}), (3,)) == [(3,)]
     assert check(Vector({3: 1}), range(1, 7)) == [
@@ -272,6 +294,77 @@ def test_pruned_walk_matches_the_fraction_reference(rng):
         check(x, ground)
         assert check(x * Fraction(rng.randint(1, 9), 10), ground) == []
     assert several >= 15
+
+
+def sorted_suffix_table(sizes):
+    """top[p][r], the sum of the r largest of sizes[p:], padded to r = n,
+    from one sort per suffix."""
+    n = len(sizes)
+    table = []
+    for p in range(n + 1):
+        row = [sum(sorted(sizes[p:], reverse=True)[:r]) for r in range(n + 1)]
+        table.append(row)
+    return table
+
+
+UNIT_CALLERS = [
+    ("one_sets", one_sets),
+    ("covers_index", lambda x: covers_index(x, 1)),
+    ("eps_gap", eps_gap),
+    ("certify_extreme", certify_extreme),
+    ("perturbation_witness", lambda x: perturbation_witness(x, x.max_index + 1)),
+]
+
+
+@pytest.mark.parametrize("op, call", UNIT_CALLERS)
+@pytest.mark.parametrize(
+    "x, value", [(Vector(), "0"), (Vector({1: HALF}), "1/2"), (Vector({2: "3/4", 3: "3/4"}), "3/2")]
+)
+def test_each_unit_caller_names_itself_off_the_sphere(op, call, x, value):
+    with pytest.raises(UnitNormRequired, match=rf"^{op} needs a unit vector; got norm {value}$"):
+        call(x)
+
+
+@pytest.mark.parametrize("op, call", UNIT_CALLERS)
+def test_unit_check_comes_before_the_support_cutoff(op, call):
+    # 30 coordinates, past the support cutoff of 24: off the sphere the
+    # unit check raises first, on it the cutoff.
+    on = Vector({i: Fraction(1, 30) for i in range(30, 60)})
+    assert norm(on).value == 1
+    with pytest.raises(UnitNormRequired, match=rf"^{op} needs a unit vector; got norm 2$"):
+        call(2 * on)
+    what = "eps_gap" if op == "eps_gap" else "one_sets"
+    with pytest.raises(CutoffExceeded, match=f"^{what} support size: requested 30 exceeds cutoff 24 "):
+        call(on)
+
+
+def test_pruned_walk_refuses_a_norm_above_one_before_any_node():
+    # Each node of the walk is one call of its inner visit; a profile hook
+    # counts them.  Every subset of [100, 123] is admissible, so a walk of
+    # this x would visit all 2^24 of them.
+    visits = []
+
+    def walked(x, ground):
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "visit":
+                visits.append(frame.f_locals["F"])
+
+        sys.setprofile(count)
+        try:
+            return _pruned_walk(x, ground)
+        finally:
+            sys.setprofile(None)
+
+    assert walked(HALVES, HALVES.support)[1] == [(2, 3), (2, 4), (3, 4)] and visits
+    visits.clear()
+    for x, ground, value in [
+        (Vector({i: HALF for i in range(100, 124)}), range(100, 124), "12"),
+        (Vector({3: HALF, 5: HALF, 7: Fraction(1, 100)}), range(1, 13), "101/100"),
+        (Vector({1: 2}), (1,), "2"),
+    ]:
+        with pytest.raises(UnitNormRequired, match=rf"^the pruned walk needs \|\|x\|\| <= 1; got {value}$"):
+            walked(x, ground)
+    assert visits == []
 
 
 def test_greedy_matches_brute_force(rng):
