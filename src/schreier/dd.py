@@ -19,7 +19,10 @@ terms.  A slack is then the integer b d - a.num, a positive multiple of the
 rational slack, so its sign and its zeros are those of the rational one.
 
 Seeding requires a starting polytope whose vertices and tight masks are
-known; callers here use boxes, simplices, and their products.
+known; callers here use boxes, simplices, and their products.  The vertex
+set of the result does not depend on the order the halfspaces are inserted
+in, but the sizes of the lists in between do, and with them the cost of
+the adjacency scans.
 """
 
 from dataclasses import dataclass

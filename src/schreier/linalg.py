@@ -4,8 +4,11 @@ Rational rows are cleared to integers by the LCM of their denominators,
 which changes neither rank nor kernel.  Elimination then pivots fraction-free
 (Edmonds 1967, Bareiss 1968): after each pivot every entry is d times its
 rational value, d the last pivot, and the division by the previous d is exact
-by Sylvester's identity.  ``rank``, ``nullspace_vector`` and the simplex
-tableau all pivot with ``pivot_rows``, and every answer is an integer.
+by Sylvester's identity.  ``rank`` runs forward elimination, which pivots
+only the rows from the pivot row down; ``nullspace_vector`` runs
+Gauss-Jordan, which pivots the rows above as well, as it reads the reduced
+echelon form.  Both, and the simplex tableau, pivot with ``pivot_rows``, and
+every answer is an integer.
 """
 
 from math import gcd, lcm
@@ -44,13 +47,17 @@ def pivot_rows(rows, r, col, d) -> tuple[list[list[int]], int]:
             for i, row in enumerate(rows)], p
 
 
-def _reduce(rows) -> tuple[list[list[int]], list[int], int]:
-    """Integer Gauss-Jordan elimination: (rows, pivot columns, d).
+def _reduce(rows, jordan: bool = True) -> tuple[list[list[int]], list[int], int]:
+    """Integer elimination: (rows, pivot columns, d).
 
     Pivots go left to right, each on the first remaining row that is nonzero
-    in its column.  Row i of the result holds d > 0 in column ``pivots[i]``
-    and 0 in every other pivot column; the rows after the last pivot row are
-    zero.
+    in its column; the rows after the last pivot row end zero.  Gauss-Jordan
+    (``jordan``) pivots every row, so row i of the result holds d > 0 in
+    column ``pivots[i]`` and 0 in every other pivot column.  Forward
+    elimination pivots only the pivot row and the rows below it, which gives
+    the echelon form.  ``pivot_rows`` treats each row apart from the others,
+    so the rows from the pivot row down, and with them the pivots and d, are
+    the same either way, and the Bareiss division stays exact.
     """
     m = [cleared(row)[0] for row in rows]
     pivots: list[int] = []
@@ -63,14 +70,17 @@ def _reduce(rows) -> tuple[list[list[int]], list[int], int]:
         if found is None:
             continue
         m[r], m[found] = m[found], m[r]
-        m, d = pivot_rows(m, r, col, d)
+        if jordan:
+            m, d = pivot_rows(m, r, col, d)
+        else:
+            m[r:], d = pivot_rows(m[r:], 0, col, d)
         pivots.append(col)
     return m, pivots, d
 
 
 def rank(rows) -> int:
-    """Exact rank: the number of pivots of the integer elimination."""
-    return len(_reduce(rows)[1])
+    """Exact rank: the number of pivots of the forward integer elimination."""
+    return len(_reduce(rows, jordan=False)[1])
 
 
 def nullspace_vector(rows, dim: int) -> list[int] | None:

@@ -5,7 +5,7 @@ import pytest
 
 from schreier.dd import DDPolytope, box_seed
 from schreier.dual import _indicator, _section_cuts
-from schreier.linalg import nullspace_vector, rank
+from schreier.linalg import _reduce, nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
 
 from conftest import ReferenceTableau, dd_point, solve_square, vertices_by_combination_search
@@ -39,6 +39,38 @@ def test_rank_matches_sympy(rng):
         n_cols = rng.randint(1, 6)
         rows = _random_rational_rows(rng, n_rows, n_cols)
         assert rank(rows) == _sympy_matrix(sympy, rows, n_cols).rank()
+
+
+def _deficient_rows(rng, n_rows, n_cols):
+    """Integer rows spanned by min(n_rows, n_cols) - 1 random rows, some with a
+    zero first entry, so that elimination meets zero rows, row swaps and
+    negative pivots."""
+    basis = [[rng.randint(-4, 4) for _ in range(n_cols)]
+             for _ in range(max(min(n_rows, n_cols) - 1, 0))]
+    rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n_cols)]
+            for _ in range(n_rows)]
+    if rows and rng.random() < 0.5:
+        for row in rows[: rng.randint(1, n_rows)]:
+            row[0] = 0
+    return rows
+
+
+def test_rank_matches_gauss_jordan(rng):
+    # Forward elimination pivots only the rows from the pivot row down; its
+    # pivots and last pivot must be those of the full Gauss-Jordan.
+    assert rank([]) == len(_reduce([])[1]) == 0
+    assert rank([[0, -2], [-3, 1]]) == 2  # a swap, then negative pivots
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    matrices = []
+    for _ in range(400):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        matrices.append([[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)])
+        matrices.append(_deficient_rows(rng, n_rows, n_cols))
+        matrices.append(_random_rational_rows(rng, n_rows, n_cols))
+    assert any(rank(rows) < min(len(rows), len(rows[0])) for rows in matrices)
+    for rows in matrices:
+        assert rank(rows) == len(_reduce(rows)[1])
+        assert _reduce(rows, jordan=False)[1:] == _reduce(rows)[1:]
 
 
 def test_nullspace_vector(rng):

@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from schreier.cutoffs import admissible_enum_limit
+from schreier.dd import DDPolytope
 from schreier.errors import CutoffExceeded
 from schreier.extreme import (
     EXTREME,
@@ -549,6 +550,27 @@ def test_class_vertices_insertion_order_independent(m, rng):
     shuffled = list(cut_rows)
     rng.shuffle(shuffled)
     assert _class_reps(m, (*seed, shuffled)) == baseline
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_class_cut_order_keeps_lists_small(m):
+    # The cuts run with the head position t from m down to 2.  From m = 4 on,
+    # no list after a cut exceeds the final one (79 at m = 5, 377 at m = 6);
+    # the ascending order peaks at 10, 33, 132 and 678 for m = 3..6.  Its
+    # table is the same.
+    dim, seed_rows, seed_vertices, cut_rows = _class_polytope_pieces(m)
+    poly = DDPolytope(dim, seed_rows, seed_vertices)
+    sizes = []
+    for row, b in cut_rows:
+        poly.add_constraint(row, b)
+        sizes.append(len(poly.vertices))
+    peak_and_final = {2: (3, 3), 3: (8, 7), 4: (21, 21), 5: (79, 79), 6: (377, 377)}
+    assert (max(sizes), sizes[-1]) == peak_and_final[m]
+    # The head position of a cut row is its first nonzero column; the stable
+    # sort keeps the order within each t.
+    ascending = sorted(cut_rows, key=lambda rb: next(j for j, a in enumerate(rb[0]) if a))
+    assert (ascending == cut_rows) == (m == 2)
+    assert _class_reps(m, (dim, seed_rows, seed_vertices, ascending)) == _class_positive_vertices(m)
 
 
 def test_class_reps_known_members():
