@@ -18,15 +18,22 @@ is an integer numerator vector over one positive denominator, in lowest
 terms.  A slack is then the integer b d - a.num, a positive multiple of the
 rational slack, so its sign and its zeros are those of the rational one.
 
-Seeding requires a starting polytope whose vertices and tight masks are
-known; callers here use boxes, simplices, and their products.  The vertex
-set of the result does not depend on the order the halfspaces are inserted
-in, but the sizes of the lists in between do, and with them the cost of
-the adjacency scans.
+The seed is a product of factor polytopes, each given by its rows and its
+vertices on its own coordinates: boxes (``box_seed``, a product of
+intervals), simplices, and their products.  Each factor tests its own
+vertices on its own rows once.  A factor row touches only that factor's
+coordinates, so a product vertex is tight on it exactly when the factor's
+component is, and its tight mask is the OR of its components' masks, each
+shifted by its factor's row offset.  The vertex set of the result does not
+depend on the order the halfspaces are inserted in, but the sizes of the
+lists in between do, and with them the cost of the adjacency scans.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from functools import reduce
+from itertools import product
+from math import gcd, lcm
+from operator import or_
 
 from .linalg import cleared
 
@@ -41,24 +48,32 @@ class DDVertex:
 class DDPolytope:
     """Bounded polytope carried as (H-list, V-list with tight masks)."""
 
-    def __init__(self, dim: int, seed_rows, seed_vertices):
-        """seed_rows: list of (coeffs, rhs) meaning coeffs.x <= rhs.
-        seed_vertices: exact vertex points of the seed polytope."""
+    def __init__(self, factors):
+        """The product of ``factors``, each a pair (rows, vertices) on its
+        own coordinates: rows a list of (coeffs, rhs) meaning
+        coeffs.x <= rhs, vertices the exact vertex points of that factor, at
+        least one.  The factors take consecutive coordinates and rows in
+        their order, and the vertices come in product order, the first
+        factor outermost.  No factors give the one empty point."""
+        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
+        parts = []
+        dim = 0
+        for rows, vertices in factors:
+            cleared_rows = [_cleared_row(coeffs, b) for coeffs, b in rows]
+            shift = len(self.rows)
+            self.rows += [(tuple((k + dim, a) for k, a in row), b) for row, b in cleared_rows]
+            part = []
+            for point in vertices:
+                num, den = cleared(point)
+                mask = 0
+                for idx, (row, b) in enumerate(cleared_rows):
+                    if _dot(row, num) == b * den:
+                        mask |= 1 << idx
+                part.append((num, den, mask << shift))
+            parts.append(part)
+            dim += len(vertices[0])
         self.dim = dim
-        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = [
-            _cleared_row(coeffs, b) for coeffs, b in seed_rows
-        ]
-        self.vertices: list[DDVertex] = []
-        for point in seed_vertices:
-            num, den = cleared(point)
-            self.vertices.append(DDVertex(tuple(num), den, self._tight_mask(num, den)))
-
-    def _tight_mask(self, num, den: int) -> int:
-        mask = 0
-        for idx, (row, b) in enumerate(self.rows):
-            if _dot(row, num) == b * den:
-                mask |= 1 << idx
-        return mask
+        self.vertices: list[DDVertex] = [_product_vertex(combo) for combo in product(*parts)]
 
     def add_constraint(self, coeffs, b) -> None:
         """Cut the polytope with coeffs.x <= b.
@@ -121,20 +136,23 @@ def _dot(row, num) -> int:
     return sum(a * num[k] for k, a in row)
 
 
-def box_seed(bounds) -> tuple[list, list]:
-    """Seed rows and vertices for a product of intervals [lo_i, hi_i].
+def _product_vertex(components) -> DDVertex:
+    """The product vertex of one (num, den, shifted mask) per factor.
 
-    The rows are -x_i <= -lo_i and x_i <= hi_i with int coefficients; the
-    bounds, ints or Fractions, are kept as they were given.
+    Its denominator is the LCM of the factors' denominators, which is the
+    LCM of every coordinate's, so the numerators are those ``cleared`` gives
+    the whole point, in lowest terms like each factor's."""
+    den = lcm(*(d for _, d, _ in components))
+    num = tuple(a * (den // d) for part, d, _ in components for a in part)
+    return DDVertex(num, den, reduce(or_, (mask for _, _, mask in components), 0))
+
+
+def box_seed(bounds) -> list[tuple[list, list]]:
+    """The factors of a product of intervals [lo_i, hi_i], one per interval.
+
+    Each has the rows -x <= -lo and x <= hi with int coefficients, and the
+    vertices (lo,) and (hi,), or just (lo,) when lo = hi; the bounds, ints
+    or Fractions, are kept as they were given.
     """
-    dim = len(bounds)
-    rows = []
-    for i, (lo, hi) in enumerate(bounds):
-        for sign, b in ((-1, -lo), (1, hi)):
-            row = [0] * dim
-            row[i] = sign
-            rows.append((row, b))
-    vertices = [()]
-    for lo, hi in bounds:
-        vertices = [v + (val,) for v in vertices for val in ((lo, hi) if lo != hi else (lo,))]
-    return rows, vertices
+    return [([([-1], -lo), ([1], hi)], [(lo,), (hi,)] if lo != hi else [(lo,)])
+            for lo, hi in bounds]

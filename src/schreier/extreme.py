@@ -257,7 +257,9 @@ def _signed_points(rows, D: int) -> list[Vector]:
     increasing in their lexicographic order (b_i is 0 or 1), so sorting on
     the keys gives the canonical order.  The signed points are distinct,
     so no keys tie.  Each key value k stands for (-1)^(k mod 2) (k // 2) / D,
-    one Fraction per distinct value.
+    one Fraction per distinct value.  The points skip Vector's checks
+    (Vector._of): their indices increase from 1 and every value is a
+    nonzero Fraction.
     """
     keys = []
     for row in rows:
@@ -273,7 +275,7 @@ def _signed_points(rows, D: int) -> list[Vector]:
     for a in {a for row in rows for a in row if a}:
         value[2 * a] = Fraction(a, D)
         value[2 * a + 1] = -value[2 * a]
-    return [Vector({i: value[k] for i, k in enumerate(key, start=1) if k}) for key in keys]
+    return [Vector._of([(i, value[k]) for i, k in enumerate(key, start=1) if k]) for key in keys]
 
 
 def _maximal_in_window(N: int) -> list[IndexSet]:
@@ -303,7 +305,7 @@ def enumerate_vertices(N: int) -> list[Vector]:
     if N < 0:
         raise ValueError("window must be >= 0")
     cutoffs.check("enumerate_vertices", N, cutoffs.vertex_enum_limit())
-    poly = DDPolytope(N, *box_seed([(0, 1)] * N))
+    poly = DDPolytope(box_seed([(0, 1)] * N))
     for F in _maximal_in_window(N):
         poly.add_constraint([1 if i in F else 0 for i in range(1, N + 1)], 1)
 
@@ -329,47 +331,41 @@ def enumerate_vertices(N: int) -> list[Vector]:
 
 
 def _class_polytope_pieces(m: int):
-    """Seed rows/vertices and cut rows for the sorted-tail class polytope.
+    """Seed factors and cut rows for the sorted-tail class polytope.
 
     Reduced coordinates: (v_2..v_m, w_1..w_{m-1}) with w_m = 1 - sum(w).
-    The seed is the product of the v-box [0,1]^(m-1), from box_seed like
-    the box of enumerate_vertices, with the sorted probability simplex; the
-    cuts are the head-subset + tail-prefix rows (with sorted tails those
-    dominate every later-position subset).  They run with the head
-    position t from m down to 2.  The vertex set does not depend on that
-    order, but the lists in between do: from m = 4 on, no list after a cut
-    exceeds the final one, 79 vertices at m = 5 and 377 at m = 6, where t
-    from 2 up to m peaks at 132 and 678.  At m = 1 there are no
-    coordinates: the one seed vertex is the empty point, head (1,) and
-    tail (1,), and no row cuts it.
+    The seed is the product of the v-box [0,1]^(m-1), the interval factors
+    of box_seed like the box of enumerate_vertices, with the sorted
+    probability simplex on the w coordinates; the cuts are the head-subset +
+    tail-prefix rows (with sorted tails those dominate every later-position
+    subset).  They run with the head position t from m down to 2.  The
+    vertex set does not depend on that order, but the lists in between do:
+    from m = 4 on, no list after a cut exceeds the final one, 79 vertices at
+    m = 5 and 377 at m = 6, where t from 2 up to m peaks at 132 and 678.
+    At m = 1 there are no coordinates: the one seed vertex is the empty
+    point, head (1,) and tail (1,), and no row cuts it.
     """
     n_v = m - 1
     n_w = m - 1
     dim = n_v + n_w
 
-    box_rows, corners = box_seed([(0, 1)] * n_v)
-    seed_rows = [(row + [0] * n_w, b) for row, b in box_rows]
+    simplex_rows = []
     for i in range(n_w - 1):  # w_{i+1} <= w_i
-        row = [0] * dim
-        row[n_v + i + 1] = 1
-        row[n_v + i] = -1
-        seed_rows.append((row, 0))
+        row = [0] * n_w
+        row[i + 1] = 1
+        row[i] = -1
+        simplex_rows.append((row, 0))
     if n_w:  # w_m <= w_{m-1}
-        row = [0] * dim
-        for i in range(n_w - 1):
-            row[n_v + i] = -1
-        row[n_v + n_w - 1] = -2
-        seed_rows.append((row, -1))
-    row = [0] * dim  # w_m >= 0
-    for i in range(n_w):
-        row[n_v + i] = 1
-    seed_rows.append((row, 1))
+        row = [-1] * n_w
+        row[n_w - 1] = -2
+        simplex_rows.append((row, -1))
+    simplex_rows.append(([1] * n_w, 1))  # w_m >= 0
 
     simplex_vertices = []
     for j in range(1, m + 1):
         ws = [Fraction(1, j)] * j + [Fraction(0)] * (m - j)
         simplex_vertices.append(tuple(ws[:n_w]))
-    seed_vertices = [corner + w for corner in corners for w in simplex_vertices]
+    factors = [*box_seed([(0, 1)] * n_v), (simplex_rows, simplex_vertices)]
 
     cut_rows = []
     for t in range(m, 1, -1):
@@ -384,14 +380,14 @@ def _class_polytope_pieces(m: int):
                 for j in range(prefix):
                     row[n_v + j] += 1
                 cut_rows.append((row, 1))
-    return dim, seed_rows, seed_vertices, cut_rows
+    return factors, cut_rows
 
 
 def _class_reps(m: int, pieces) -> tuple:
     """The certified classes of tail size m from its polytope pieces."""
     n_v = m - 1
-    dim, seed_rows, seed_vertices, cut_rows = pieces
-    poly = DDPolytope(dim, seed_rows, seed_vertices)
+    factors, cut_rows = pieces
+    poly = DDPolytope(factors)
     for row, b in cut_rows:
         poly.add_constraint(row, b)
     reps = []
@@ -445,7 +441,9 @@ def _positive_pool(N: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], .
     points[k] on [1, N] as integer numerators over D.  The pool is built on
     the rows: each class's head and tail are cleared over D once, the tail
     arrangements are permutations of int tuples, and each point maps its
-    row back to Fractions through the class values, by numerator.
+    row back to Fractions through the class values, by numerator.  The
+    points skip Vector's checks (Vector._of): a row's nonzero entries give
+    increasing indices from 1 and positive Fraction values.
 
     No embedding is certified again: each is EXTREME because its class is.
     Let e carry a class's head on [1, m] and an arrangement of its tail on
@@ -491,7 +489,7 @@ def _positive_pool(N: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], .
                         row[f] = a
                     rows.append(tuple(row))
     rows.sort()
-    points = tuple(Vector({i: value[a] for i, a in enumerate(row, start=1) if a}) for row in rows)
+    points = tuple(Vector._of([(i, value[a]) for i, a in enumerate(row, start=1) if a]) for row in rows)
     return points, tuple(rows), D
 
 

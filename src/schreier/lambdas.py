@@ -157,18 +157,17 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     lam, _ = max_feasible_weight(x, e, _primal_solve)
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])
-    v = x - lam * e
-    check = norm(v, 1).value
-    if check > 1 - lam:
-        raise RuntimeError(f"lambda verification failed: ||x-le|| = {check} > {1 - lam}")
-    residual = v / (1 - lam)
-    # v sums to 1 - lam over F exactly when the residual sums to 1 over F.
+    residual = (x - lam * e) / (1 - lam)
+    # ||x - lam e|| <= 1 - lam exactly when ||residual|| <= 1, which the
+    # walk checks from its root bounds before it lists a set.  v = x - lam e
+    # sums to 1 - lam over F exactly when the residual sums to 1 over F.
+    try:
+        tight = _pruned_walk(residual, range(1, window + 1))[1]
+    except UnitNormRequired as err:
+        raise RuntimeError(f"lambda verification failed at lambda = {lam}: {err}") from err
     # Signs follow v; a zero of v gets +1.
     negative = {i for i, q in residual.items() if q < 0}
-    binding = [
-        SignedConstraint(F, tuple(-1 if i in negative else 1 for i in F))
-        for F in _pruned_walk(residual, range(1, window + 1))[1]
-    ]
+    binding = [SignedConstraint(F, tuple(-1 if i in negative else 1 for i in F)) for F in tight]
     return LambdaResult(lam, e, residual, binding)
 
 

@@ -4,11 +4,13 @@ Rational rows are cleared to integers by the LCM of their denominators,
 which changes neither rank nor kernel.  Elimination then pivots fraction-free
 (Edmonds 1967, Bareiss 1968): after each pivot every entry is d times its
 rational value, d the last pivot, and the division by the previous d is exact
-by Sylvester's identity.  ``rank`` runs forward elimination, which pivots
-only the rows from the pivot row down; ``nullspace_vector`` runs
-Gauss-Jordan, which pivots the rows above as well, as it reads the reduced
-echelon form.  Both, and the simplex tableau, pivot with ``pivot_rows``, and
-every answer is an integer.
+by Sylvester's identity.  ``nullspace_vector`` runs Gauss-Jordan, which
+pivots every row, as it reads the reduced echelon form; it and the simplex
+tableau pivot with ``pivot_rows``.  ``rank`` is row-incremental Bareiss: it
+pushes one row at a time through the pivots found so far with
+``eliminate``, skips a pivot whose factor is 0, and stops at full column
+rank (the proof that its divisions are exact is in its docstring).  Every
+answer is an integer.
 """
 
 from math import gcd, lcm
@@ -47,17 +49,13 @@ def pivot_rows(rows, r, col, d) -> tuple[list[list[int]], int]:
             for i, row in enumerate(rows)], p
 
 
-def _reduce(rows, jordan: bool = True) -> tuple[list[list[int]], list[int], int]:
-    """Integer elimination: (rows, pivot columns, d).
+def _reduce(rows) -> tuple[list[list[int]], list[int], int]:
+    """Integer Gauss-Jordan elimination: (rows, pivot columns, d).
 
     Pivots go left to right, each on the first remaining row that is nonzero
-    in its column; the rows after the last pivot row end zero.  Gauss-Jordan
-    (``jordan``) pivots every row, so row i of the result holds d > 0 in
-    column ``pivots[i]`` and 0 in every other pivot column.  Forward
-    elimination pivots only the pivot row and the rows below it, which gives
-    the echelon form.  ``pivot_rows`` treats each row apart from the others,
-    so the rows from the pivot row down, and with them the pivots and d, are
-    the same either way, and the Bareiss division stays exact.
+    in its column; the rows after the last pivot row end zero.  Every row is
+    pivoted, so row i of the result holds d > 0 in column ``pivots[i]`` and
+    0 in every other pivot column.
     """
     m = [cleared(row)[0] for row in rows]
     pivots: list[int] = []
@@ -70,17 +68,58 @@ def _reduce(rows, jordan: bool = True) -> tuple[list[list[int]], list[int], int]
         if found is None:
             continue
         m[r], m[found] = m[found], m[r]
-        if jordan:
-            m, d = pivot_rows(m, r, col, d)
-        else:
-            m[r:], d = pivot_rows(m[r:], 0, col, d)
+        m, d = pivot_rows(m, r, col, d)
         pivots.append(col)
     return m, pivots, d
 
 
 def rank(rows) -> int:
-    """Exact rank: the number of pivots of the forward integer elimination."""
-    return len(_reduce(rows, jordan=False)[1])
+    """Exact rank, by row-incremental Bareiss elimination.
+
+    Each row is cleared and pushed through the pivots recorded so far, in
+    their order; a row that ends nonzero records a new pivot on its first
+    nonzero column, and the loop stops once the pivots reach the column
+    count, as every later row then lies in their span.
+
+    Exactness.  Let the recorded pivots sit at rows r_1, ..., r_k and
+    columns c_1, ..., c_k of the cleared matrix A, and let d_k be the minor
+    A[r_1..r_k; c_1..c_k] (d_0 = 1).  Row i at level k holds, in column j,
+    the bordered minor A[r_1..r_k, i; c_1..c_k, j], an integer.  The pivot
+    row P_k is row r_k at level k - 1, so P_k[c_k] = d_k.  Sylvester's
+    identity (Bareiss 1968) gives, for row a at level k - 1 with factor
+    f = a[c_k], the level-k row (a d_k - f P_k) / d_(k-1).  It expands a
+    determinant, so it holds for any row and column order, and in
+    particular for pivots found one row at a time.  At f = 0 the step is
+    the rescaling a d_k / d_(k-1), and these telescope: a row last updated
+    at level l is a d_(k-1) / d_l at level k - 1, and its next step with
+    f = a[c_k] != 0 is (a d_k - f P_k) / d_l.  So ``eliminate`` runs with
+    d = d_l and skips every pivot with f = 0; each quotient is a bordered
+    minor, so the division is exact.  A row that ends at level l after r
+    pivots is a d_r / d_l at level r, again a vector of minors, so a new
+    pivot row is rescaled once, exactly, and its entry at the new pivot
+    column is d_(r+1).  The bordered minor is d_r times the residual of
+    row i off the span of the pivot rows (a Schur complement), so a row
+    ends zero exactly when it lies in that span, and the rank is the number
+    of pivots.
+    """
+    pivots: list[tuple[list[int], int, int]] = []  # (P_k, c_k, d_k)
+    d = 1  # d_r, the last pivot
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(pivots) == width:
+            break
+        a, level = cleared(row)[0], 1  # level holds d_l
+        for pivot_row, col, p in pivots:
+            if a[col]:
+                a, level = eliminate(a, pivot_row, col, p, level), p
+        col = next((j for j, v in enumerate(a) if v), None)
+        if col is None:
+            continue
+        if level != d:
+            a = [v * d // level for v in a]
+        pivots.append((a, col, a[col]))
+        d = a[col]
+    return len(pivots)
 
 
 def nullspace_vector(rows, dim: int) -> list[int] | None:

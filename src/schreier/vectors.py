@@ -71,6 +71,21 @@ class Vector:
         object.__setattr__(self, "_coords", clean)
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
 
+    @classmethod
+    def _of(cls, items) -> "Vector":
+        """The Vector of ``items``, (index, value) pairs taken as they are.
+
+        Nothing is checked: the caller guarantees that the indices are ints
+        >= 1 in increasing order and that every value is a nonzero
+        Fraction, which is what __init__ would make of them.  The extreme
+        pools build their points here from integer rows.
+        """
+        v = object.__new__(cls)
+        items = tuple(items)
+        object.__setattr__(v, "_coords", dict(items))
+        object.__setattr__(v, "_items", items)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 

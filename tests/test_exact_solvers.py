@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 
-from schreier.dd import DDPolytope, box_seed
+from schreier import linalg
+from schreier.dd import DDPolytope, _cleared_row, box_seed
 from schreier.dual import _indicator, _section_cuts
-from schreier.linalg import _reduce, nullspace_vector, rank
+from schreier.extreme import _class_polytope_pieces
+from schreier.linalg import _reduce, cleared, nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
 
 from conftest import ReferenceTableau, dd_point, solve_square, vertices_by_combination_search
@@ -56,8 +59,7 @@ def _deficient_rows(rng, n_rows, n_cols):
 
 
 def test_rank_matches_gauss_jordan(rng):
-    # Forward elimination pivots only the rows from the pivot row down; its
-    # pivots and last pivot must be those of the full Gauss-Jordan.
+    # Row-incremental Bareiss must count the pivots of the full Gauss-Jordan.
     assert rank([]) == len(_reduce([])[1]) == 0
     assert rank([[0, -2], [-3, 1]]) == 2  # a swap, then negative pivots
     assert rank([[0, 0, 0], [0, 0, 0]]) == 0
@@ -70,7 +72,75 @@ def test_rank_matches_gauss_jordan(rng):
     assert any(rank(rows) < min(len(rows), len(rows[0])) for rows in matrices)
     for rows in matrices:
         assert rank(rows) == len(_reduce(rows)[1])
-        assert _reduce(rows, jordan=False)[1:] == _reduce(rows)[1:]
+
+
+def _exact(n, d):
+    q, r = divmod(n, d)
+    assert r == 0, f"{n} / {d} is not exact"
+    return q
+
+
+def _checked_bareiss_rank(rows):
+    """Rank by row-incremental Bareiss, every division asserted exact.
+
+    Each row goes through every recorded pivot, rescaled by d_k / d_(k-1)
+    at a zero factor too, and again through only the pivots with a nonzero
+    factor and one rescaling by d_r / d_l at the end, as linalg.rank does;
+    the two must give the same row.  Every row is pushed, also past full
+    rank, where it must end zero.
+    """
+    pivots = []  # (pivot row at its level, column)
+    for row in rows:
+        full, d = cleared(row)[0], 1
+        for pivot_row, col in pivots:
+            p, f = pivot_row[col], full[col]
+            full, d = [_exact(a * p - f * b, d) for a, b in zip(full, pivot_row)], p
+        skip, level = cleared(row)[0], 1
+        for pivot_row, col in pivots:
+            p, f = pivot_row[col], skip[col]
+            if f:
+                skip, level = [_exact(a * p - f * b, level) for a, b in zip(skip, pivot_row)], p
+        assert [_exact(a * d, level) for a in skip] == full
+        col = next((j for j, a in enumerate(full) if a), None)
+        if col is not None:
+            assert len(pivots) < len(row)
+            pivots.append((full, col))
+    return len(pivots)
+
+
+def _sign_rows(rng, n_rows, n_cols):
+    """Tall 0/+-1 rows like the signed 1-set rows of a certificate: one sign
+    per column, each row the signed indicator of a set of columns.  The
+    sets come from a pool of at most n_cols of them, which often leaves the
+    rows rank-deficient; a prefix of the sets [0, k] reaches full rank
+    early, and empty sets give zero rows."""
+    signs = [rng.choice((-1, 1)) for _ in range(n_cols)]
+    pool = [frozenset(rng.sample(range(n_cols), rng.randint(1, n_cols)))
+            for _ in range(rng.randint(1, n_cols))]
+    sets = [rng.choice(pool) if rng.random() < 0.85 else frozenset() for _ in range(n_rows)]
+    if rng.random() < 0.3:
+        sets[:n_cols] = [frozenset(range(k + 1)) for k in range(n_cols)]
+    return [[signs[j] if j in F else 0 for j in range(n_cols)] for F in sets[:n_rows]]
+
+
+def test_rank_of_tall_sign_rows(rng, monkeypatch):
+    matrices = [_sign_rows(rng, rng.randint(1, 40), rng.randint(1, 10)) for _ in range(300)]
+    matrices += [[[1, 0], [0, 1]] + [[1, 1]] * 38, [[0] * 10] * 40]
+    matrices.append([[1 if j <= k else 0 for j in range(10)] for k in range(10)] + [[-1] * 10] * 30)
+    expected = [len(_reduce(rows)[1]) for rows in matrices]
+    assert [_checked_bareiss_rank(rows) for rows in matrices] == expected
+    assert any(r < min(len(rows), len(rows[0])) for rows, r in zip(matrices, expected))
+    assert any(r == len(rows[0]) < len(rows) for rows, r in zip(matrices, expected))
+    assert any(not any(row) for rows in matrices for row in rows)
+
+    def checked(other, pivot_row, col, p, d):
+        # rank skips every pivot whose factor is 0; the rest divide exactly.
+        factor = other[col]
+        assert factor
+        return [_exact(a * p - factor * b, d) for a, b in zip(other, pivot_row)]
+
+    monkeypatch.setattr(linalg, "eliminate", checked)
+    assert [rank(rows) for rows in matrices] == expected
 
 
 def test_nullspace_vector(rng):
@@ -239,9 +309,14 @@ def test_compact_tableau_pivots_as_the_dense_reference(rng):
         assert runs[0] == runs[1]
 
 
+def _dense_rows(poly):
+    """The rows of ``poly`` as dense (coeffs, rhs) tuples of Fractions."""
+    return [(tuple(Fraction(dict(row).get(k, 0)) for k in range(poly.dim)), Fraction(b))
+            for row, b in poly.rows]
+
+
 def test_dd_cube_cut():
-    rows, vertices = box_seed([(0, 1)] * 3)
-    poly = DDPolytope(3, rows, vertices)
+    poly = DDPolytope(box_seed([(0, 1)] * 3))
     assert len(poly.vertices) == 8
     poly.add_constraint([1, 1, 1], Fraction(3, 2))
     points = {dd_point(v) for v in poly.vertices}
@@ -254,8 +329,7 @@ def test_dd_cube_cut():
 
 
 def test_dd_simplex_from_cube():
-    rows, vertices = box_seed([(0, 1)] * 2)
-    poly = DDPolytope(2, rows, vertices)
+    poly = DDPolytope(box_seed([(0, 1)] * 2))
     poly.add_constraint([1, 1], 1)
     points = sorted(dd_point(v) for v in poly.vertices)
     assert points == [
@@ -271,8 +345,7 @@ def test_dd_simplex_from_cube():
 
 
 def test_dd_empty_intersection_face():
-    rows, vertices = box_seed([(0, 1)] * 2)
-    poly = DDPolytope(2, rows, vertices)
+    poly = DDPolytope(box_seed([(0, 1)] * 2))
     poly.add_constraint([1, 0], 0)  # x <= 0 collapses to a facet
     points = sorted(dd_point(v) for v in poly.vertices)
     assert points == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
@@ -281,9 +354,8 @@ def test_dd_empty_intersection_face():
 def test_dd_fuzz_against_combination_search(rng):
     for trial in range(30):
         dim = rng.randint(2, 4)
-        seed_rows, seed_vertices = box_seed([(0, 1)] * dim)
-        poly = DDPolytope(dim, seed_rows, seed_vertices)
-        all_rows = [(tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows]
+        poly = DDPolytope(box_seed([(0, 1)] * dim))
+        all_rows = _dense_rows(poly)
         for _ in range(rng.randint(1, 5)):
             coeffs = [Fraction(rng.randint(-2, 3)) for _ in range(dim)]
             if all(c == 0 for c in coeffs):
@@ -296,6 +368,52 @@ def test_dd_fuzz_against_combination_search(rng):
         assert got == expected, f"trial {trial}: DD {len(got)} vs oracle {len(expected)}"
 
 
+def _seed_each_vertex(factors):
+    """The product seed built point by point: every factor row padded to
+    the full coordinates, every product point cleared as a whole and
+    tested on every row.  (rows, [(num, den, tight)]) in DDPolytope's form."""
+    widths = [len(vertices[0]) for _, vertices in factors]
+    dim = sum(widths)
+    rows = []
+    for k, (factor_rows, _) in enumerate(factors):
+        before = sum(widths[:k])
+        for coeffs, b in factor_rows:
+            padded = [0] * before + list(coeffs) + [0] * (dim - before - widths[k])
+            rows.append(_cleared_row(padded, b))
+    seeded = []
+    for parts in product(*(vertices for _, vertices in factors)):
+        num, den = cleared([q for part in parts for q in part])
+        tight = 0
+        for idx, (row, b) in enumerate(rows):
+            if sum(a * num[k] for k, a in row) == b * den:
+                tight |= 1 << idx
+        seeded.append((tuple(num), den, tight))
+    return rows, seeded
+
+
+def test_product_seed_matches_seeding_each_vertex(rng):
+    # Each factor tests its own vertices on its own rows; the product's
+    # rows, vertex order, numerators, denominators and tight masks must be
+    # those of testing every product point on every row.
+    cases = [_class_polytope_pieces(m)[0] for m in range(1, 8)]
+    for dim in range(7):
+        cases.append(box_seed([(0, 1)] * dim))
+        cases.append(box_seed([(rng.randint(-3, 1), rng.randint(1, 4)) for _ in range(dim)]))
+        bounds = []
+        for _ in range(dim):
+            lo = Fraction(rng.randint(-3, 1), rng.randint(1, 4))
+            width = Fraction(rng.randint(0, 5), rng.randint(1, 6))  # 0: a point
+            bounds.append((lo, lo + width))
+        cases.append(box_seed(bounds))
+    assert any(len(vertices) == 1 for factors in cases for _, vertices in factors)
+    for factors in cases:
+        poly = DDPolytope(factors)
+        rows, seeded = _seed_each_vertex(factors)
+        assert poly.rows == rows
+        assert poly.dim == sum(len(vertices[0]) for _, vertices in factors)
+        assert [(v.num, v.den, v.tight) for v in poly.vertices] == seeded
+
+
 def _assert_lowest_terms(poly):
     for v in poly.vertices:
         assert v.den > 0 and gcd(v.den, *v.num) == 1
@@ -305,14 +423,13 @@ def test_dd_rational_box_and_cuts_match_combination_search():
     # Rational bounds and coefficients: rows are cleared to integers and
     # each vertex is kept as integers over its own denominator.
     bounds = [(0, Fraction(1, 3)), (0, Fraction(2, 5)), (0, 1)]
-    seed_rows, seed_vertices = box_seed(bounds)
-    poly = DDPolytope(3, seed_rows, seed_vertices)
+    poly = DDPolytope(box_seed(bounds))
     cuts = [
         ([Fraction(3, 2), Fraction(5, 7), Fraction(1, 4)], Fraction(1, 2)),
         ([Fraction(-1, 3), Fraction(2, 3), Fraction(5, 6)], Fraction(3, 4)),
         ([Fraction(1, 5), 0, Fraction(7, 9)], Fraction(2, 3)),
     ]
-    rows = [(tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows]
+    rows = _dense_rows(poly)
     for coeffs, b in cuts:
         poly.add_constraint(coeffs, b)
         rows.append((tuple(Fraction(a) for a in coeffs), Fraction(b)))
@@ -328,9 +445,8 @@ def test_dd_fuzz_rational_boxes_against_combination_search(rng):
         for _ in range(dim):
             lo = Fraction(rng.randint(-3, 1), rng.randint(1, 4))
             bounds.append((lo, lo + Fraction(rng.randint(1, 5), rng.randint(1, 6))))
-        seed_rows, seed_vertices = box_seed(bounds)
-        poly = DDPolytope(dim, seed_rows, seed_vertices)
-        rows = [(tuple(Fraction(a) for a in coeffs), Fraction(b)) for coeffs, b in seed_rows]
+        poly = DDPolytope(box_seed(bounds))
+        rows = _dense_rows(poly)
         for _ in range(rng.randint(1, 4)):
             coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(dim)]
             if not any(coeffs):

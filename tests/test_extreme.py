@@ -19,6 +19,7 @@ from schreier.extreme import (
     _class_reps,
     _maximal_in_window,
     _positive_pool,
+    _signed_points,
     _support_rows,
     certify_extreme,
     enumerate_extreme_in_space,
@@ -465,6 +466,21 @@ def test_positive_pool_rows_are_the_numerators_over_d():
         assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
+def test_pool_points_are_the_vectors_init_makes():
+    # The pool and the signed list build their points unchecked
+    # (Vector._of); each must be the Vector that __init__ makes of its items.
+    def check(points):
+        for p in points:
+            assert all(type(i) is int and type(q) is Fraction for i, q in p.items())
+            assert p == Vector(dict(p.items()))
+            assert p._coords == dict(p.items())
+
+    for N in range(13):
+        check(_positive_pool(N)[0])
+    _, rows, D = _positive_pool(8)
+    check(_signed_points(rows, D))
+
+
 def test_pool_members_certify_extreme():
     # The pool is extreme by construction (one certificate per class); the
     # full certificate of each embedding is kept here as a check.
@@ -558,8 +574,8 @@ def test_class_cut_order_keeps_lists_small(m):
     # no list after a cut exceeds the final one (79 at m = 5, 377 at m = 6);
     # the ascending order peaks at 10, 33, 132 and 678 for m = 3..6.  Its
     # table is the same.
-    dim, seed_rows, seed_vertices, cut_rows = _class_polytope_pieces(m)
-    poly = DDPolytope(dim, seed_rows, seed_vertices)
+    factors, cut_rows = _class_polytope_pieces(m)
+    poly = DDPolytope(factors)
     sizes = []
     for row, b in cut_rows:
         poly.add_constraint(row, b)
@@ -570,7 +586,7 @@ def test_class_cut_order_keeps_lists_small(m):
     # sort keeps the order within each t.
     ascending = sorted(cut_rows, key=lambda rb: next(j for j, a in enumerate(rb[0]) if a))
     assert (ascending == cut_rows) == (m == 2)
-    assert _class_reps(m, (dim, seed_rows, seed_vertices, ascending)) == _class_positive_vertices(m)
+    assert _class_reps(m, (factors, ascending)) == _class_positive_vertices(m)
 
 
 def test_class_reps_known_members():

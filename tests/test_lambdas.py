@@ -633,3 +633,20 @@ def test_lambda_pair_refuses_a_far_window_before_the_line(monkeypatch):
         lambda_pair(far, E1)
     with pytest.raises(CutoffExceeded, match="lambda_pair window"):
         lambda_pair(Vector.unit(25), Vector.unit(25))
+
+
+def test_lambda_pair_rejects_a_lambda_above_the_line(monkeypatch):
+    # The residual walk's root bounds are the verification: a lambda past
+    # the true one leaves ||x - lambda e|| > 1 - lambda, which must raise.
+    # x = (1/2, 1/2, 1/2) over e_2 has lambda 1/2, where x_1 = 1/2 already
+    # meets 1 - lambda, so a lambda just past it fails too.
+    e = Vector.unit(2)
+    half = Vector({1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(1, 2)})
+    cases = [(Vector.unit(1), Fraction(0), Fraction(1, 2)),
+             (half, Fraction(1, 2), Fraction(1, 2) + Fraction(1, 1000))]
+    for x, lam, wrong in cases:
+        assert lambda_pair(x, e).lam == lam
+    for x, lam, wrong in cases:
+        monkeypatch.setattr(lambdas_mod, "max_feasible_weight", lambda *args: (wrong, None))
+        with pytest.raises(RuntimeError, match="lambda verification failed"):
+            lambda_pair(x, e)
