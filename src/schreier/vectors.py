@@ -1,18 +1,19 @@
 """Finitely supported vectors with exact rational coordinates and their norms.
 
 The norm of order k is the supremum of |x| summed over a member of S_k.
-Order 1 is computed by an exact greedy over the minima in the support;
-higher orders take the first best |x|-sum over the window [1, max supp x].
-The sums run on integers: |x| is cleared once by the LCM of its
-denominators, so a caller compares a total with that scale where it would
-compare a rational sum with 1.  _pruned_walk answers "sums to exactly 1"
-and "best sum below 1" in one pruned walk of the admissible subsets of a
-ground (the support, or a window with zeros) for a vector of norm at most
-1: the 1-sets, coverage, the gap and the binding sets of a pair lambda.
-Its root bounds are the greedy's sums, so their maximum is the norm: the
-walk checks the unit norm of the 1-set queries, and the norm of at most 1
-of every other caller, before it visits a node, and those queries run no
-norm of their own.
+Order 1 is one heap sweep over the minima of the support (_root_bounds):
+the best sum at each minimum, in O(n log n); _greedy takes the first best
+and its witness.  Higher orders take the first best |x|-sum over the
+window [1, max supp x].  The sums run on integers: |x| is cleared once by
+the LCM of its denominators, so a caller compares a total with that scale
+where it would compare a rational sum with 1.  _pruned_walk answers "sums
+to exactly 1" and "best sum below 1" in one pruned walk of the admissible
+subsets of a ground (the support, or a window with zeros) for a vector of
+norm at most 1: the 1-sets, coverage, the gap and the binding sets of a
+pair lambda.  Its root bounds are the same sweep over its ground, so
+their maximum is the norm: the walk checks the unit norm of the 1-set
+queries, and the norm of at most 1 of every other caller, before it
+visits a node, and those queries run no norm of their own.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
@@ -21,15 +22,16 @@ by the theorem-1 verifier.
 
 from bisect import insort
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import accumulate
 from operator import index, itemgetter
 
 from . import cutoffs
 from .errors import UnitNormRequired
-from .families import IndexSet, enumerate_admissible, index_set
+from .families import IndexSet, enumerate_admissible
 from .linalg import cleared
 from .rationals import exact
 
@@ -197,10 +199,12 @@ def norm(x: Vector, k: int = 1) -> NormReport:
 def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
     """The order-1 norm of the nonzero integer sizes {i: |x(i)|} and its set.
 
-    For each minimum m of the support, in increasing order, the best
-    admissible sum is size[m] plus the m - 1 largest sizes beyond m; ties in
-    "largest" break to the smaller index, and the first maximizer wins.  A
-    positive rescaling of every size keeps the ranking, ties and witness.
+    For each minimum m of the support the best admissible sum is size[m]
+    plus the m - 1 largest sizes beyond m: _root_bounds over the support,
+    one sweep for every m.  The first maximizer m wins, and its set is m
+    and its m - 1 largest later indices, ties in "largest" broken to the
+    smaller index (one sort of the later indices).  A positive rescaling
+    of every size keeps the ranking, ties and witness.
 
     A minimum m off the support never wins.  Let C be the m - 1 largest
     sizes beyond m and f the least index of C.  At minimum f the rule takes
@@ -211,19 +215,15 @@ def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
     support minima has the value and the witness of the first maximizer
     over every minimum in [1, max supp].
     """
-    ranked = sorted(size, key=lambda i: (-size[i], i))
-    best_value, best_witness = 0, ()
-    for m in sorted(size):
-        witness = [m]
-        for i in ranked:
-            if len(witness) == m:
-                break
-            if i > m:
-                witness.append(i)
-        value = sum(size[i] for i in witness)
-        if value > best_value:
-            best_value, best_witness = value, index_set(witness)
-    return best_value, best_witness
+    ground = sorted(size)
+    roots = _root_bounds(ground, [size[i] for i in ground])
+    value = max(roots, default=0)
+    if not value:
+        return 0, ()
+    q = roots.index(value)
+    m = ground[q]
+    later = sorted(ground[q + 1:], key=lambda i: (-size[i], i))
+    return value, (m, *sorted(later[:m - 1]))
 
 
 def _require_unit(x: Vector, op: str) -> None:
@@ -254,27 +254,45 @@ def admissible_sums(x: Vector, sets: Iterable[IndexSet]) -> tuple[int, Iterator[
     return scale, ((F, sum(map(at, F))) for F in sets)
 
 
-def _root_bounds(ground: tuple[int, ...], sizes: list[int]) -> list[int]:
+def _root_bounds(ground: Sequence[int], sizes: list[int]) -> list[int]:
     """The best total of an admissible subset of ``ground`` with minimum
     ground[q], for each q: sizes[q] plus its ground[q] - 1 largest later
     sizes (all of them, if fewer are left).
 
-    With ground holding supp x and sizes = scale * |x| on it, the largest
-    of them is scale * ||x||.  At m = ground[q] in supp x the bound is
-    _greedy's sum at minimum m.  At a zero m it never exceeds the greedy's
-    maximum: a minimum off the support never wins (the proof is in
-    _greedy's docstring), and the zeros of ground add 0 to any sum.
+    With ground = supp x and sizes = scale * |x| on it these are _greedy's
+    sums, and the largest is scale * ||x||.  A ground that also holds
+    zeros of x adds bounds at minima off the support, which never exceed
+    the greedy's maximum (the proof is in _greedy's docstring), since the
+    zeros add 0 to any sum; so the largest is still scale * ||x||.
 
-    One pass from the right: an ascending list of the later sizes takes
-    each size by bisect.insort, and the bound sums its largest end.
+    One sweep from the right with a min-heap of later sizes and their
+    total.  At q, with m = ground[q], it pops the smallest until the heap
+    holds at most m - 1 sizes, sets the bound to sizes[q] + total, and
+    pushes sizes[q].  It is exact because the minima fall as the sweep
+    moves left.  Let S be the sizes of ground[q + 1:], s = sizes[q] and
+    k = min(m - 1, |S|); after the pops at q the heap holds the k largest
+    of S.  That holds at the right end, where S is empty.  After the push
+    it holds them and s, and the next minimum m' < m needs the
+    k' = min(m' - 1, |S| + 1) largest of S + {s}.  If k = |S| the heap
+    holds all of S + {s}, so the pops leave the k' largest.  Else
+    k = m - 1 >= m' > k', and the k' largest of S + {s} lie among the k
+    largest of S plus s: a member of S among them is among the k' largest
+    of S.  So again the pops leave the k' largest.  Equal sizes may be
+    kept in any order; the total does not change.
+
+    Each size is pushed once and popped at most once, so the sweep costs
+    O(n log n) for any ground: with zeros, or with an index of 10^18,
+    where it pops nothing.
     """
-    n = len(ground)
-    run: list[int] = []  # the sizes of ground[q + 1:], ascending
-    roots = [0] * n
-    for q in reversed(range(n)):
-        r = min(ground[q] - 1, n - q - 1)
-        roots[q] = sizes[q] + sum(run[n - q - 1 - r:])
-        insort(run, sizes[q])
+    heap: list[int] = []  # the kept later sizes; total is their sum
+    total = 0
+    roots = [0] * len(ground)
+    for q in reversed(range(len(ground))):
+        while len(heap) >= ground[q]:
+            total -= heappop(heap)
+        roots[q] = sizes[q] + total
+        heappush(heap, sizes[q])
+        total += sizes[q]
     return roots
 
 
@@ -348,10 +366,12 @@ def _pruned_walk(
     listing.
 
     Root bounds.  The bound of the singleton {ground[q]} is the best total
-    of a subset of ground with that minimum (_root_bounds), and the largest
-    is scale * ||x||, so the walk reads the norm off its own first step and
-    checks it before any node.  The bounds below the root read the table
-    of _top_table, built after the checks.
+    of a subset of ground with that minimum, and the largest is
+    scale * ||x||: _root_bounds, the order-1 norm's own heap sweep, so the
+    walk reads the norm off its own first step, in O(n log n) on a ground
+    of any length, and checks it before any node and before the cutoff.
+    The bounds below the root read the table of _top_table, built after
+    the checks.
     """
     ground = tuple(ground)
     values, scale = cleared(q for _, q in x.items())

@@ -295,6 +295,37 @@ def test_pruned_walk_matches_the_fraction_reference(rng):
         assert check(x * Fraction(rng.randint(1, 9), 10), ground) == []
     assert several >= 15
 
+    # The root sweep against the brute-force best total at each minimum, on
+    # grounds no window reference reaches: an index of 10^18, many zeros,
+    # all-equal sizes and the empty ground.
+    def best_totals(ground, sizes):
+        best = [0] * len(ground)
+        for r in range(1, len(ground) + 1):
+            for F in combinations(range(len(ground)), r):
+                if ground[F[0]] >= r:
+                    best[F[0]] = max(best[F[0]], sum(sizes[q] for q in F))
+        return best
+
+    grounds = [
+        ((), []),
+        ((10**18,), [5]),
+        ((2, 5, 10**18), [3, 1, 4]),
+        ((1, 2, 3, 10**18), [1, 5, 5, 2]),
+        ((4, 6, 7, 9, 10**18 - 1, 10**18), [2] * 6),
+        (tuple(range(1, 11)), [0, 0, 3, 0, 0, 0, 2, 0, 0, 1]),
+        (tuple(range(3, 13)), [0] * 10),
+        (tuple(range(1, 11)), [7] * 10),
+        (tuple(range(5, 15)), [7] * 10),
+    ]
+    for _ in range(40):
+        ground = sorted(rng.sample(range(1, 16), rng.randint(1, 10)))
+        if rng.random() < 0.5:
+            ground[-1] = 10**18
+        sizes = [rng.choice([0, 0, 0, 1, 2, rng.randint(1, 9)]) for _ in ground]
+        grounds.append((tuple(ground), sizes))
+    for ground, sizes in grounds:
+        assert _root_bounds(ground, sizes) == best_totals(ground, sizes)
+
 
 def sorted_suffix_table(sizes):
     """top[p][r], the sum of the r largest of sizes[p:], padded to r = n,
@@ -336,6 +367,19 @@ def test_unit_check_comes_before_the_support_cutoff(op, call):
     what = "eps_gap" if op == "eps_gap" else "one_sets"
     with pytest.raises(CutoffExceeded, match=f"^{what} support size: requested 30 exceeds cutoff 24 "):
         call(on)
+
+
+def test_a_long_support_answers_at_once():
+    # 1/40000 on [1, 20000]: the best sum at minimum m is min(m, 20001 - m)
+    # / 40000, first largest at m = 10000.  The root sweep is O(n log n), so
+    # the norm and the unit check of one_sets, which comes before its
+    # support cutoff, take milliseconds at this length.
+    x = Vector({i: Fraction(1, 40000) for i in range(1, 20001)})
+    report = norm(x)
+    assert report.value == Fraction(1, 4)
+    assert report.witness == tuple(range(10000, 20000))
+    with pytest.raises(UnitNormRequired, match=r"^one_sets needs a unit vector; got norm 1/4$"):
+        one_sets(x)
 
 
 def test_pruned_walk_refuses_a_norm_above_one_before_any_node():
