@@ -141,9 +141,10 @@ def perturbation_witness(
     If the window has none, the unit row of each of its zeros zeroes the
     kernel there and makes that column a pivot column.  The kernel is then
     the kernel of the support rows, padded with zeros: the same first free
-    column and the same primitive vector (linalg.nullspace_vector).  It is
-    trivial exactly when those rows have full rank, and then no witness
-    exists.
+    column and the same primitive vector, which linalg.nullspace_vector
+    back-substitutes through the Bareiss pivots that also give the active
+    rank.  It is trivial exactly when those rows have full rank, and then no
+    witness exists.
 
     The slack sets are scanned over G = supp e + supp direction, not over
     the window.  Dropping an index of F where both e and the direction

@@ -229,18 +229,23 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     Only the pool points on the face of the 1-sets of |x| are solved (see
     _on_face); the rest weigh 0, so with a best weight of 0 the first
     achiever is the first pool point.  A vector with ||x|| < 1 has no
-    1-sets; past the support cutoff the 1-sets are not listed and every
-    point is solved.  Each line runs on supp x | supp e, so an index of x
-    far past the window costs no more than a near one.
+    1-sets.  Past the support cutoff the 1-sets are not listed, and the
+    norm's witness, itself a 1-set of |x|, is the only face set; the face
+    lemma holds for each 1-set alone, so every achiever stays.  Each line
+    runs on supp x | supp e, so an index of x far past the window costs no
+    more than a near one.
     """
-    nx = norm(x, 1).value
+    report = norm(x, 1)
+    nx = report.value
     if nx > 1:
         raise UnitNormRequired(f"lambda_lower needs ||x|| <= 1; got {nx}")
     pool = positive_extreme_points(window)
     if not pool:
         raise ValueError(f"no extreme points with support inside [1, {window}]")
     ax = abs(x)
-    sets = _one_sets(ax) if nx == 1 and len(ax) <= cutoffs.admissible_enum_limit(1) else []
+    sets = []
+    if nx == 1:
+        sets = _one_sets(ax) if len(ax) <= cutoffs.admissible_enum_limit(1) else [report.witness]
     best_lam, best_e = Fraction(0), pool[0]
     for e in _on_face(window, sets):
         lam, _ = max_feasible_weight(ax, e, _primal_solve)

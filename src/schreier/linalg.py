@@ -4,13 +4,13 @@ Rational rows are cleared to integers by the LCM of their denominators,
 which changes neither rank nor kernel.  Elimination then pivots fraction-free
 (Edmonds 1967, Bareiss 1968): after each pivot every entry is d times its
 rational value, d the last pivot, and the division by the previous d is exact
-by Sylvester's identity.  ``nullspace_vector`` runs Gauss-Jordan, which
-pivots every row, as it reads the reduced echelon form; it and the simplex
-tableau pivot with ``pivot_rows``.  ``rank`` is row-incremental Bareiss: it
-pushes one row at a time through the pivots found so far with
-``eliminate``, skips a pivot whose factor is 0, and stops at full column
-rank (the proof that its divisions are exact is in its docstring).  Every
-answer is an integer.
+by Sylvester's identity.  ``_echelon`` is row-incremental Bareiss: it pushes
+one row at a time through the pivots found so far with ``eliminate``, skips
+a pivot whose factor is 0, and stops at full column rank (the proof that its
+divisions are exact is in its docstring).  ``rank`` counts its pivots, and
+``nullspace_vector`` back-substitutes through them.  The simplex tableau
+pivots with ``pivot_rows``, which runs the same ``eliminate``.  Every answer
+is an integer.
 """
 
 from math import gcd, lcm
@@ -49,32 +49,8 @@ def pivot_rows(rows, r, col, d) -> tuple[list[list[int]], int]:
             for i, row in enumerate(rows)], p
 
 
-def _reduce(rows) -> tuple[list[list[int]], list[int], int]:
-    """Integer Gauss-Jordan elimination: (rows, pivot columns, d).
-
-    Pivots go left to right, each on the first remaining row that is nonzero
-    in its column; the rows after the last pivot row end zero.  Every row is
-    pivoted, so row i of the result holds d > 0 in column ``pivots[i]`` and
-    0 in every other pivot column.
-    """
-    m = [cleared(row)[0] for row in rows]
-    pivots: list[int] = []
-    d = 1
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        if r == len(m):
-            break
-        found = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if found is None:
-            continue
-        m[r], m[found] = m[found], m[r]
-        m, d = pivot_rows(m, r, col, d)
-        pivots.append(col)
-    return m, pivots, d
-
-
-def rank(rows) -> int:
-    """Exact rank, by row-incremental Bareiss elimination.
+def _echelon(rows) -> list[tuple[list[int], int, int]]:
+    """The pivots (P_k, c_k, d_k) of row-incremental Bareiss elimination.
 
     Each row is cleared and pushed through the pivots recorded so far, in
     their order; a row that ends nonzero records a new pivot on its first
@@ -99,8 +75,8 @@ def rank(rows) -> int:
     pivot row is rescaled once, exactly, and its entry at the new pivot
     column is d_(r+1).  The bordered minor is d_r times the residual of
     row i off the span of the pivot rows (a Schur complement), so a row
-    ends zero exactly when it lies in that span, and the rank is the number
-    of pivots.
+    ends zero exactly when it lies in that span, and the pivot rows span
+    the row space.
     """
     pivots: list[tuple[list[int], int, int]] = []  # (P_k, c_k, d_k)
     d = 1  # d_r, the last pivot
@@ -119,26 +95,48 @@ def rank(rows) -> int:
             a = [v * d // level for v in a]
         pivots.append((a, col, a[col]))
         d = a[col]
-    return len(pivots)
+    return pivots
+
+
+def rank(rows) -> int:
+    """Exact rank: the number of pivots of ``_echelon``."""
+    return len(_echelon(rows))
 
 
 def nullspace_vector(rows, dim: int) -> list[int] | None:
     """The primitive integer kernel vector of the row system, or None if trivial.
 
-    With j the first free column, the vector is d at j, -row[j] at the pivot
-    column of each reduced row and 0 elsewhere, divided by the gcd of its
-    entries: d times the vector that reduced row echelon form gives (1 at j),
-    made primitive.  It is positive at j, and since the kernel fixes j and the
-    echelon vector, every row set with that kernel gives the same vector.
+    With the pivots (P_k, c_k, d_k), k = 1..r, of ``_echelon`` and j the
+    first column that is not a pivot column, v[j] = |d_r| (1 without
+    pivots), every other free column is 0, and v[c_k] = -(P_k . v) / d_k
+    for k = r down to 1, each sum taken while v[c_k] is still 0.  The
+    vector is divided by the gcd of its entries.
+
+    It is the vector that Gauss-Jordan reads off the reduced row echelon
+    form (RREF): d at j, -row[j] at each pivot column, made primitive.
+    P_k is row r_k pushed through the pivots before it, so it is zero at
+    c_1..c_(k-1), and zero before c_k, its first nonzero column.  So the
+    P_k, ordered by c_k, are an echelon basis of the row space.  The
+    leading columns of any echelon basis are the RREF pivot columns, so j
+    is the RREF's first free column.  P_k . v = 0 then holds for every k
+    once v[c_k] is set, as P_k has no entry on c_1..c_(k-1), so v is in
+    the kernel.  The pivot minor A[r_1..r_r; c_1..c_r] of the cleared rows
+    has determinant d_r (see ``_echelon``), and the kernel vector with
+    |d_r| at j and 0 on the other free columns solves a system with that
+    matrix, so by Cramer's rule every v[c_k] is an integer and each
+    division is exact.  The kernel vectors that are 0 on the free columns
+    other than j form a line, on which a primitive vector positive at j is
+    unique; Gauss-Jordan's vector lies on it and is positive at j, so the
+    two are equal, and every row set with that kernel gives that vector.
     """
-    reduced, pivots, d = _reduce(rows)
-    pivot_set = set(pivots)
-    j_free = next((j for j in range(dim) if j not in pivot_set), None)
+    pivots = _echelon(rows)
+    pivot_cols = {col for _, col, _ in pivots}
+    j_free = next((j for j in range(dim) if j not in pivot_cols), None)
     if j_free is None:
         return None
     vec = [0] * dim
-    vec[j_free] = d
-    for row, col in zip(reduced, pivots):
-        vec[col] = -row[j_free]
+    vec[j_free] = abs(pivots[-1][2]) if pivots else 1
+    for pivot_row, col, p in reversed(pivots):
+        vec[col] = -sum(a * v for a, v in zip(pivot_row, vec)) // p
     g = gcd(*vec)
     return [v // g for v in vec]

@@ -5,11 +5,12 @@ is feasible and no phase one is needed.  Bland's rule guarantees termination.
 
 The tableau holds integers over one common denominator d, the last pivot
 (integer-preserving pivoting: Edmonds 1967, Bareiss 1968).  Pivots are
-``linalg.pivot_rows`` and the clearing is ``linalg.cleared``, the same code
-that ``linalg.rank`` and ``linalg.nullspace_vector`` run.  Each constraint row
-and its right-hand side are cleared to integers by the LCM of their
-denominators, and that row's slack is scaled by the same factor, so the slack
-columns start as the identity with d = 1.  The objective row is cleared by
+``linalg.pivot_rows``, whose update is ``linalg.eliminate``, the step of the
+Bareiss loop behind ``linalg.rank`` and ``linalg.nullspace_vector``; the
+clearing is ``linalg.cleared``, as there.  Each constraint row and its
+right-hand side are cleared to integers by the LCM of their denominators,
+and that row's slack is scaled by the same factor, so the slack columns
+start as the identity with d = 1.  The objective row is cleared by
 its own LCM.  A positive rescaling of a row or of a slack changes no
 reduced-cost sign and no ratio, so Bland's rule takes the same pivots as on
 the rational tableau; ratios are compared by cross-multiplication.
@@ -47,8 +48,9 @@ Constraints can also arrive while the tableau lives (lazy cuts,
 warm-started as in Applegate, Cook, Dash & Espinoza 2007).  A new row
 ``a.x + s = b``, cleared like the others, gets its own slack, which becomes
 basic, so no column is added to any row.  It is written in terms of the
-current basis as ``d * row - sum(row[v] * T[i])`` over the basic variables v
-of rows i: d a_v on a nonbasic x_v, 0 on a nonbasic slack, d b on the rhs.
+current basis (``_written``) as ``d * row - sum(row[v] * T[i])`` over the
+structural basic variables v of rows i: d a_v on a nonbasic x_v, 0 on a
+nonbasic slack, d b on the rhs.
 In the dense tableau that zeroes its basic columns, the ones the compact
 row leaves out, and it is an integer combination, so no division is
 needed.  The starting matrix grows by that row and column, and the new basis
@@ -69,11 +71,11 @@ the callback runs.  No Fraction is built inside the cut loop; ``lp_max``
 builds them once, for the optimum it returns.
 
 The objective can change while the tableau lives too.  ``optimize``
-re-prices the objective row for a new c in the current basis as
-``-d * c + sum(c[v] * T[i])`` over the structural basic variables v of
-rows i, starting from -d c_v on a nonbasic x_v and 0 on a nonbasic slack,
-c cleared by the LCM of its denominators; again an integer combination
-with no division.  It is d times that LCM times the rational reduced-cost
+re-prices the objective row for a new c in the current basis
+(``_priced``): it is the row ``[0, c]`` written as a new constraint would
+be, c cleared by the LCM of its denominators, and negated, that is
+``-d * c + sum(c[v] * T[i])``; the same integer combination with no
+division.  It is d times that LCM times the rational reduced-cost
 row on the nonbasic columns, and zero on the basic ones.  The basis stays
 primal feasible, so primal Bland's rule resumes from it.
 ``row_duals`` prices an objective the same way without pivoting and reads
@@ -114,18 +116,11 @@ class _Tableau:
 
     def add_row(self, row, b) -> None:
         """Append a.x <= b, written in the current basis; its new slack is basic."""
-        if len(row) != self.n:
-            raise ValueError(f"constraint has {len(row)} coefficients, expected {self.n}")
         ints, _ = cleared([b, *row])  # a positive LCM keeps the sign of b
         if ints[0] < 0:
             raise ValueError("simplex expects nonnegative right-hand sides")
-        d, n = self.d, self.n
-        new = [d * ints[0]] + [d * ints[var] if var <= n else 0 for var in self.cols]
-        for i, var in enumerate(self.basis):
-            if var <= n and ints[var]:
-                coeff = ints[var]
-                new = [a - coeff * t for a, t in zip(new, self.rows[i])]
-        self.basis.append(n + 1 + len(self.rows))
+        new = self._written(ints)
+        self.basis.append(self.n + 1 + len(self.rows))
         self.rows.append(new)
 
     def optimize(self, c, cut=None) -> list[int]:
@@ -168,17 +163,24 @@ class _Tableau:
                 duals[var - n - 1] = obj[j]
         return duals, self.d * scale
 
-    def _priced(self, ints) -> list[int]:
-        """The objective row of the integer objective ints in the current basis."""
-        if len(ints) != self.n:
-            raise ValueError(f"objective has {len(ints)} coefficients, expected {self.n}")
+    def _written(self, ints) -> list[int]:
+        """The integer row ``[b, a]`` in the current basis: d [b, a on the
+        nonbasic columns] - sum(a_v T_i) over the structural basic
+        variables v of rows i (0 on a nonbasic slack)."""
         d, n = self.d, self.n
-        obj = [0] + [-d * ints[var - 1] if var <= n else 0 for var in self.cols]
-        for i, var in enumerate(self.basis):
-            if var <= n and ints[var - 1]:
-                coeff = ints[var - 1]
-                obj = [a + coeff * t for a, t in zip(obj, self.rows[i])]
-        return obj
+        if len(ints) != n + 1:
+            raise ValueError(f"row has {len(ints) - 1} coefficients, expected {n}")
+        new = [d * ints[0]] + [d * ints[var] if var <= n else 0 for var in self.cols]
+        for row, var in zip(self.rows, self.basis):
+            if var <= n and ints[var]:
+                coeff = ints[var]
+                new = [a - coeff * t for a, t in zip(new, row)]
+        return new
+
+    def _priced(self, ints) -> list[int]:
+        """The objective row of the integer objective ints in the current
+        basis: the negated row ``[0, c]`` written in it."""
+        return [-t for t in self._written([0, *ints])]
 
     def primal(self) -> None:
         """Primal simplex with Bland's rule until no reduced cost is negative."""

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -207,6 +207,46 @@ def vertices_by_combination_search(dim, rows):
 def dd_point(v) -> tuple[Fraction, ...]:
     """The exact point num / den of a DD vertex."""
     return tuple(Fraction(a, v.den) for a in v.num)
+
+
+def reference_reduce(rows) -> tuple[list[list[int]], list[int], int]:
+    """Integer Gauss-Jordan elimination: (rows, pivot columns, d).
+
+    Pivots go left to right, each on the first remaining row that is nonzero
+    in its column; the rows after the last pivot row end zero.  Every row is
+    pivoted, so row i of the result holds d > 0 in column ``pivots[i]`` and
+    0 in every other pivot column.
+    """
+    m = [cleared(row)[0] for row in rows]
+    pivots: list[int] = []
+    d = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        found = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m, d = pivot_rows(m, r, col, d)
+        pivots.append(col)
+    return m, pivots, d
+
+
+def reference_kernel_vector(rows, dim: int) -> list[int] | None:
+    """The kernel vector read off the reduced echelon form: with j the first
+    free column, d at j, -row[j] at the pivot column of each reduced row and
+    0 elsewhere, made primitive; None when every column is a pivot."""
+    reduced, pivots, d = reference_reduce(rows)
+    j = next((j for j in range(dim) if j not in pivots), None)
+    if j is None:
+        return None
+    vec = [0] * dim
+    vec[j] = d
+    for row, col in zip(reduced, pivots):
+        vec[col] = -row[j]
+    g = gcd(*vec)
+    return [v // g for v in vec]
 
 
 class ReferenceTableau:

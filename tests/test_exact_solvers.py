@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -7,11 +7,19 @@ import pytest
 from schreier import linalg
 from schreier.dd import DDPolytope, _cleared_row, box_seed
 from schreier.dual import _indicator, _section_cuts
-from schreier.extreme import _class_polytope_pieces
-from schreier.linalg import _reduce, cleared, nullspace_vector, rank
+from schreier.extreme import _class_polytope_pieces, _support_rows, positive_extreme_points
+from schreier.linalg import cleared, nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
+from schreier.vectors import norm, one_sets
 
-from conftest import ReferenceTableau, dd_point, solve_square, vertices_by_combination_search
+from conftest import (
+    ReferenceTableau,
+    dd_point,
+    reference_kernel_vector,
+    reference_reduce,
+    solve_square,
+    vertices_by_combination_search,
+)
 
 
 def test_rank_basics():
@@ -60,7 +68,7 @@ def _deficient_rows(rng, n_rows, n_cols):
 
 def test_rank_matches_gauss_jordan(rng):
     # Row-incremental Bareiss must count the pivots of the full Gauss-Jordan.
-    assert rank([]) == len(_reduce([])[1]) == 0
+    assert rank([]) == len(reference_reduce([])[1]) == 0
     assert rank([[0, -2], [-3, 1]]) == 2  # a swap, then negative pivots
     assert rank([[0, 0, 0], [0, 0, 0]]) == 0
     matrices = []
@@ -71,7 +79,7 @@ def test_rank_matches_gauss_jordan(rng):
         matrices.append(_random_rational_rows(rng, n_rows, n_cols))
     assert any(rank(rows) < min(len(rows), len(rows[0])) for rows in matrices)
     for rows in matrices:
-        assert rank(rows) == len(_reduce(rows)[1])
+        assert rank(rows) == len(reference_reduce(rows)[1])
 
 
 def _exact(n, d):
@@ -127,7 +135,7 @@ def test_rank_of_tall_sign_rows(rng, monkeypatch):
     matrices = [_sign_rows(rng, rng.randint(1, 40), rng.randint(1, 10)) for _ in range(300)]
     matrices += [[[1, 0], [0, 1]] + [[1, 1]] * 38, [[0] * 10] * 40]
     matrices.append([[1 if j <= k else 0 for j in range(10)] for k in range(10)] + [[-1] * 10] * 30)
-    expected = [len(_reduce(rows)[1]) for rows in matrices]
+    expected = [len(reference_reduce(rows)[1]) for rows in matrices]
     assert [_checked_bareiss_rank(rows) for rows in matrices] == expected
     assert any(r < min(len(rows), len(rows[0])) for rows, r in zip(matrices, expected))
     assert any(r == len(rows[0]) < len(rows) for rows, r in zip(matrices, expected))
@@ -172,6 +180,39 @@ def test_nullspace_vector(rng):
             Fraction(int(q.p), int(q.q)) for q in basis[0]]
         for row in rows:
             assert sum(a * b for a, b in zip(row, kernel)) == 0
+
+
+def _pool_midpoint_rows(rng, window, pairs):
+    """The signed support rows of the unit midpoints of seeded pairs of the
+    positive pool, one sign pattern drawn per pair: the rows whose kernel
+    gives the perturbation direction of a certificate."""
+    pool = positive_extreme_points(window)
+    out = []
+    for a, b in rng.sample(list(combinations(pool, 2)), pairs):
+        mid = ((a + b) / 2).flip_signs(i for i in range(1, window + 1) if rng.random() < 0.5)
+        if norm(mid, 1).value == 1:
+            out.append(_support_rows(mid, one_sets(mid)))
+    return out
+
+
+def test_nullspace_vector_matches_gauss_jordan(rng):
+    # The kernel vector back-substituted through the row-incremental Bareiss
+    # pivots is Gauss-Jordan's: d at the first free column, -row[j] at the
+    # pivots, made primitive.  The sign rows have negative pivots and
+    # several free columns.
+    matrices = [_sign_rows(rng, rng.randint(1, 40), rng.randint(1, 10)) for _ in range(300)]
+    matrices += _pool_midpoint_rows(rng, 8, 300)
+    kernels = 0
+    for rows in matrices:
+        dim = len(rows[0])
+        kernel = nullspace_vector(rows, dim)
+        assert kernel == reference_kernel_vector(rows, dim), rows
+        if kernel is not None:
+            kernels += 1
+            for row in rows:
+                assert sum(a * v for a, v in zip(row, kernel)) == 0
+    assert kernels > 100
+    assert any(len(rows[0]) - rank(rows) > 1 for rows in matrices)
 
 
 def test_solve_square():

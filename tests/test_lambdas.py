@@ -455,6 +455,19 @@ def test_lambda_lower_past_the_support_cutoff_solves_every_point():
     assert lambda_lower(x, 4) == signed_lambda_lower(x, 4)
 
 
+def test_lambda_lower_past_the_support_cutoff_faces_the_norm_witness(monkeypatch):
+    # 1/10000 on [1, 20000] has norm 1 with witness [10000, 19999], a 1-set
+    # past the window: no pool point sums to 1 on it, so no line is solved,
+    # and the first pool point achieves lambda = 0.
+    x = Vector({i: Fraction(1, 10000) for i in range(1, 20001)})
+    assert norm(x, 1).witness == tuple(range(10000, 20000))
+    lines = []
+    monkeypatch.setattr(lambdas_mod, "max_feasible_weight",
+                        lambda *args: lines.append(args) or max_feasible_weight(*args))
+    assert lambda_lower(x, 12) == (0, positive_extreme_points(12)[0])
+    assert lines == []
+
+
 def test_thm1_pool_weights_and_bindings_match_the_reference():
     # Face lemma: a pool point with positive weight sums to 1 on every 1-set
     # of x_4; the face holds exactly the two points with positive weight.
