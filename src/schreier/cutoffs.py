@@ -19,7 +19,9 @@ EXTREME_ENUM_MAX = 12  # the positive pool: verify thm1 --n 5 and lambda lower r
 # 164,516 points at window 10, 805,992 at 11 and 9,257,980 at 12.
 EXTREME_SIGNED_ENUM_MAX = 10
 THM2_WINDOW_MAX = 31  # verify thm2 up to n = 5; at n = 6 its unit dual-norm LP ran past 14 min
-# A dual tableau on [1, N] starts with N singleton rows of N integers.
+# A dual tableau starts with one column and one singleton row per index of its
+# ground, supp f for a dual norm, so at most N of each; the cutoff bounds the
+# largest index N.
 DUAL_WINDOW_MAX = 1024
 
 

@@ -3,11 +3,15 @@
 The dual norm is the maximum of the pairing over the primal section ball,
 computed by an exact-rational LP with lazy constraints: the separation
 oracle is the primal norm greedy applied to the incumbent, read on the
-tableau's integers.  A dual pair lambda runs the one integer Newton line
-of ``lambdas.max_feasible_weight``; its norming functional comes from one
-live tableau (``_dual_solve``), re-priced for each x* - t e* and keeping
-its cuts, and its answer is checked by weak duality against the LP dual
-that the tableau's final basis carries, one value per admissible row
+tableau's integers.  Every LP lives on an index ground (``_section_lp``),
+one column per index: supp f for a dual norm, so a far index costs no
+more than a near one, and a zero of every objective adds no column, since
+it would take no pivot (the support lemma there).  A dual pair lambda
+runs the one integer Newton line of ``lambdas.max_feasible_weight``; its
+norming functional comes from one live tableau (``_dual_solve``) on
+supp x* | supp e*, re-priced for each x* - t e* and keeping its cuts, and
+its answer is checked by weak duality against the LP dual that the
+tableau's final basis carries, one value per admissible row
 (``_check_dual_bound``), with no second solve.  A tableau serves one pair,
 or all ten spot checks of ``verify_thm2``, whose cuts stay valid from one
 pair to the next.  Dual extreme points have the closed form "all
@@ -17,6 +21,7 @@ the number of full-length traces have closed forms, and ``verify_thm2``
 enumerates no traces.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -30,85 +35,113 @@ from .simplex import _Tableau, lp_max
 from .vectors import Vector, _greedy, norm
 
 
-def _indicator(F: IndexSet, N: int) -> list[int]:
-    row = [0] * N
+def _indicator(F: IndexSet, column: dict[int, int]) -> list[int]:
+    """The row of F on the tableau whose index i is column[i]."""
+    row = [0] * len(column)
     for i in F:
-        row[i - 1] = 1
+        row[column[i]] = 1
     return row
 
 
-def _section_cuts(N: int):
-    """The row sets of [1, N] in tableau order, and the separation oracle.
+def _section_lp(ground: Sequence[int]):
+    """The section LP on an increasing index ground: its row sets in tableau
+    order, its starting rows and the separation oracle.
 
-    ``sets`` starts as the singletons, the rows a tableau starts with, and
-    the oracle appends each cut it returns, so it lists the rows in the
-    order the tableau holds them.  The oracle reads the optimum on the
-    tableau's integers, x = num / d with num >= 0, and runs the order-1
-    greedy on num: x is a positive rescaling of num, which keeps the
+    Column k of the tableau is the index ground[k].  ``sets`` starts as the
+    singletons of the ground, whose rows the tableau starts with, and the
+    oracle appends each cut it returns, so it lists the rows in the order
+    the tableau holds them.  The oracle reads the optimum on the tableau's
+    integers, x = num / d with num >= 0, and runs the order-1 greedy on num,
+    keyed by index: x is a positive rescaling of num, which keeps the
     greedy's ranking, ties and witness, so the cut is the witness of
     norm(x), and norm(x) <= 1 exactly when the greedy value of num is at
     most d.  A repeated F means the LP returned an optimum that breaks one
     of its own rows.
 
-    Raises before any row exists when N is over the dual window cutoff:
-    every tableau on [1, N] starts with N rows of N integers.
+    Support lemma: on a ground that holds every index where an objective is
+    nonzero, the LP takes the pivots of the LP on [1, N], N = max ground,
+    and meets the same cuts, optima, witnesses and row duals.  Let j in
+    [1, N] be off the ground, so c_j = 0 on every solve.  On [1, N], x_j's
+    column is d e_j, in the row of the singleton {j}, whose slack is basic,
+    and that row is zero on every other column.  The block stays so: x_j's
+    reduced cost is 0, so primal simplex never enters it, and its column is
+    zero outside the row {j}, so no dual ratio test picks it; the row has no
+    positive entry on another column, so no primal ratio test picks it, and
+    its right-hand side d stays positive, so dual simplex never leaves it; a
+    pivot on another row and column leaves both zero, since x_j's column is
+    zero in the pivot row and the row {j} is zero in the pivot column.  So
+    x_j is never basic, num_j = 0, the greedy never takes j into a cut, and
+    each cut and each re-priced objective is written with 0 on column j.
+    Dropping the column and the row of every such j leaves the rest of the
+    tableau entry for entry, d included.  It keeps the order of the variable
+    ids, structural before slacks and each in index or row order, and
+    Bland's rules compare ids only, so every pivot is the same.  This is why
+    the dual norm runs on supp f and a standalone pair line on
+    supp x* | supp e*.  The window cutoff stays on the largest index.
+
+    Raises before any row exists when max ground is over the dual window
+    cutoff.
     """
-    cutoffs.check("dual norm window", N, cutoffs.dual_window_limit())
-    sets: list[IndexSet] = [(i,) for i in range(1, N + 1)]
+    cutoffs.check("dual norm window", ground[-1] if ground else 0, cutoffs.dual_window_limit())
+    column = {i: k for k, i in enumerate(ground)}
+    sets: list[IndexSet] = [(i,) for i in ground]
+    rows = [_indicator(F, column) for F in sets]
     seen = set(sets)
 
     def separate(num: list[int], d: int):
-        value, witness = _greedy({i + 1: v for i, v in enumerate(num) if v})
+        value, witness = _greedy({i: v for i, v in zip(ground, num) if v})
         if value <= d:
             return None
         if witness in seen:
             raise RuntimeError("separation oracle repeated a constraint")
         seen.add(witness)
         sets.append(witness)
-        return _indicator(witness, N), 1
+        return _indicator(witness, column), 1
 
-    return sets, separate
+    return sets, rows, separate
 
 
 def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
     """Exact dual norm together with a norming vector from the primal ball.
 
-    The zero functional needs no special case: on [1, 0] the LP has no
-    columns, so lp_max returns 0 and the witness is empty.
+    The LP lives on supp f (see _section_lp).  The zero functional needs no
+    special case: on the empty ground the LP has no columns, so lp_max
+    returns 0 and the witness is empty.
     """
-    N = f.max_index
     # The ball is sign-symmetric, so the optimum is attained at x >= 0 against
     # |f|; constraints start at the singletons and grow lazily on one live
     # tableau, each cut being the admissible set the norm greedy finds.
-    sets, separate = _section_cuts(N)
-    rows = [_indicator(F, N) for F in sets]
-    value, xs = lp_max([abs(f[i]) for i in range(1, N + 1)], rows, [1] * N, cut=separate)
-    return value, Vector({i: q if f[i] >= 0 else -q for i, q in enumerate(xs, 1)})
+    items = f.items()
+    _, rows, separate = _section_lp(f.support)
+    value, xs = lp_max([abs(v) for _, v in items], rows, [1] * len(items), cut=separate)
+    return value, Vector({i: q if v > 0 else -q for (i, v), q in zip(items, xs)})
 
 
-def _dual_solve(N: int):
-    """The dual norm on [1, N] as a solve(sizes) for max_feasible_weight,
-    and the certificate that the tableau's last basis carries.
+def _dual_solve(ground: Sequence[int]):
+    """The dual norm on an increasing index ground as a solve(sizes) for
+    max_feasible_weight, and the certificate that the tableau's last basis
+    carries.
 
-    One tableau over [1, N] lives for the whole line.  Each call pads the
-    line's nonzero moduli, sizes = {index: modulus}, with zeros to an
-    integer objective on [1, N], re-prices the tableau with it, re-optimises
-    from the last basis keeping the cuts found so far, and returns the
-    optimum x = num / d on the tableau's integers, num as
-    {index: numerator} over the nonzero numerators in [1, N].  This is the
-    one place where a line meets the window [1, N]; an index of sizes past
-    N raises ValueError.
-    This is exact.  Every cut is x(F) <= 1 for an admissible F in [1, N],
-    valid for the section polytope P_N whatever the objective, and the cut
-    loop stops only at a point of P_N, so each value is the maximum over
-    P_N.  Padding the objective with zeros up to N keeps the value of a
-    shorter functional, since the family is hereditary and P_N projects
-    onto P_N' for N' < N.  A positive multiple of the objective takes the
-    same pivots under Bland's rule and meets the same optima and cuts.  So
-    the tableau can also live across pairs on [1, N], as it does for the
-    ten spot checks of ``verify_thm2``: whatever pairs came before, the cuts
-    it carries are valid for P_N and each value is still the maximum over
-    P_N, so no answer depends on earlier calls.
+    One tableau over the ground lives for the whole line.  Each call
+    writes the line's nonzero moduli, sizes = {index: modulus}, as an
+    integer objective on the ground, with 0 where sizes has no entry,
+    re-prices the tableau with it, re-optimises from the last basis keeping
+    the cuts found so far, and returns the optimum x = num / d on the
+    tableau's integers, num as {index: numerator} over the nonzero
+    numerators.  An index of sizes off the ground raises ValueError.
+
+    This is exact.  Every cut is x(F) <= 1 for an admissible F in the
+    ground, valid for the section polytope on the ground whatever the
+    objective, and the cut loop stops only at a point of it, so each value
+    is the maximum over it.  A positive multiple of the objective takes the
+    same pivots under Bland's rule and meets the same optima and cuts.  An
+    index of [1, max ground] off the ground, zero in every objective,
+    changes no pivot (the support lemma of ``_section_lp``), so the ground
+    supp x* | supp e* of a standalone pair gives the answers of [1, N].  So
+    the tableau can also live across pairs, as it does on [1, N] for the ten
+    spot checks of ``verify_thm2``: whatever pairs came before, the cuts it
+    carries are valid and each value is still the maximum, so no answer
+    depends on earlier calls.
 
     certificate(f) returns (sets, duals, D): the row sets in tableau order
     and their dual values duals / D for the objective |f| in the current
@@ -118,19 +151,21 @@ def _dual_solve(N: int):
     dual norm of f, and the nonnegative structural reduced costs are the
     covering that ``_check_dual_bound`` checks.
     """
-    sets, separate = _section_cuts(N)
-    tab = _Tableau(N)
-    for F in sets:
-        tab.add_row(_indicator(F, N), 1)
+    sets, rows, separate = _section_lp(ground)
+    tab = _Tableau(len(ground))
+    for row in rows:
+        tab.add_row(row, 1)
+    on = set(ground)
 
     def solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
-        if max(sizes, default=0) > N:
-            raise ValueError(f"the line reaches index {max(sizes)}, expected at most {N}")
-        num = tab.optimize([sizes.get(i, 0) for i in range(1, N + 1)], separate)
-        return {i: n for i, n in enumerate(num, 1) if n}, tab.d
+        off = sizes.keys() - on
+        if off:
+            raise ValueError(f"the line reaches index {min(off)}, off the tableau's ground")
+        num = tab.optimize([sizes.get(i, 0) for i in ground], separate)
+        return {i: n for i, n in zip(ground, num) if n}, tab.d
 
     def certificate(f: Vector) -> tuple[list[IndexSet], list[int], int]:
-        duals, D = tab.row_duals([abs(f[i]) for i in range(1, N + 1)])
+        duals, D = tab.row_duals([abs(f[i]) for i in ground])
         return sets, duals, D
 
     return solve, certificate
@@ -227,15 +262,16 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector, *, _line=None) -> Fraction:
     e* is checked before any LP is built.  The Newton line
     (``max_feasible_weight``) checks the dual norm of x* at t = 0, starts at
     the root of that functional's minorant, and solves on one live tableau
-    (``_dual_solve``), whose last solve is at the answer.  ``verify_thm2``
-    passes its own ``_dual_solve(N)`` as ``_line`` to share one tableau
-    between its spot checks; N must be at least the largest index of the
-    pair, else the first solve raises ValueError, and a larger N pads the
-    line with zeros, which changes no dual norm (see ``_dual_solve``).  The
-    answer is then checked by weak duality against the LP dual of that
-    final basis, with no second LP.  Let f = x* - lambda e*, let every row
-    set F be admissible with y_F >= 0, and let sum_{F ni i} y_F >= |f_i|
-    for every i.  Then every x in the ball, |x|(F) <= 1 on each F, has
+    (``_dual_solve``) on supp x* | supp e*, whose last solve is at the
+    answer.  ``verify_thm2`` passes its own ``_dual_solve(range(1, N + 1))``
+    as ``_line`` to share one tableau between its spot checks; its ground
+    must hold the support of the pair, else the first solve raises
+    ValueError, and a larger ground adds zeros to the line, which changes no
+    pivot (see ``_section_lp``).  The answer is then checked by weak duality
+    against the LP dual of that final basis, with no second LP.  Let
+    f = x* - lambda e*, let every row set F be admissible with y_F >= 0, and
+    let sum_{F ni i} y_F >= |f_i| for every i.  Then every x in the ball,
+    |x|(F) <= 1 on each F, has
 
         <f, x> <= sum_i |f_i| |x_i| <= sum_F y_F |x|(F) <= sum_F y_F,
 
@@ -247,8 +283,9 @@ def lambda_pair_dual(x_star: Vector, e_star: Vector, *, _line=None) -> Fraction:
     """
     if not is_dual_extreme(e_star):
         raise ValueError("e* must be a dual extreme point")
-    N = max(x_star.max_index, e_star.max_index)
-    solve, certificate = _dual_solve(N) if _line is None else _line
+    if _line is None:
+        _line = _dual_solve(sorted({*x_star.support, *e_star.support}))
+    solve, certificate = _line
     lam, _ = max_feasible_weight(x_star, e_star, solve)
     f = x_star - lam * e_star
     _check_dual_bound(f, 1 - lam, *certificate(f))
@@ -291,7 +328,7 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
     largest bound and the number of full-length traces (|G| = min G) in
     closed form, records the empty-trace branch, and spot-checks the first
     ten traces, drawn lazily, with exact pair computations on one shared
-    ``_dual_solve(N)`` tableau (see there why that is exact).
+    ``_dual_solve`` tableau on [1, N] (see there why that is exact).
 
     The largest bound is 1/n, at G = {1}.  Every admissible G has
     ||1_G||* <= 1, since <1_G, x> <= |x|(G) <= ||x||, and unit_ok checks
@@ -316,7 +353,7 @@ def verify_thm2(n: int, window: int | None = None) -> Thm2Report:
         and norm(witness, 1).value == 1
     )
     spot_checks = []
-    line = _dual_solve(N)
+    line = _dual_solve(range(1, N + 1))
     for G in islice(admissible_subsets(range(1, N + 1), maximal=True), 10):
         e_star = Vector({i: 1 for i in G})
         lam = lambda_pair_dual(x_star, e_star, _line=line)

@@ -8,7 +8,7 @@ norming functional of x gives.  It is the one integer Newton line of the
 primal and the dual pair lambda, on the supports of the pair; a norm
 supplies only its norming functional on the line's nonzero integer moduli,
 keyed by index, here the order-1 greedy (``_primal_solve``), in ``dual``
-the section tableau, which pads them to its window.  Every answer is
+the section tableau, which writes them on its ground.  Every answer is
 re-verified against the norm and comes with the binding constraint whose
 positive slope certifies infeasibility above the answer.
 """
@@ -51,6 +51,14 @@ class LambdaResult:
     binding: list[SignedConstraint] = field(default_factory=list)
 
 
+def _cleared_pair(x: Vector, e: Vector) -> tuple[list[int], list[int], list[int], int]:
+    """(S, X, E, L): S = supp x | supp e in increasing order, and x and e on
+    S cleared over one LCM L, x_i = X_k / L and e_i = E_k / L at i = S[k]."""
+    support = sorted({*x.support, *e.support})
+    values, L = cleared([v[i] for v in (x, e) for i in support])
+    return support, values[:len(support)], values[len(support):], L
+
+
 def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector | None]:
     """Largest t in [0, 1] with ||x - t e|| <= 1 - t, in the norm that solve norms.
 
@@ -88,9 +96,8 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     then a = b, so t0 = 1 or b = d L, the line starts at 1, where it is
     zero, and the first step returns (1, None).
     """
-    support = sorted({*x.support, *e.support})
-    values, L = cleared([v[i] for v in (x, e) for i in support])
-    cx, ce = dict(zip(support, values)), dict(zip(support, values[len(support):]))
+    support, xs, es, L = _cleared_pair(x, e)
+    cx, ce = dict(zip(support, xs)), dict(zip(support, es))
 
     def step(p: int, q: int) -> tuple[dict[int, int], int, int, int, int]:
         line = {i: q * cx[i] - p * ce[i] for i in support}
@@ -150,6 +157,12 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     The Newton line runs on supp x | supp e, but the binding sets are
     walked over the window [1, N] with its zeros, N the largest index of x
     and e, so N is checked against the order-1 cutoff before anything else.
+
+    The residual (x - lambda e) / (1 - lambda) is built on integers: with x
+    and e cleared on supp x | supp e over L, x_i = X_i / L and
+    e_i = E_i / L, and lambda = p / q, its coordinate i is
+    (q X_i - p E_i) / (L (q - p)).  It comes from x and e themselves, not
+    from the line, so a wrong lambda still fails the walk's norm check.
     """
     window = max(x.max_index, e.max_index)
     cutoffs.check("lambda_pair window", window, cutoffs.admissible_enum_limit(1))
@@ -157,7 +170,15 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     lam, _ = max_feasible_weight(x, e, _primal_solve)
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])
-    residual = (x - lam * e) / (1 - lam)
+    p, q = lam.numerator, lam.denominator
+    support, xs, es, L = _cleared_pair(x, e)
+    den = L * (q - p)
+    coords = []
+    for i, a, b in zip(support, xs, es):
+        w = q * a - p * b
+        if w:
+            coords.append((i, Fraction(w, den)))
+    residual = Vector._of(coords)
     # ||x - lam e|| <= 1 - lam exactly when ||residual|| <= 1, which the
     # walk checks from its root bounds before it lists a set.  v = x - lam e
     # sums to 1 - lam over F exactly when the residual sums to 1 over F.

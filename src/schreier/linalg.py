@@ -18,8 +18,15 @@ from math import gcd, lcm
 
 def cleared(values) -> tuple[list[int], int]:
     """The ints and Fractions ``values`` times the LCM of their denominators,
-    and that LCM.  Any other value, a float included, raises."""
+    and that LCM.  Any other value, a float included, raises.
+
+    A list of ints, the rows of ``rank``, ``_Tableau.add_row`` and the DD,
+    comes back as it is, over 1, with no LCM pass; a bool is not an int
+    here, so it takes the pass and comes back as 0 or 1, as it always did.
+    """
     values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     dens = [v.denominator for v in values]
     scale = lcm(*dens)
     return [v.numerator * (scale // d) for v, d in zip(values, dens)], scale

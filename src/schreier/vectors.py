@@ -319,7 +319,8 @@ def _pruned_walk(
 ) -> tuple[int, list[IndexSet], int]:
     """(scale, tight, below) over the admissible subsets of ``ground``, an
     increasing sequence of positive integers that holds supp x and may hold
-    zeros of x.
+    zeros of x.  A ground as long as supp x is supp x, and its sizes are
+    read off x's items in one pass.
 
     Precondition: ||x|| <= 1, so no admissible set totals above scale.  The
     walk checks it before any node, from its root bounds (below).  A
@@ -374,9 +375,13 @@ def _pruned_walk(
     the checks.
     """
     ground = tuple(ground)
-    values, scale = cleared(q for _, q in x.items())
-    size = dict(zip(x.support, map(abs, values)))
-    sizes = [size.get(i, 0) for i in ground]
+    items = x.items()
+    values, scale = cleared(q for _, q in items)
+    if len(ground) == len(items):
+        sizes = [abs(v) for v in values]
+    else:
+        size = dict(zip(x.support, map(abs, values)))
+        sizes = [size.get(i, 0) for i in ground]
     n = len(ground)
     roots = _root_bounds(ground, sizes)
     value = max(roots, default=0)

@@ -15,11 +15,12 @@ from math import gcd, lcm
 
 import pytest
 
+from schreier import simplex
 from schreier.dual import dual_norm_witness
 from schreier.errors import UnitNormRequired
 from schreier.extreme import positive_extreme_points
 from schreier.linalg import cleared, eliminate, pivot_rows
-from schreier.vectors import Vector, norm
+from schreier.vectors import Vector, _greedy, norm
 
 
 def powerset_admissible(N):
@@ -396,6 +397,69 @@ class ReferenceTableau:
             if var <= self.n:
                 x[var - 1] = row[0]
         return x
+
+
+def _padded_row(F: tuple[int, ...], N: int) -> list[int]:
+    row = [0] * N
+    for i in F:
+        row[i - 1] = 1
+    return row
+
+
+def reference_section_cuts(N: int):
+    """The row sets of the padded section LP on [1, N] and its oracle.
+
+    The LP that ``schreier.dual._section_lp`` replaced: one column per index
+    of [1, N], zeros of the objective included.  ``sets`` starts as the N
+    singletons and the oracle appends each cut, as there; the support
+    lemma of ``_section_lp`` says both take the same pivots.
+    """
+    sets = [(i,) for i in range(1, N + 1)]
+    seen = set(sets)
+
+    def separate(num: list[int], d: int):
+        value, witness = _greedy({i + 1: v for i, v in enumerate(num) if v})
+        if value <= d:
+            return None
+        if witness in seen:
+            raise RuntimeError("separation oracle repeated a constraint")
+        seen.add(witness)
+        sets.append(witness)
+        return _padded_row(witness, N), 1
+
+    return sets, separate
+
+
+def reference_dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
+    """The dual norm and its witness from the padded LP on [1, max supp f].
+
+    It reaches lp_max and _Tableau through the simplex module, so a test
+    that patches ``simplex._Tableau`` counts the pivots of both LPs.
+    """
+    N = f.max_index
+    sets, separate = reference_section_cuts(N)
+    rows = [_padded_row(F, N) for F in sets]
+    value, xs = simplex.lp_max([abs(f[i]) for i in range(1, N + 1)], rows, [1] * N, cut=separate)
+    return value, Vector({i: q if f[i] >= 0 else -q for i, q in enumerate(xs, 1)})
+
+
+def reference_dual_solve(N: int):
+    """The padded pair line on [1, N]: solve(sizes) and certificate(f), as
+    ``schreier.dual._dual_solve`` gives them on a ground."""
+    sets, separate = reference_section_cuts(N)
+    tab = simplex._Tableau(N)
+    for F in sets:
+        tab.add_row(_padded_row(F, N), 1)
+
+    def solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
+        num = tab.optimize([sizes.get(i, 0) for i in range(1, N + 1)], separate)
+        return {i: n for i, n in enumerate(num, 1) if n}, tab.d
+
+    def certificate(f: Vector):
+        duals, D = tab.row_duals([abs(f[i]) for i in range(1, N + 1)])
+        return sets, duals, D
+
+    return solve, certificate
 
 
 def reference_newton(x: Vector, e: Vector, norming,

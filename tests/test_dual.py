@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,10 @@ from schreier.vectors import Vector, norm
 from conftest import (
     full_length_traces,
     powerset_admissible,
+    random_fraction,
     random_vector,
+    reference_dual_norm_witness,
+    reference_dual_solve,
     reference_lambda_pair_dual,
     reference_newton,
 )
@@ -47,6 +51,61 @@ def test_dual_norm_witness_certifies():
     assert value == 2
     assert norm(xhat, 1).value <= 1
     assert f.dot(xhat) == value
+
+
+def _gapped_functional(rng, top: int) -> Vector:
+    """Random p/q, |p|, q <= 20, on 1 to 8 indices drawn from [1, top]."""
+    support = rng.sample(range(1, top + 1), rng.randint(1, min(8, top)))
+    return Vector({i: random_fraction(rng, 20, 20, allow_zero=False) for i in support})
+
+
+def test_support_lp_takes_the_pivots_of_the_padded_lp(rng, monkeypatch):
+    # The dual norm on supp f against the padded LP on [1, max supp f] that
+    # it replaced (conftest): the same value, witness and pivot count, on
+    # 514 seeded functionals, at least 500 with gaps, three drawn from
+    # [1, 1024], [1, 1000] and [1, 600], and {1000: 1/2, 1024: 1/3}, and
+    # on the dual norm inputs of the first 700 queries of query-mix seed 1.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from queries import make_queries
+
+    pivots = []
+
+    class Counted(simplex._Tableau):
+        def pivot(self, r, s):
+            pivots[-1] += 1
+            super().pivot(r, s)
+
+    monkeypatch.setattr(simplex, "_Tableau", Counted)
+    tops = [1024, 1000, 600] + [rng.choice((12, 16, 24, 40, 64)) for _ in range(510)]
+    functionals = [_gapped_functional(rng, top) for top in tops]
+    functionals += [Vector({1000: Fraction(1, 2), 1024: Fraction(1, 3)})]
+    mix = [Vector(q["x"]) for q in make_queries(1, 700) if q["kind"] == "dual_norm"]
+    assert len(mix) == 100
+    for f in functionals + mix:
+        pivots.append(0)
+        got = dual_norm_witness(f)
+        pivots.append(0)
+        assert got == reference_dual_norm_witness(f)
+        assert pivots[-2] == pivots[-1]
+    assert sum(len(f) < f.max_index for f in functionals) >= 500
+    assert max(f.max_index for f in functionals) == 1024
+    assert sum(pivots) > 1000
+
+
+def test_far_dual_norm_runs_on_a_two_column_tableau(monkeypatch):
+    # {1000: 1/2, 1024: 1/3}: two columns, the two singleton rows and the
+    # one cut {1000, 1024}, where [1, 1024] took 1,024 columns and rows.
+    built = []
+
+    class Sized(simplex._Tableau):
+        def __init__(self, n):
+            built.append(self)
+            super().__init__(n)
+
+    monkeypatch.setattr(simplex, "_Tableau", Sized)
+    f = Vector({1000: Fraction(1, 2), 1024: Fraction(1, 3)})
+    assert dual_norm_witness(f) == (Fraction(1, 2), Vector({1000: 1}))
+    assert [(tab.n, len(tab.rows)) for tab in built] == [(2, 3)]
 
 
 def _brute_dual_norm(f: Vector) -> Fraction:
@@ -168,7 +227,7 @@ def test_lambda_pair_dual_examples():
     # x* = e* through the general line and the weak-duality check of f = 0.
     e23 = Vector({2: 1, 3: -1})
     assert lambda_pair_dual(e23, e23) == 1
-    assert max_feasible_weight(e23, e23, _dual_solve(3)[0]) == (1, None)
+    assert max_feasible_weight(e23, e23, _dual_solve(e23.support)[0]) == (1, None)
     f2 = make_thm2_functional(2)
     lam = lambda_pair_dual(f2, e1)
     assert lam == Fraction(1, 2)
@@ -228,8 +287,7 @@ def test_dual_newton_binding_certifies_the_weight(rng):
     # the dual ball of the dual norm; <g, e*> < 1 and <g, x* - lam e*> =
     # 1 - lam then give ||x* - t e*||* > 1 - t for every t > lam.
     for x_star, e_star in _line_pairs(rng):
-        N = max(x_star.max_index, e_star.max_index)
-        lam, g = max_feasible_weight(x_star, e_star, _dual_solve(N)[0])
+        lam, g = max_feasible_weight(x_star, e_star, _dual_solve(_ground(x_star, e_star))[0])
         if lam == 1:
             assert g is None and x_star == e_star
             continue
@@ -238,10 +296,14 @@ def test_dual_newton_binding_certifies_the_weight(rng):
         assert g.dot(x_star - lam * e_star) == 1 - lam
 
 
+def _ground(x_star: Vector, e_star: Vector) -> list[int]:
+    """supp x* | supp e*, the ground of a standalone pair line."""
+    return sorted({*x_star.support, *e_star.support})
+
+
 def _line_certificate(x_star: Vector, e_star: Vector):
     """The line's answer, f = x* - lambda e*, and the certificate of its last basis."""
-    N = max(x_star.max_index, e_star.max_index)
-    solve, certificate = _dual_solve(N)
+    solve, certificate = _dual_solve(_ground(x_star, e_star))
     lam, _ = max_feasible_weight(x_star, e_star, solve)
     f = x_star - lam * e_star
     return lam, f, certificate(f)
@@ -258,7 +320,8 @@ def test_dual_certificate_sums_to_the_cold_dual_norm(rng):
     pairs = _line_pairs(rng) + _spot_check_pairs(3) + _spot_check_pairs(4)
     for x_star, e_star in pairs:
         lam, f, (sets, duals, D) = _line_certificate(x_star, e_star)
-        assert sets[: f.max_index] == [(i,) for i in range(1, f.max_index + 1)]
+        ground = _ground(x_star, e_star)
+        assert sets[: len(ground)] == [(i,) for i in ground]
         assert Fraction(sum(duals), D) == dual_norm_witness(f)[0]
         _check_dual_bound(f, 1 - lam, sets, duals, D)
 
@@ -291,8 +354,8 @@ def test_lambda_pair_dual_rejects_a_corrupted_certificate(monkeypatch, corrupt, 
     assert lam == Fraction(1, 3) and f[1] == 0 and max(duals) > 0
     real = dual._dual_solve
 
-    def corrupted(N):
-        solve, certificate = real(N)
+    def corrupted(ground):
+        solve, certificate = real(ground)
 
         def bad(f):
             sets, duals, D = certificate(f)
@@ -351,14 +414,14 @@ def test_dual_line_integer_oracle_matches_cold_dual_norm(rng):
     checked = 0
     for x_star, e_star in _line_pairs(rng):
         _, _, iterates = reference_newton(x_star, e_star, dual_norm_witness)
-        N = max(x_star.max_index, e_star.max_index)
-        solve, _ = _dual_solve(N)
+        ground = _ground(x_star, e_star)
+        solve, _ = _dual_solve(ground)
         for t in [Fraction(0)] + iterates:
             f = x_star - t * e_star
             ints, scale = cleared([q for _, q in f.items()])
             sizes = {i: abs(w) for i, w in zip(f.support, ints)}
             num, d = solve(sizes)
-            assert d > 0 and all(n >= 0 for n in num.values()) and max(num, default=1) <= N
+            assert d > 0 and all(n >= 0 for n in num.values()) and set(num) <= set(ground)
             value = Fraction(sum(n * sizes.get(i, 0) for i, n in num.items()), d * scale)
             assert value == dual_norm_witness(f)[0]
             assert norm(Vector({i: Fraction(n, d) for i, n in num.items()}), 1).value <= 1
@@ -411,13 +474,13 @@ def test_shared_line_matches_fresh_pairs_in_either_order():
     pairs = [(x3, Vector({i: 1 for i in G})) for G in full_length_traces(3)]
     assert len(pairs) == 13
     fresh = [lambda_pair_dual(x, e) for x, e in pairs]
-    line = _dual_solve(7)
+    line = _dual_solve(range(1, 8))
     shared = [lambda_pair_dual(x, e, _line=line) for x, e in pairs + pairs[::-1]]
     assert shared == fresh + fresh[::-1]
 
 
 def test_shared_line_matches_the_cold_reference_at_n4():
-    line = _dual_solve(15)
+    line = _dual_solve(range(1, 16))
     pairs = _spot_check_pairs(4)
     shared = [lambda_pair_dual(x, e, _line=line) for x, e in pairs]
     assert shared == [reference_lambda_pair_dual(x, e) for x, e in pairs]
@@ -425,22 +488,59 @@ def test_shared_line_matches_the_cold_reference_at_n4():
 
 def test_shared_line_short_of_the_pair_is_rejected():
     # x* reaches index 3, past the tableau's [1, 2].
-    with pytest.raises(ValueError, match="expected at most 2"):
-        lambda_pair_dual(make_thm2_functional(2), Vector({1: 1}), _line=_dual_solve(2))
+    with pytest.raises(ValueError, match="reaches index 3, off the tableau's ground"):
+        lambda_pair_dual(make_thm2_functional(2), Vector({1: 1}), _line=_dual_solve(range(1, 3)))
 
 
 def test_a_longer_line_pads_the_pair_with_zeros(rng):
-    # The padding lemma of _dual_solve: on [1, N + 3] the zeros past the
-    # pair's largest index N change no dual norm, so a line three indices
-    # too long gives the lambda of a fresh one and, step for step, the same
-    # binding.  The line pairs hold the 13 traces at n = 3.
+    # The support lemma of _section_lp: a zero of every objective takes no
+    # pivot, so lines on [1, N], N the pair's largest index, and on
+    # [1, N + 3] give the lambda of a fresh line on supp x* | supp e* and,
+    # step for step, the same binding.  The line pairs hold the 13 traces
+    # at n = 3.
     pairs = _line_pairs(rng) + _spot_check_pairs(4)
     for x_star, e_star in pairs:
         N = max(x_star.max_index, e_star.max_index)
         fresh = lambda_pair_dual(x_star, e_star)
-        assert lambda_pair_dual(x_star, e_star, _line=_dual_solve(N + 3)) == fresh
-        assert (max_feasible_weight(x_star, e_star, _dual_solve(N + 3)[0])
-                == max_feasible_weight(x_star, e_star, _dual_solve(N)[0]))
+        on_support = max_feasible_weight(x_star, e_star, _dual_solve(_ground(x_star, e_star))[0])
+        for window in (range(1, N + 1), range(1, N + 4)):
+            assert lambda_pair_dual(x_star, e_star, _line=_dual_solve(window)) == fresh
+            assert max_feasible_weight(x_star, e_star, _dual_solve(window)[0]) == on_support
+
+
+def _gapped_pairs(rng, count: int) -> list[tuple[Vector, Vector]]:
+    """Pairs on sparse supports in [1, 40]: e* a dual extreme point and
+    x* = t e* + (1 - t) y, y on the dual sphere, so lambda >= t."""
+    pairs = []
+    for _ in range(count):
+        e_star = _random_dual_extreme(rng, 40)
+        support = rng.sample(range(1, 41), rng.randint(1, 5))
+        y = Vector({i: random_fraction(rng, 10, 10, allow_zero=False) for i in support})
+        t = rng.choice((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+        pairs.append((t * e_star + (1 - t) * y / dual_norm(y), e_star))
+    return pairs
+
+
+def test_pair_line_on_the_support_matches_the_padded_line(rng):
+    # _dual_solve on supp x* | supp e* against the padded line on [1, N]
+    # that it replaced (conftest): the same lambda and binding, and a last
+    # basis with the same denominator and the same nonzero row duals, on
+    # the same cut rows.
+    positive = 0
+    for x_star, e_star in _line_pairs(rng) + _gapped_pairs(rng, 80):
+        N = max(x_star.max_index, e_star.max_index)
+        ground = _ground(x_star, e_star)
+        solve, certificate = _dual_solve(ground)
+        padded_solve, padded_certificate = reference_dual_solve(N)
+        lam, binding = max_feasible_weight(x_star, e_star, solve)
+        assert (lam, binding) == max_feasible_weight(x_star, e_star, padded_solve)
+        f = x_star - lam * e_star
+        (sets, duals, D), (padded_sets, padded_duals, padded_D) = certificate(f), padded_certificate(f)
+        assert sets[len(ground):] == padded_sets[N:] and D == padded_D
+        assert ({F: y for F, y in zip(sets, duals) if y}
+                == {F: y for F, y in zip(padded_sets, padded_duals) if y})
+        positive += 0 < lam < 1
+    assert positive > 50
 
 
 def test_dual_line_solves_on_the_pair_supports(rng, monkeypatch):
@@ -449,8 +549,8 @@ def test_dual_line_solves_on_the_pair_supports(rng, monkeypatch):
     real = dual._dual_solve
     seen = []
 
-    def spied(N):
-        solve, certificate = real(N)
+    def spied(ground):
+        solve, certificate = real(ground)
 
         def spy(sizes):
             seen.append(sizes)
@@ -480,7 +580,7 @@ def test_lambda_pair_dual_rejects_dual_norm_above_one():
     e_star = Vector({2: 1, 3: -1})
     x_star = Vector({1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)})  # dual norm 3/2
     def line(x, e):  # the line itself checks the dual ball at t = 0
-        return max_feasible_weight(x, e, _dual_solve(3)[0])
+        return max_feasible_weight(x, e, _dual_solve(range(1, 4))[0])
 
     for fn in (lambda_pair_dual, reference_lambda_pair_dual, line):
         with pytest.raises(UnitNormRequired):

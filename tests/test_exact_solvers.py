@@ -6,7 +6,7 @@ import pytest
 
 from schreier import linalg
 from schreier.dd import DDPolytope, _cleared_row, box_seed
-from schreier.dual import _indicator, _section_cuts
+from schreier.dual import _section_lp
 from schreier.extreme import _class_polytope_pieces, _support_rows, positive_extreme_points
 from schreier.linalg import cleared, nullspace_vector, rank
 from schreier.simplex import _Tableau, lp_max
@@ -20,6 +20,26 @@ from conftest import (
     solve_square,
     vertices_by_combination_search,
 )
+
+
+def test_cleared_returns_an_int_list_as_it_is():
+    # Integer rows skip the LCM pass: the same values, over 1, in a new list.
+    ints = [3, -4, 0, 10**40]
+    values, scale = cleared(ints)
+    assert (values, scale) == (ints, 1) and values is not ints
+    assert all(type(v) is int for v in values)
+    assert cleared(iter([5, 0])) == ([5, 0], 1)
+    assert cleared([]) == ([], 1)
+    # Rationals still take the pass; a float, alone or beside a Fraction, raises.
+    assert cleared([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    for bad in ([1, 2.0], [Fraction(1, 2), 0.5], [0.5]):
+        with pytest.raises(AttributeError, match="'float' object has no attribute 'denominator'"):
+            cleared(bad)
+    # A bool is not an int here: it takes the pass and comes back as a plain int.
+    for values, expected in (([True, 2], ([1, 2], 1)), ([False, True], ([0, 1], 1)),
+                             ([True, Fraction(1, 2)], ([2, 1], 2))):
+        got = cleared(values)
+        assert got == expected and all(type(v) is int for v in got[0])
 
 
 def test_rank_basics():
@@ -344,8 +364,7 @@ def test_compact_tableau_pivots_as_the_dense_reference(rng):
         objectives = [[rng.randint(0, 9) for _ in range(N)] for _ in range(8)]
         runs = []
         for cls in (_Tableau, ReferenceTableau):
-            sets, separate = _section_cuts(N)
-            rows = [_indicator(F, N) for F in sets]
+            sets, rows, separate = _section_lp(range(1, N + 1))
             runs.append((_outcomes(cls, N, rows, [1] * N, objectives, separate), sets))
         assert runs[0] == runs[1]
 

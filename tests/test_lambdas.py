@@ -24,10 +24,18 @@ from schreier.lambdas import (
     max_feasible_weight,
     verify_thm1,
 )
-from schreier.vectors import Vector, admissible_sums, make_thm1_vector, norm, one_sets
+from schreier.vectors import (
+    Vector,
+    _pruned_walk,
+    admissible_sums,
+    make_thm1_vector,
+    norm,
+    one_sets,
+)
 
 from conftest import (
     embed,
+    random_fraction,
     random_unit_vector,
     random_vector,
     reference_admissible_sums,
@@ -661,5 +669,79 @@ def test_lambda_pair_rejects_a_lambda_above_the_line(monkeypatch):
         assert lambda_pair(x, e).lam == lam
     for x, lam, wrong in cases:
         monkeypatch.setattr(lambdas_mod, "max_feasible_weight", lambda *args: (wrong, None))
+        with pytest.raises(RuntimeError, match="lambda verification failed"):
+            lambda_pair(x, e)
+
+
+def _sparse_extreme_point(rng, index_max):
+    """A known extreme point with tail size m <= 3 on a legal tail drawn
+    from [m + 1, index_max], so its indices may lie far apart."""
+    m = rng.randint(1, 3)
+    head, tail = rng.choice(_class_positive_vertices(m))
+    F = sorted(rng.sample(range(m + 1, index_max + 1), m))
+    e = embed(head, rng.sample(tail, m), F)
+    return e.flip_signs(i for i in e.support if rng.random() < 0.5)
+
+
+def _residual_pairs(rng) -> list[tuple[Vector, Vector]]:
+    """600 pairs: signed x of norm 1/4 to 1 on [1, 7] against known extreme
+    points and random unit vectors in [1, 8]; signed x of norm 1/4 to 1 on
+    1 to 4 indices of [1, 24] against extreme points with a far tail, the
+    window reaching the order-1 cutoff of 24; and 40 pairs with x = e."""
+    pairs = []
+    for n in range(500):
+        x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
+        e = _placed_extreme_point(rng, 8) if n % 2 else random_unit_vector(rng, max_index=7)
+        pairs.append((x, e))
+    for _ in range(60):
+        support = rng.sample(range(1, 25), rng.randint(1, 4))
+        x = Vector({i: random_fraction(rng, 20, 20, allow_zero=False) for i in support})
+        pairs.append((x * Fraction(rng.randint(1, 4), 4) / norm(x, 1).value,
+                      _sparse_extreme_point(rng, 24)))
+    for _ in range(40):
+        e = _sparse_extreme_point(rng, rng.choice((8, 24)))
+        pairs.append((e, e))
+    return pairs
+
+
+def test_lambda_pair_residual_is_the_fraction_formula(rng):
+    # The integer residual (q X - p E) / (L (q - p)) against
+    # (x - lambda e) / (1 - lambda) in Fractions, and the binding against
+    # the tight sets of the walk over that Fraction residual, signed by it
+    # with +1 at a zero.  At lambda = 1 the residual is 0 with no binding.
+    kinds = {"zero": 0, "inner": 0, "one": 0, "far": 0}
+    for x, e in _residual_pairs(rng):
+        result = lambda_pair(x, e)
+        lam, window = result.lam, max(x.max_index, e.max_index)
+        if lam == 1:
+            assert (x, result.residual, result.binding) == (e, Vector.zero(), [])
+            kinds["one"] += 1
+            continue
+        residual = (x - lam * e) / (1 - lam)
+        sign = {i: -1 for i, q in residual.items() if q < 0}
+        expected = [
+            SignedConstraint(F, tuple(sign.get(i, 1) for i in F))
+            for F in _pruned_walk(residual, range(1, window + 1))[1]
+        ]
+        assert result.residual == residual and result.residual.items() == residual.items()
+        assert result.binding == expected
+        kinds["zero" if lam == 0 else "inner"] += 1
+        kinds["far"] += window > 12
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_lambda_pair_rejects_a_lambda_just_above_the_line(rng, monkeypatch):
+    # The residual is built from x and e, not from the line, so a line that
+    # answers 2^-20 above the true weight leaves a residual of norm above 1,
+    # and the walk's root bounds refuse it.
+    pairs = [(x, e) for x, e in _residual_pairs(rng)[::8] if lambda_pair(x, e).lam < 1]
+    assert len(pairs) >= 60
+
+    def too_high(x, e, solve):
+        lam, binding = max_feasible_weight(x, e, solve)
+        return lam + Fraction(1, 2**20), binding
+
+    monkeypatch.setattr(lambdas_mod, "max_feasible_weight", too_high)
+    for x, e in pairs:
         with pytest.raises(RuntimeError, match="lambda verification failed"):
             lambda_pair(x, e)

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schreier.dual import _section_cuts, dual_norm_witness  # noqa: E402
+from schreier.dual import _section_lp, dual_norm_witness  # noqa: E402
 from schreier.families import index_set, is_admissible  # noqa: E402
 from schreier.rationals import format_rational, parse_rational  # noqa: E402
 from schreier.serialize import SPACE_DUAL, SPACE_PRIMAL, dumps_vector, loads_vector  # noqa: E402
@@ -185,7 +185,7 @@ def test_integer_separation_matches_the_norm_on_fractions(point):
     # verdict and the cut that the norm of x = num / d gives on Fractions.
     num, d = point
     N = len(num)
-    _, separate = _section_cuts(N)
+    _, _, separate = _section_lp(range(1, N + 1))
     report = norm(Vector({i + 1: Fraction(v, d) for i, v in enumerate(num)}), 1)
     if report.value <= 1:
         assert separate(num, d) is None
