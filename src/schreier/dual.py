@@ -56,7 +56,12 @@ def _section_lp(ground: Sequence[int]):
     greedy's ranking, ties and witness, so the cut is the witness of
     norm(x), and norm(x) <= 1 exactly when the greedy value of num is at
     most d.  A repeated F means the LP returned an optimum that breaks one
-    of its own rows.
+    of its own rows.  The starting rows are the box x_j <= 1 of the
+    ground, unit rows of ints in column order, so ``lp_max`` and
+    ``_dual_solve`` build them with ``_Tableau.of``, whose first solve
+    starts at the vertex Bland's primal phase reaches, with no pivot (the
+    box start of the ``simplex`` module, which takes every later pivot
+    of the tableau built row by row).
 
     Support lemma: on a ground that holds every index where an objective is
     nonzero, the LP takes the pivots of the LP on [1, N], N = max ground,
@@ -122,8 +127,10 @@ def _dual_solve(ground: Sequence[int]):
     max_feasible_weight, and the certificate that the tableau's last basis
     carries.
 
-    One tableau over the ground lives for the whole line.  Each call
-    writes the line's nonzero moduli, sizes = {index: modulus}, as an
+    One tableau over the ground lives for the whole line, built by
+    ``_Tableau.of`` from the section LP's singleton rows, so the first
+    call starts at the box vertex with no pivot and no pricing pass.  Each
+    call writes the line's nonzero moduli, sizes = {index: modulus}, as an
     integer objective on the ground, with 0 where sizes has no entry,
     re-prices the tableau with it, re-optimises from the last basis keeping
     the cuts found so far, and returns the optimum x = num / d on the
@@ -152,9 +159,7 @@ def _dual_solve(ground: Sequence[int]):
     covering that ``_check_dual_bound`` checks.
     """
     sets, rows, separate = _section_lp(ground)
-    tab = _Tableau(len(ground))
-    for row in rows:
-        tab.add_row(row, 1)
+    tab = _Tableau.of(len(ground), rows, [1] * len(ground))
     on = set(ground)
 
     def solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:

@@ -56,6 +56,19 @@ class SignedConstraint:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs are +1 or -1")
 
+    @classmethod
+    def _of(cls, indices: IndexSet, signs: tuple[int, ...]) -> "SignedConstraint":
+        """The constraint of ``indices`` and ``signs``, taken as they are.
+
+        Nothing is checked: the caller guarantees one sign of +1 or -1 per
+        index, which is what __post_init__ checks.  lambda_pair builds its
+        binding sets here, from the tight sets of its own walk.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "indices", indices)
+        object.__setattr__(c, "signs", signs)
+        return c
+
 
 @dataclass
 class ExtremenessCertificate:

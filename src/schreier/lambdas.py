@@ -35,7 +35,6 @@ from .vectors import (
     _greedy,
     _one_sets,
     _pruned_walk,
-    _require_unit,
     covered_by,
     make_thm1_vector,
     norm,
@@ -59,7 +58,8 @@ def _cleared_pair(x: Vector, e: Vector) -> tuple[list[int], list[int], list[int]
     return support, values[:len(support)], values[len(support):], L
 
 
-def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector | None]:
+def max_feasible_weight(x: Vector, e: Vector, solve, *,
+                        _pair=None) -> tuple[Fraction, Vector | None]:
     """Largest t in [0, 1] with ||x - t e|| <= 1 - t, in the norm that solve norms.
 
     One integer Newton line for both norms.  The line lives on
@@ -95,8 +95,11 @@ def max_feasible_weight(x: Vector, e: Vector, solve) -> tuple[Fraction, Vector |
     larger t is feasible (None when t = 1).  x = e needs no special case:
     then a = b, so t0 = 1 or b = d L, the line starts at 1, where it is
     zero, and the first step returns (1, None).
+
+    ``lambda_pair``, which needs the clearing too, passes its own
+    ``_cleared_pair(x, e)`` as ``_pair``, so the pair is cleared once.
     """
-    support, xs, es, L = _cleared_pair(x, e)
+    support, xs, es, L = _cleared_pair(x, e) if _pair is None else _pair
     cx, ce = dict(zip(support, xs)), dict(zip(support, es))
 
     def step(p: int, q: int) -> tuple[dict[int, int], int, int, int, int]:
@@ -158,20 +161,29 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     walked over the window [1, N] with its zeros, N the largest index of x
     and e, so N is checked against the order-1 cutoff before anything else.
 
-    The residual (x - lambda e) / (1 - lambda) is built on integers: with x
-    and e cleared on supp x | supp e over L, x_i = X_i / L and
-    e_i = E_i / L, and lambda = p / q, its coordinate i is
+    x and e are cleared once, on S = supp x | supp e over one LCM L
+    (``_cleared_pair``): x_i = X_i / L and e_i = E_i / L.  ||e|| = 1 is
+    checked next, on that clearing: the greedy value of |E| is L ||e||, a
+    positive rescaling keeping the greedy's ranking, so e is a unit vector
+    exactly when it is L.  The line (which then checks ||x|| <= 1) runs on
+    the same clearing, and so does the residual
+    (x - lambda e) / (1 - lambda): with lambda = p / q its coordinate i is
     (q X_i - p E_i) / (L (q - p)).  It comes from x and e themselves, not
     from the line, so a wrong lambda still fails the walk's norm check.
+    The walk's tight sets are lexicographic tuples of distinct indices,
+    signed here one sign of +1 or -1 per index, so the binding sets are
+    built unchecked (``SignedConstraint._of``).
     """
     window = max(x.max_index, e.max_index)
     cutoffs.check("lambda_pair window", window, cutoffs.admissible_enum_limit(1))
-    _require_unit(e, "lambda_pair e")
-    lam, _ = max_feasible_weight(x, e, _primal_solve)
+    pair = support, xs, es, L = _cleared_pair(x, e)
+    value = _greedy({i: abs(b) for i, b in zip(support, es) if b})[0]
+    if value != L:
+        raise UnitNormRequired(f"lambda_pair e needs a unit vector; got norm {Fraction(value, L)}")
+    lam, _ = max_feasible_weight(x, e, _primal_solve, _pair=pair)
     if lam == 1:
         return LambdaResult(lam, e, Vector.zero(), [])
     p, q = lam.numerator, lam.denominator
-    support, xs, es, L = _cleared_pair(x, e)
     den = L * (q - p)
     coords = []
     for i, a, b in zip(support, xs, es):
@@ -188,7 +200,8 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
         raise RuntimeError(f"lambda verification failed at lambda = {lam}: {err}") from err
     # Signs follow v; a zero of v gets +1.
     negative = {i for i, q in residual.items() if q < 0}
-    binding = [SignedConstraint(F, tuple(-1 if i in negative else 1 for i in F)) for F in tight]
+    binding = [SignedConstraint._of(F, tuple(-1 if i in negative else 1 for i in F))
+               for F in tight]
     return LambdaResult(lam, e, residual, binding)
 
 

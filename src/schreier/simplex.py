@@ -86,6 +86,33 @@ weak duality.
 ``lp_max`` is a fresh tableau with its rows and one ``optimize``: on the
 all-slack basis with d = 1 the re-priced row is -c, so it takes the same
 pivots as a cold solve.
+
+The box start.  A fresh tableau whose rows are the unit rows x_j <= b_j
+of its columns, in column order, with positive integer b_j, on the
+all-slack basis with d = 1 (``_Tableau.of`` sees this on its rows and
+writes them as they are, with no ``add_row``), starts its first
+``optimize`` at the vertex Bland's primal phase reaches (``_box_start``),
+with no pricing pass and no pivot.  Those are the rows of the section LP.
+With c cleared to the integers c_j, the priced row is [0, -c].  Bland
+enters the lowest id with a negative reduced cost, x_j for the least j
+with c_j > 0.  Its column is the unit column of row j (0-based j - 1), the
+only row with a positive entry there, so that row leaves, and the pivot
+is 1 = d: every other row is zero in column j and stays as it is, and
+row j stays [b_j, e_j], its 1 now in the column of its slack, which
+leaves.  The objective gains c_j times row j: its value c_j b_j, 0 on
+x_j's column, which the slack's column replaces with -(-c_j) = c_j, and
+nothing elsewhere.  No other reduced cost changes, so the next entering
+variable is the next j with c_j > 0, on its own row again, and after them
+the negative reduced costs are gone: each c_j <= 0 leaves -c_j >= 0 and
+each slack that left has c_j > 0.  So Bland's primal phase ends with the
+rows and d = 1 as they were, x_j basic in row j exactly when c_j > 0 (its
+slack in column j, the other columns as they were), and the objective
+[sum of c_j b_j over c_j > 0, |c_1|, ..., |c_n|].  ``_box_start`` writes
+that tableau entry for entry: rows, objective, ``cols``, ``basis`` and d.
+Every later pivot, cut, optimum and row dual is therefore the same; only
+the pivot count drops, by the number of columns with c_j > 0 at each
+fresh start.  Any other rows, or a row added before the first
+``optimize``, make the tableau take the general path.
 """
 
 from fractions import Fraction
@@ -103,7 +130,9 @@ class _Tableau:
     objective row, whose rhs entry is d times the LCM of the objective's
     denominators times its value.  Every row, the objective included, has
     n + 1 entries however many rows there are.  A new tableau has no rows
-    and the zero objective; ``optimize`` prices one in.
+    and the zero objective; ``optimize`` prices one in.  ``box`` is True
+    while the tableau is a fresh box (``of``): its first ``optimize``
+    starts at the box vertex.
     """
 
     def __init__(self, n: int):
@@ -113,6 +142,29 @@ class _Tableau:
         self.basis: list[int] = []
         self.cols = list(range(1, n + 1))
         self.d = 1
+        self.box = False
+
+    @classmethod
+    def of(cls, n: int, rows, rhs) -> "_Tableau":
+        """A new tableau over n columns holding the rows a.x <= b, in order.
+
+        When the rows are the box, row k the unit row of column k + 1 for
+        every k < n, as lists of ints, and every b a positive int, they are
+        written as they are (all-int rows are their own clearing, and on
+        the all-slack basis with d = 1 a row is written as itself), and the
+        tableau is a fresh box.  Any other rows go through ``add_row`` one
+        by one.
+        """
+        tab = cls(n)
+        rows, rhs = list(rows), list(rhs)
+        if _is_box(n, rows, rhs):
+            tab.rows = [[b, *row] for row, b in zip(rows, rhs)]
+            tab.basis = list(range(n + 1, 2 * n + 1))
+            tab.box = True
+        else:
+            for row, b in zip(rows, rhs, strict=True):
+                tab.add_row(row, b)
+        return tab
 
     def add_row(self, row, b) -> None:
         """Append a.x <= b, written in the current basis; its new slack is basic."""
@@ -122,6 +174,7 @@ class _Tableau:
         new = self._written(ints)
         self.basis.append(self.n + 1 + len(self.rows))
         self.rows.append(new)
+        self.box = False
 
     def optimize(self, c, cut=None) -> list[int]:
         """Optimum of c over the rows, re-priced in the current basis: the
@@ -132,8 +185,11 @@ class _Tableau:
         over its LCM scale, the objective value is ``obj[0] / (d * scale)``.
         """
         ints, _ = cleared(c)
-        self.obj = self._priced(ints)
-        self.primal()
+        if self.box:
+            self._box_start(ints)
+        else:
+            self.obj = self._priced(ints)
+            self.primal()
         while True:
             x = self.point()
             violated = cut(x, self.d) if cut is not None else None
@@ -176,6 +232,23 @@ class _Tableau:
                 coeff = ints[var]
                 new = [a - coeff * t for a, t in zip(new, row)]
         return new
+
+    def _box_start(self, ints) -> None:
+        """Start the fresh box at the vertex Bland's primal phase reaches for
+        the integer objective ints: x_j basic in its own row for every
+        c_j > 0, its slack in column j, the rows and d = 1 unchanged, and
+        the objective [sum of c_j b_j over c_j > 0, |c_1|, ..., |c_n|] (the
+        module docstring proves it)."""
+        n, rows, cols, basis = self.n, self.rows, self.cols, self.basis
+        if len(ints) != n:
+            raise ValueError(f"row has {len(ints)} coefficients, expected {n}")
+        value = 0
+        for j, c in enumerate(ints, 1):
+            if c > 0:
+                value += c * rows[j - 1][0]
+                cols[j - 1], basis[j - 1] = n + j, j
+        self.obj = [value, *map(abs, ints)]
+        self.box = False
 
     def _priced(self, ints) -> list[int]:
         """The objective row of the integer objective ints in the current
@@ -262,6 +335,19 @@ class _Tableau:
         return x
 
 
+def _is_box(n: int, rows: list, rhs: list) -> bool:
+    """True when rows are the n unit rows of n columns in column order, as
+    lists of ints, and rhs are n positive ints."""
+    if len(rows) != n or len(rhs) != n:
+        return False
+    for k, (row, b) in enumerate(zip(rows, rhs)):
+        if (type(b) is not int or b < 1 or type(row) is not list or len(row) != n
+                or row[k] != 1 or row.count(0) != n - 1
+                or not all(type(v) is int for v in row)):
+            return False
+    return True
+
+
 def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     """Return (optimal value, optimal x).  Raises on unbounded problems.
 
@@ -269,11 +355,11 @@ def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     integers, num >= 0 and d > 0; it returns a constraint ``(row, b)`` that
     x violates, with b >= 0, or None when x is feasible.  The row joins the
     live tableau and dual simplex re-optimises from the current basis; the
-    optimum of all rows is returned, turned into Fractions once.
+    optimum of all rows is returned, turned into Fractions once.  Rows
+    that are the box, as the section LP's singletons are, start at the box
+    vertex (``_Tableau.of``).
     """
-    tab = _Tableau(len(c))
-    for row, b in zip(rows, rhs, strict=True):
-        tab.add_row(row, b)
+    tab = _Tableau.of(len(c), rows, rhs)
     num = tab.optimize(c, cut)
     ints, scale = cleared(c)
     value = Fraction(sum(map(mul, ints, num)), scale * tab.d)

@@ -13,7 +13,9 @@ norm at most 1: the 1-sets, coverage, the gap and the binding sets of a
 pair lambda.  Its root bounds are the same sweep over its ground, so
 their maximum is the norm: the walk checks the unit norm of the 1-set
 queries, and the norm of at most 1 of every other caller, before it
-visits a node, and those queries run no norm of their own.
+visits a node, and those queries run no norm of their own.  A unit
+vector that is not walked, the e of lambda_pair, is checked by _greedy on
+its caller's own clearing.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
@@ -226,18 +228,6 @@ def _greedy(size: dict[int, int]) -> tuple[int, IndexSet]:
     return value, (m, *sorted(later[:m - 1]))
 
 
-def _require_unit(x: Vector, op: str) -> None:
-    """Raise UnitNormRequired naming op unless ||x|| = 1.
-
-    For a vector that is not walked, such as the e of lambda_pair.  The
-    callers that walk x check the unit norm inside _pruned_walk, which reads
-    it off its root bounds.
-    """
-    value = norm(x, 1).value
-    if value != 1:
-        raise UnitNormRequired(f"{op} needs a unit vector; got norm {value}")
-
-
 def admissible_sums(x: Vector, sets: Iterable[IndexSet]) -> tuple[int, Iterator[tuple[IndexSet, int]]]:
     """(scale, sums): the LCM of the denominators of x, and a lazy scan of
     (F, sum of scale * |x| over F) over ``sets``, in their order.
@@ -328,7 +318,9 @@ def _pruned_walk(
     then ||x|| != 1 raises UnitNormRequired naming op, so one_sets,
     covers_index, eps_gap, certify_extreme and perturbation_witness run no
     norm of their own.  Every other caller (the lambda_pair residual,
-    lambda_lower, enumerate_vertices) gets ||x|| > 1 raised.  ``cutoff``
+    lambda_lower, enumerate_vertices) gets ||x|| > 1 raised; lambda_pair
+    checks its e, which it does not walk, with _greedy on the pair's
+    clearing.  ``cutoff``
     names the check of len(ground) against the order-1 cutoff, made after
     the norm check, so a vector off the sphere and past the cutoff raises
     UnitNormRequired, and before the bound table is built.

@@ -308,10 +308,11 @@ def test_live_tableau_reprices_each_objective(rng):
     assert all(len(r) == dim + 1 for r in tab.rows)  # one column per nonbasic variable
 
 
-def _outcomes(cls, dim, rows, rhs, objectives, cut):
+def _outcomes(cls, dim, rows, rhs, objectives, cut, of=False):
     """Each objective's answer on one live tableau of class cls: the optimum
     numerators, d, the pivots so far, the basis and the row duals, or the
-    error it raised."""
+    error it raised.  The tableau is built by ``cls.of`` with ``of``, so
+    box rows start at the box vertex, else row by row with add_row."""
     pivots = 0
 
     class Counted(cls):
@@ -320,9 +321,12 @@ def _outcomes(cls, dim, rows, rhs, objectives, cut):
             pivots += 1
             super().pivot(r, s)
 
-    tab = Counted(dim)
-    for row, b in zip(rows, rhs):
-        tab.add_row(row, b)
+    if of:
+        tab = Counted.of(dim, rows, rhs)
+    else:
+        tab = Counted(dim)
+        for row, b in zip(rows, rhs):
+            tab.add_row(row, b)
     out = []
     for c in objectives:
         try:
@@ -332,6 +336,11 @@ def _outcomes(cls, dim, rows, rhs, objectives, cut):
         else:
             out.append((num, tab.d, pivots, list(tab.basis), tab.row_duals(c)))
     return out
+
+
+def _after_start(outcomes, skipped):
+    """The outcomes of ``_outcomes`` with ``skipped`` fewer pivots each."""
+    return [(*o[:2], o[2] - skipped, *o[3:]) for o in outcomes]
 
 
 def test_compact_tableau_pivots_as_the_dense_reference(rng):
@@ -360,13 +369,81 @@ def test_compact_tableau_pivots_as_the_dense_reference(rng):
         assert got == _outcomes(ReferenceTableau, dim, rows, rhs, objectives, cut)
         errors += sum(len(o) == 3 for o in got)
     assert errors > 0
-    for N in range(1, 11):
-        objectives = [[rng.randint(0, 9) for _ in range(N)] for _ in range(8)]
+    # The section LP starts at the box vertex, so its pivots are compared
+    # after the start: the reference adds one phase-one pivot per positive
+    # column of the first objective.  The same optima, d, bases, row duals
+    # and cuts on [1, N] and on grounds with gaps in [1, 12], the latter
+    # with many zeros in each objective.
+    sections = [(range(1, N + 1), [[rng.randint(0, 9) for _ in range(N)] for _ in range(8)])
+                for N in range(1, 11)]
+    for _ in range(60):
+        ground = sorted(rng.sample(range(1, 13), rng.randint(1, 12)))
+        sections.append((ground, [[rng.choice((0, 0, rng.randint(1, 9))) for _ in ground]
+                                  for _ in range(6)]))
+    for ground, objectives in sections:
+        n = len(ground)
         runs = []
-        for cls in (_Tableau, ReferenceTableau):
-            sets, rows, separate = _section_lp(range(1, N + 1))
-            runs.append((_outcomes(cls, N, rows, [1] * N, objectives, separate), sets))
-        assert runs[0] == runs[1]
+        for cls, of in ((_Tableau, True), (ReferenceTableau, False)):
+            sets, rows, separate = _section_lp(ground)
+            runs.append((_outcomes(cls, n, rows, [1] * n, objectives, separate, of), sets))
+        skipped = sum(c > 0 for c in objectives[0])
+        assert runs[0] == (_after_start(runs[1][0], skipped), runs[1][1])
+
+
+def test_box_start_is_blands_phase_one(rng):
+    # A fresh box tableau (_Tableau.of) starts where Bland's primal phase
+    # from the all-slack basis ends: entry for entry the same rows,
+    # objective, cols, basis and d as the tableau built row by row after
+    # its first optimize, with exactly one pivot fewer per positive column.
+    # The bounds differ per row and the objectives carry zeros, negatives
+    # and Fractions.
+    starts = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        box = [[int(i == j) for j in range(n)] for i in range(n)]
+        bounds = [rng.randint(1, 9) for _ in range(n)]
+        c = [rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+             for _ in range(n)]
+        tabs, pivots = [], []
+        for of in (True, False):
+            count = [0]
+
+            class Counted(_Tableau):
+                def pivot(self, r, s, count=count):
+                    count[0] += 1
+                    super().pivot(r, s)
+
+            if of:
+                tab = Counted.of(n, box, bounds)
+                assert tab.box
+            else:
+                tab = Counted(n)
+                for row, b in zip(box, bounds):
+                    tab.add_row(row, b)
+                assert not tab.box
+            tab.optimize(c)
+            tabs.append((tab.rows, tab.obj, tab.cols, tab.basis, tab.d))
+            pivots.append(count[0])
+        assert tabs[0] == tabs[1]
+        assert pivots == [0, sum(q > 0 for q in c)]
+        starts += pivots[1] > 0
+    assert starts > 200
+    # Only the box starts there: a missing, extra, reordered, scaled or
+    # Fraction row, a nonpositive or Fraction bound, or a tuple row is
+    # written row by row.
+    box = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _Tableau.of(3, box, [1, 2, 3]).box
+    for rows, rhs in [(box[:2], [1, 1]), (box + [[1, 1, 0]], [1, 1, 1, 1]),
+                      (box[::-1], [1, 1, 1]), ([[2, 0, 0], *box[1:]], [1, 1, 1]),
+                      ([[Fraction(1), 0, 0], *box[1:]], [1, 1, 1]), (box, [1, 0, 1]),
+                      (box, [1, Fraction(1), 1]), ([tuple(box[0]), *box[1:]], [1, 1, 1])]:
+        assert not _Tableau.of(3, rows, rhs).box
+    # A row added to a fresh box ends the box.
+    tab = _Tableau.of(3, box, [1, 1, 1])
+    tab.add_row([1, 1, 1], 2)
+    assert not tab.box
+    with pytest.raises(ValueError, match="row has 2 coefficients, expected 3"):
+        _Tableau.of(3, box, [1, 1, 1]).optimize([1, 1])
 
 
 def _dense_rows(poly):

@@ -612,7 +612,15 @@ def test_class_counts():
 
 
 def test_signed_constraint_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one sign per index"):
         SignedConstraint((1, 2), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="signs are"):
         SignedConstraint((1,), (2,))
+    with pytest.raises(ValueError, match="signs are"):
+        SignedConstraint((1,), (0,))
+    # The unchecked constructor builds what the checked one does.
+    for indices, signs in [((1,), (1,)), ((2, 3), (1, -1)), ((), ())]:
+        c = SignedConstraint._of(indices, signs)
+        assert c == SignedConstraint(indices, signs)
+        assert hash(c) == hash(SignedConstraint(indices, signs))
+        assert repr(c) == repr(SignedConstraint(indices, signs))

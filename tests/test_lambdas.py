@@ -41,6 +41,7 @@ from conftest import (
     reference_admissible_sums,
     reference_max_feasible_weight,
     signed_lambda_lower,
+    spy_norm_work,
 )
 
 E1 = Vector.unit(1)
@@ -93,6 +94,49 @@ def test_lambda_pair_requires_ball_and_sphere():
             max_feasible_weight(x, e, _primal_solve)
     with pytest.raises(UnitNormRequired):
         lambda_pair(E1, Vector({1: Fraction(1, 2)}))
+
+
+def test_lambda_pair_checks_e_on_its_cleared_pair(rng, monkeypatch):
+    # ||e|| = 1 is read off the greedy of the pair's own clearing: the
+    # message names e and its norm as vectors.norm gives it, e is checked
+    # before x (whose norm the line checks), and after the window cutoff.
+    bad = 0
+    for _ in range(200):
+        e = random_vector(rng, max_index=8, max_num=20, max_den=20)
+        x = random_vector(rng, max_index=8, max_num=20, max_den=20) * rng.randint(1, 3)
+        value = norm(e, 1).value
+        if value == 1:
+            continue
+        with pytest.raises(UnitNormRequired) as err:
+            lambda_pair(x, e)
+        assert str(err.value) == f"lambda_pair e needs a unit vector; got norm {value}"
+        bad += 1
+    assert bad > 150
+    with pytest.raises(UnitNormRequired, match="lambda_pair e needs a unit vector; got norm 0$"):
+        lambda_pair(Vector.zero(), Vector.zero())
+    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
+        lambda_pair(E1, Vector.unit(25) * 2)
+    # A unit e passes without a norm call of its own.
+    norms, _, _ = spy_norm_work(monkeypatch)
+    monkeypatch.setattr(lambdas_mod, "norm", norms.append)
+    assert lambda_pair(E12 / 2, E1).lam == Fraction(1, 2)
+    assert norms == []
+
+
+def test_lambda_pair_bindings_equal_checked_constraints(rng):
+    # The unchecked binding sets are the constraints the checked
+    # constructor builds: equal, with equal hashes and reprs, one sign of
+    # +1 or -1 per index.
+    checked = 0
+    for n in range(150):
+        x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
+        e = _placed_extreme_point(rng, 8) if n % 2 else random_unit_vector(rng, max_index=7)
+        for c in lambda_pair(x, e).binding:
+            twin = SignedConstraint(c.indices, c.signs)
+            assert (c, hash(c), repr(c)) == (twin, hash(twin), repr(twin))
+            assert type(c.indices) is tuple and type(c.signs) is tuple
+            checked += 1
+    assert checked > 200
 
 
 def _canned(*answers):
@@ -668,7 +712,7 @@ def test_lambda_pair_rejects_a_lambda_above_the_line(monkeypatch):
     for x, lam, wrong in cases:
         assert lambda_pair(x, e).lam == lam
     for x, lam, wrong in cases:
-        monkeypatch.setattr(lambdas_mod, "max_feasible_weight", lambda *args: (wrong, None))
+        monkeypatch.setattr(lambdas_mod, "max_feasible_weight", lambda *args, **kwargs: (wrong, None))
         with pytest.raises(RuntimeError, match="lambda verification failed"):
             lambda_pair(x, e)
 
@@ -737,8 +781,8 @@ def test_lambda_pair_rejects_a_lambda_just_above_the_line(rng, monkeypatch):
     pairs = [(x, e) for x, e in _residual_pairs(rng)[::8] if lambda_pair(x, e).lam < 1]
     assert len(pairs) >= 60
 
-    def too_high(x, e, solve):
-        lam, binding = max_feasible_weight(x, e, solve)
+    def too_high(x, e, solve, **kwargs):
+        lam, binding = max_feasible_weight(x, e, solve, **kwargs)
         return lam + Fraction(1, 2**20), binding
 
     monkeypatch.setattr(lambdas_mod, "max_feasible_weight", too_high)
