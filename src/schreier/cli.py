@@ -13,12 +13,11 @@ from fractions import Fraction
 
 import click
 
-from . import cutoffs
 from . import dual as dual_mod
 from . import extreme as extreme_mod
 from . import lambdas as lambdas_mod
 from . import serialize
-from .errors import SchreierError
+from .errors import CutoffExceeded, SchreierError
 from .families import format_index_set, is_admissible, is_maximal, parse_index_set
 from .rationals import decimal_string, format_rational
 from .vectors import covers_index, eps_gap, norm, one_sets
@@ -236,10 +235,10 @@ def dual_group():
 @_command(dual_group, "dual norm")
 @click.argument("file", type=click.Path())
 def dual_norm_cmd(file):
-    """Exact dual norm of the functional in FILE."""
+    """Exact dual norm of the functional in FILE, with a norming vector."""
     f = _load(file, serialize.SPACE_DUAL)
-    value = dual_mod.dual_norm(f)
-    results = {"value": format_rational(value)}
+    value, witness = dual_mod.dual_norm_witness(f)
+    results = {"value": format_rational(value), "witness": serialize.vector_to_payload(witness)}
     return ([file], {}, results, True, [f"dual norm = {format_rational(value)}"])
 
 
@@ -331,9 +330,10 @@ def lambda_table(n_from: int, n_to: int) -> list[dict]:
             "bound_decimal": decimal_string(bound),
             "max_pool_lambda": None,
         }
-        if 2 * n + 2 <= cutoffs.extreme_enum_limit():
-            report = lambdas_mod.verify_thm1(n)
-            row["max_pool_lambda"] = format_rational(report.max_pair_lambda)
+        try:
+            row["max_pool_lambda"] = format_rational(lambdas_mod.verify_thm1(n).max_pair_lambda)
+        except CutoffExceeded:
+            pass  # the pool of window 2n + 2 is past its cutoff: not computed
         rows.append(row)
     return rows
 

@@ -31,12 +31,12 @@ from . import cutoffs
 from .families import IndexSet, admissible_subsets, index_set, is_admissible
 from .lambdas import max_feasible_weight
 from .linalg import cleared
-from .simplex import _Tableau, lp_max
+from .simplex import _Tableau, lp_max, unit_box
 from .vectors import Vector, _greedy, norm
 
 
 def _indicator(F: IndexSet, column: dict[int, int]) -> list[int]:
-    """The row of F on the tableau whose index i is column[i]."""
+    """The row of the cut F on the tableau whose index i is column[i]."""
     row = [0] * len(column)
     for i in F:
         row[column[i]] = 1
@@ -56,12 +56,13 @@ def _section_lp(ground: Sequence[int]):
     greedy's ranking, ties and witness, so the cut is the witness of
     norm(x), and norm(x) <= 1 exactly when the greedy value of num is at
     most d.  A repeated F means the LP returned an optimum that breaks one
-    of its own rows.  The starting rows are the box x_j <= 1 of the
-    ground, unit rows of ints in column order, so ``lp_max`` and
-    ``_dual_solve`` build them with ``_Tableau.of``, whose first solve
-    starts at the vertex Bland's primal phase reaches, with no pivot (the
-    box start of the ``simplex`` module, which takes every later pivot
-    of the tableau built row by row).
+    of its own rows.  The starting rows are ``simplex.unit_box`` of the
+    ground, the box x_j <= 1 once its bounds of 1 are given, so the
+    tableau that ``lp_max`` and ``_dual_solve`` build on them with
+    ``_Tableau.of`` starts its first solve at the vertex Bland's primal
+    phase reaches, with no pivot (the box start of the ``simplex`` module,
+    which takes every later pivot of the tableau built row by row).  Only
+    the cut rows are written here (``_indicator``).
 
     Support lemma: on a ground that holds every index where an objective is
     nonzero, the LP takes the pivots of the LP on [1, N], N = max ground,
@@ -90,7 +91,6 @@ def _section_lp(ground: Sequence[int]):
     cutoffs.check("dual norm window", ground[-1] if ground else 0, cutoffs.dual_window_limit())
     column = {i: k for k, i in enumerate(ground)}
     sets: list[IndexSet] = [(i,) for i in ground]
-    rows = [_indicator(F, column) for F in sets]
     seen = set(sets)
 
     def separate(num: list[int], d: int):
@@ -103,7 +103,7 @@ def _section_lp(ground: Sequence[int]):
         sets.append(witness)
         return _indicator(witness, column), 1
 
-    return sets, rows, separate
+    return sets, unit_box(len(ground)), separate
 
 
 def dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
@@ -128,7 +128,7 @@ def _dual_solve(ground: Sequence[int]):
     carries.
 
     One tableau over the ground lives for the whole line, built by
-    ``_Tableau.of`` from the section LP's singleton rows, so the first
+    ``_Tableau.of`` from the section LP's ``unit_box`` rows, so the first
     call starts at the box vertex with no pivot and no pricing pass.  Each
     call writes the line's nonzero moduli, sizes = {index: modulus}, as an
     integer objective on the ground, with 0 where sizes has no entry,

@@ -24,7 +24,10 @@ extreme by construction.
 
 Both enumerations end in one signed-list helper, _signed_points: it takes
 nonnegative integer rows over one denominator, expands every sign
-pattern and sorts on integer keys into the canonical order.
+pattern and sorts on integer keys into the canonical order.  The pool's
+rows also give face_points, the pool points on which a list of 1-sets
+sums to 1: by the face lemma there, the only points a pair lambda can
+weigh above 0.
 """
 
 from dataclasses import dataclass, field
@@ -437,6 +440,34 @@ def positive_extreme_points(N: int) -> list[Vector]:
     """Extreme points with nonnegative coordinates and support within [1, N]."""
     _check_extreme_cutoff(N)
     return list(_positive_pool(N)[0])
+
+
+def face_points(N: int, sets: list[IndexSet]) -> list[Vector]:
+    """The points e of the window-N positive pool with e(F) = 1 for every F in sets.
+
+    The test runs on the pool's integer rows (``_positive_pool``): e(F) = 1
+    exactly when the numerators of e over D sum to D on F.  The pool lives
+    in [1, N], so an index of F past N counts as 0; a 1-set of x may reach
+    past the window.  The points come in pool order, and the window meets
+    the pool's cutoff before anything is built.
+
+    Face lemma: let x >= 0 and e >= 0 with ||x|| <= 1 = ||e||, and let F be
+    a 1-set of x.  If lambda(x, e) > 0 then e(F) = 1.  At lambda = 1,
+    ||x - e|| <= 0 gives e = x.  At 0 < lambda < 1, y = (x - lambda e) /
+    (1 - lambda) has ||y|| <= 1, and 1 = x(F) = lambda e(F) + (1 - lambda) y(F)
+    with e(F) <= ||e|| = 1 and y(F) <= ||y|| <= 1, F being admissible; so
+    both sums are 1.  A point off the face therefore has weight exactly 0,
+    and dropping it changes neither the best weight nor the set of points
+    with positive weight.  So ``lambdas.lambda_lower`` and
+    ``lambdas.verify_thm1`` solve only the face points of the 1-sets of x.
+    """
+    _check_extreme_cutoff(N)
+    points, rows, D = _positive_pool(N)
+    positions = [[i - 1 for i in F if i <= N] for F in sets]
+    return [
+        e for e, row in zip(points, rows)
+        if all(sum(map(row.__getitem__, P)) == D for P in positions)
+    ]
 
 
 def _check_extreme_cutoff(N: int) -> None:

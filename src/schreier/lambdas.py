@@ -23,9 +23,8 @@ from .errors import UnitNormRequired
 from .extreme import (
     EXTREME,
     SignedConstraint,
-    _check_extreme_cutoff,
-    _positive_pool,
     certify_extreme,
+    face_points,
     positive_extreme_points,
 )
 from .families import IndexSet, index_set, is_admissible
@@ -226,31 +225,6 @@ def gap_bound(x: Vector, e: Vector, F: IndexSet) -> Fraction:
     return g / h
 
 
-def _on_face(N: int, sets: list[IndexSet]) -> list[Vector]:
-    """The points e of the window-N positive pool with e(F) = 1 for every F in sets.
-
-    The test runs on the pool's integer rows (extreme._positive_pool): e(F)
-    = 1 exactly when the numerators of e over D sum to D on F.  The pool
-    lives in [1, N], so an index of F past N counts as 0; a 1-set of x may
-    reach past the window.  The points come in pool order.
-
-    Face lemma: let x >= 0 and e >= 0 with ||x|| <= 1 = ||e||, and let F be
-    a 1-set of x.  If lambda(x, e) > 0 then e(F) = 1.  At lambda = 1,
-    ||x - e|| <= 0 gives e = x.  At 0 < lambda < 1, y = (x - lambda e) /
-    (1 - lambda) has ||y|| <= 1, and 1 = x(F) = lambda e(F) + (1 - lambda) y(F)
-    with e(F) <= ||e|| = 1 and y(F) <= ||y|| <= 1, F being admissible; so
-    both sums are 1.  A point off the face therefore has weight exactly 0,
-    and dropping it changes neither the best weight nor the set of points
-    with positive weight.
-    """
-    points, rows, D = _positive_pool(N)
-    positions = [[i - 1 for i in F if i <= N] for F in sets]
-    return [
-        e for e, row in zip(points, rows)
-        if all(sum(map(row.__getitem__, P)) == D for P in positions)
-    ]
-
-
 def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     """Best weight of x over the extreme points with support in [1, window].
 
@@ -260,10 +234,10 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     s = sign x (+1 where x is zero).  The scan therefore runs on |x| over the
     positive pool and returns s e for its first achiever e in canonical order.
 
-    Only the pool points on the face of the 1-sets of |x| are solved (see
-    _on_face); the rest weigh 0, so with a best weight of 0 the first
-    achiever is the first pool point.  A vector with ||x|| < 1 has no
-    1-sets.  Past the support cutoff the 1-sets are not listed, and the
+    Only the pool points on the face of the 1-sets of |x| are solved
+    (``extreme.face_points``); the rest weigh 0, so with a best weight of 0
+    the first achiever is the first pool point.  A vector with ||x|| < 1
+    has no 1-sets.  Past the support cutoff the 1-sets are not listed, and the
     norm's witness, itself a 1-set of |x|, is the only face set; the face
     lemma holds for each 1-set alone, so every achiever stays.  Each line
     runs on supp x | supp e, so an index of x far past the window costs no
@@ -281,7 +255,7 @@ def lambda_lower(x: Vector, window: int) -> tuple[Fraction, Vector]:
     if nx == 1:
         sets = _one_sets(ax) if len(ax) <= cutoffs.admissible_enum_limit(1) else [report.witness]
     best_lam, best_e = Fraction(0), pool[0]
-    for e in _on_face(window, sets):
+    for e in face_points(window, sets):
         lam, _ = max_feasible_weight(ax, e, _primal_solve)
         if lam > best_lam:
             best_lam, best_e = lam, e
@@ -339,18 +313,19 @@ def alpha_pattern_vector(n: int) -> Vector:
 def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     """Run every check of the decay-bound pipeline at order n.
 
-    Builds the construction, checks its norm, 1-set inventory and
-    non-extremality, then evaluates the exact pair lambda against the
-    (n+1)/n^2 bound for every nonnegative extreme point in the window on
-    the face of the 1-sets of x_n; every other point has lambda = 0 (see
-    _on_face), which neither raises the maximum nor breaks a claim.  The
-    window and the pool cutoff are checked before anything is built.
+    Takes the nonnegative extreme points in the window first, so the window
+    and the pool's own cutoff are checked before anything else is built.
+    Then builds the construction, checks its norm, 1-set inventory and
+    non-extremality, and evaluates the exact pair lambda against the
+    (n+1)/n^2 bound for every pool point on the face of the 1-sets of x_n
+    (``extreme.face_points``); every other point has lambda = 0 (the face
+    lemma there), which neither raises the maximum nor breaks a claim.
     """
     if window is None:
         window = 2 * n + 2
     if window < 2 * n + 2:
         raise ValueError(f"window must reach the last coordinate {2 * n + 2}")
-    _check_extreme_cutoff(window)
+    pool = positive_extreme_points(window)
     x = make_thm1_vector(n)
     bound = Fraction(n + 1, n * n)
     D = tuple(range(n + 2, 2 * n + 2))
@@ -362,11 +337,10 @@ def verify_thm1(n: int, window: int | None = None) -> Thm1Report:
     covers_ok = not covered_by(sets, 4)
     not_extreme_ok = certify_extreme(x).verdict != EXTREME
 
-    pool = positive_extreme_points(window)
     claims = {"i": True, "ii": True, "iii": True, "iv": True}
     violations: list[tuple[Vector, Fraction]] = []
     max_lam = Fraction(0)
-    for e in _on_face(window, sets):
+    for e in face_points(window, sets):
         lam, _ = max_feasible_weight(x, e, _primal_solve)
         if lam > max_lam:
             max_lam = lam

@@ -87,12 +87,14 @@ weak duality.
 all-slack basis with d = 1 the re-priced row is -c, so it takes the same
 pivots as a cold solve.
 
-The box start.  A fresh tableau whose rows are the unit rows x_j <= b_j
-of its columns, in column order, with positive integer b_j, on the
-all-slack basis with d = 1 (``_Tableau.of`` sees this on its rows and
-writes them as they are, with no ``add_row``), starts its first
-``optimize`` at the vertex Bland's primal phase reaches (``_box_start``),
-with no pricing pass and no pivot.  Those are the rows of the section LP.
+The box start.  ``unit_box(n)`` builds the n unit rows of n columns, in
+column order, as a ``_Box``, and it is the only producer of that type.
+A fresh tableau whose rows are a ``_Box`` of n rows, x_j <= b_j with
+positive integer b_j, on the all-slack basis with d = 1 (``_Tableau.of``
+sees the type and writes the rows as they are, with no ``add_row``),
+starts its first ``optimize`` at the vertex Bland's primal phase reaches
+(``_box_start``), with no pricing pass and no pivot.  Those are the rows
+of the section LP.
 With c cleared to the integers c_j, the priced row is [0, -c].  Bland
 enters the lowest id with a negative reduced cost, x_j for the least j
 with c_j > 0.  Its column is the unit column of row j (0-based j - 1), the
@@ -111,8 +113,9 @@ slack in column j, the other columns as they were), and the objective
 that tableau entry for entry: rows, objective, ``cols``, ``basis`` and d.
 Every later pivot, cut, optimum and row dual is therefore the same; only
 the pivot count drops, by the number of columns with c_j > 0 at each
-fresh start.  Any other rows, or a row added before the first
-``optimize``, make the tableau take the general path.
+fresh start.  Any other rows, plain lists of unit rows included, or a row
+added before the first ``optimize``, make the tableau take the general
+path, which reaches the same tableau with those pivots.
 """
 
 from fractions import Fraction
@@ -148,16 +151,17 @@ class _Tableau:
     def of(cls, n: int, rows, rhs) -> "_Tableau":
         """A new tableau over n columns holding the rows a.x <= b, in order.
 
-        When the rows are the box, row k the unit row of column k + 1 for
-        every k < n, as lists of ints, and every b a positive int, they are
-        written as they are (all-int rows are their own clearing, and on
-        the all-slack basis with d = 1 a row is written as itself), and the
-        tableau is a fresh box.  Any other rows go through ``add_row`` one
-        by one.
+        When the rows are a ``_Box`` (``unit_box``) of n rows and every b is
+        a positive int, they are written as they are (all-int rows are their
+        own clearing, and on the all-slack basis with d = 1 a row is written
+        as itself), and the tableau is a fresh box.  The type carries the
+        shape: ``unit_box`` is its only producer.  Any other rows go through
+        ``add_row`` one by one.
         """
         tab = cls(n)
-        rows, rhs = list(rows), list(rhs)
-        if _is_box(n, rows, rhs):
+        rhs = list(rhs)
+        if (type(rows) is _Box and len(rows) == n == len(rhs)
+                and all(type(b) is int and b > 0 for b in rhs)):
             tab.rows = [[b, *row] for row, b in zip(rows, rhs)]
             tab.basis = list(range(n + 1, 2 * n + 1))
             tab.box = True
@@ -335,17 +339,16 @@ class _Tableau:
         return x
 
 
-def _is_box(n: int, rows: list, rhs: list) -> bool:
-    """True when rows are the n unit rows of n columns in column order, as
-    lists of ints, and rhs are n positive ints."""
-    if len(rows) != n or len(rhs) != n:
-        return False
-    for k, (row, b) in enumerate(zip(rows, rhs)):
-        if (type(b) is not int or b < 1 or type(row) is not list or len(row) != n
-                or row[k] != 1 or row.count(0) != n - 1
-                or not all(type(v) is int for v in row)):
-            return False
-    return True
+class _Box(tuple):
+    """The unit rows of ``unit_box``, the one shape ``_Tableau.of`` starts
+    at the box vertex.  A slice of it is a plain tuple."""
+
+
+def unit_box(n: int) -> _Box:
+    """The n unit rows of n columns in column order, row k the unit row of
+    column k + 1, as ints: with positive int bounds, the rows a fresh
+    ``_Tableau.of`` starts at the box vertex."""
+    return _Box([(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)])
 
 
 def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
@@ -356,8 +359,8 @@ def lp_max(c, rows, rhs, cut=None) -> tuple[Fraction, list[Fraction]]:
     x violates, with b >= 0, or None when x is feasible.  The row joins the
     live tableau and dual simplex re-optimises from the current basis; the
     optimum of all rows is returned, turned into Fractions once.  Rows
-    that are the box, as the section LP's singletons are, start at the box
-    vertex (``_Tableau.of``).
+    built by ``unit_box``, as the section LP's singletons are, start at the
+    box vertex (``_Tableau.of``).
     """
     tab = _Tableau.of(len(c), rows, rhs)
     num = tab.optimize(c, cut)

@@ -433,13 +433,14 @@ def reference_section_cuts(N: int):
 def reference_dual_norm_witness(f: Vector) -> tuple[Fraction, Vector]:
     """The dual norm and its witness from the padded LP on [1, max supp f].
 
-    It reaches lp_max and _Tableau through the simplex module, so a test
-    that patches ``simplex._Tableau`` counts the pivots of both LPs.
+    It reaches lp_max, unit_box and _Tableau through the simplex module,
+    so a test that patches ``simplex._Tableau`` counts the pivots of both
+    LPs, and both start from ``simplex.unit_box`` at the box vertex.
     """
     N = f.max_index
-    sets, separate = reference_section_cuts(N)
-    rows = [_padded_row(F, N) for F in sets]
-    value, xs = simplex.lp_max([abs(f[i]) for i in range(1, N + 1)], rows, [1] * N, cut=separate)
+    _, separate = reference_section_cuts(N)
+    value, xs = simplex.lp_max([abs(f[i]) for i in range(1, N + 1)], simplex.unit_box(N), [1] * N,
+                               cut=separate)
     return value, Vector({i: q if f[i] >= 0 else -q for i, q in enumerate(xs, 1)})
 
 

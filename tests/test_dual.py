@@ -469,6 +469,33 @@ def test_verify_thm2_pivot_work_is_pinned(monkeypatch, n, pivots, solves):
     assert counts == {"pivot": pivots, "optimize": solves}
 
 
+def test_dual_norm_witness_cut_work_is_pinned(monkeypatch):
+    # The lazy-cut LP of dual_norm_witness (lp_max) on the support-8 dual
+    # norm input of query-mix seed 1 whose LP takes the most cuts, the one
+    # CI runs: one tableau of 8 columns and 21 rows, the 8 singletons and 13
+    # cuts, in 18 pivots.  The LP starts at the box vertex; without that
+    # start the first solve adds one pivot per column, 26 in all.
+    tabs, pivots = [], [0]
+
+    class Counted(simplex._Tableau):
+        def __init__(self, n):
+            tabs.append(self)
+            super().__init__(n)
+
+        def pivot(self, r, s):
+            pivots[0] += 1
+            super().pivot(r, s)
+
+    monkeypatch.setattr(simplex, "_Tableau", Counted)
+    f = Vector({1: -5, 2: Fraction(-4, 9), 3: Fraction(5, 4), 4: Fraction(-17, 8),
+                5: Fraction(3, 2), 6: Fraction(2, 7), 7: Fraction(2, 3), 8: 2})
+    third = Fraction(1, 3)
+    assert dual_norm_witness(f) == (
+        Fraction(1639, 216), Vector({1: -1, 2: -2 * third, 3: third, 4: -third, 5: third, 8: third}))
+    assert [(tab.n, len(tab.rows)) for tab in tabs] == [(8, 21)]
+    assert pivots == [18]
+
+
 def test_shared_line_matches_fresh_pairs_in_either_order():
     # One line carries the cuts of every earlier pair: the 13 n = 3 traces,
     # solved forward and then reversed on it, answer as on fresh lines.

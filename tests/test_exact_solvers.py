@@ -9,7 +9,7 @@ from schreier.dd import DDPolytope, _cleared_row, box_seed
 from schreier.dual import _section_lp
 from schreier.extreme import _class_polytope_pieces, _support_rows, positive_extreme_points
 from schreier.linalg import cleared, nullspace_vector, rank
-from schreier.simplex import _Tableau, lp_max
+from schreier.simplex import _Tableau, lp_max, unit_box
 from schreier.vectors import norm, one_sets
 
 from conftest import (
@@ -391,16 +391,17 @@ def test_compact_tableau_pivots_as_the_dense_reference(rng):
 
 
 def test_box_start_is_blands_phase_one(rng):
-    # A fresh box tableau (_Tableau.of) starts where Bland's primal phase
-    # from the all-slack basis ends: entry for entry the same rows,
-    # objective, cols, basis and d as the tableau built row by row after
-    # its first optimize, with exactly one pivot fewer per positive column.
-    # The bounds differ per row and the objectives carry zeros, negatives
-    # and Fractions.
+    # A fresh box tableau (_Tableau.of on unit_box rows) starts where
+    # Bland's primal phase from the all-slack basis ends: entry for entry
+    # the same rows, objective, cols, basis and d as the tableau built row
+    # by row after its first optimize, with exactly one pivot fewer per
+    # positive column.  The bounds differ per row and the objectives carry
+    # zeros, negatives and Fractions.
     starts = 0
     for _ in range(300):
         n = rng.randint(0, 12)
-        box = [[int(i == j) for j in range(n)] for i in range(n)]
+        box = unit_box(n)
+        assert box == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         bounds = [rng.randint(1, 9) for _ in range(n)]
         c = [rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
              for _ in range(n)]
@@ -428,16 +429,21 @@ def test_box_start_is_blands_phase_one(rng):
         assert pivots == [0, sum(q > 0 for q in c)]
         starts += pivots[1] > 0
     assert starts > 200
-    # Only the box starts there: a missing, extra, reordered, scaled or
-    # Fraction row, a nonpositive or Fraction bound, or a tuple row is
-    # written row by row.
-    box = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # Only unit_box rows with positive int bounds start there: the same
+    # rows as plain lists or tuples, a missing, extra or reordered row (a
+    # slice or sum of a box is a plain tuple), and a zero, bool or
+    # Fraction bound are written row by row, and so are the rows of a
+    # box on more columns than it has.
+    box = unit_box(3)
     assert _Tableau.of(3, box, [1, 2, 3]).box
-    for rows, rhs in [(box[:2], [1, 1]), (box + [[1, 1, 0]], [1, 1, 1, 1]),
-                      (box[::-1], [1, 1, 1]), ([[2, 0, 0], *box[1:]], [1, 1, 1]),
-                      ([[Fraction(1), 0, 0], *box[1:]], [1, 1, 1]), (box, [1, 0, 1]),
-                      (box, [1, Fraction(1), 1]), ([tuple(box[0]), *box[1:]], [1, 1, 1])]:
+    plain = [list(row) for row in box]
+    for rows, rhs in [(plain, [1, 1, 1]), (tuple(box), [1, 1, 1]), (box[:2], [1, 1]),
+                      (box + ((1, 1, 0),), [1, 1, 1, 1]), (box[::-1], [1, 1, 1]),
+                      (box, [1, 0, 1]), (box, [1, True, 1]),
+                      (box, [1, Fraction(1), 1])]:
         assert not _Tableau.of(3, rows, rhs).box
+    with pytest.raises(ValueError, match="row has 2 coefficients, expected 3"):
+        _Tableau.of(3, unit_box(2), [1, 1])
     # A row added to a fresh box ends the box.
     tab = _Tableau.of(3, box, [1, 1, 1])
     tab.add_row([1, 1, 1], 2)

@@ -8,13 +8,13 @@ from schreier.errors import CutoffExceeded, UnitNormRequired
 from schreier.extreme import (
     SignedConstraint,
     _class_positive_vertices,
+    face_points,
     positive_extreme_points,
 )
 from schreier.cutoffs import admissible_enum_limit
 from schreier.families import enumerate_admissible, is_admissible
 from schreier.linalg import cleared
 from schreier.lambdas import (
-    _on_face,
     _primal_solve,
     alpha_pattern_vector,
     expected_one_sets,
@@ -493,7 +493,7 @@ def test_lambda_lower_keeps_the_first_pool_point_at_weight_zero():
     x = Vector({1: Fraction(-1, 2), 6: 1})
     pool = positive_extreme_points(4)
     assert norm(x, 1).value == 1 and one_sets(x) == [(6,)]
-    assert _on_face(4, one_sets(x)) == []
+    assert face_points(4, one_sets(x)) == []
     lam, achiever = lambda_lower(x, 4)
     assert lam == signed_lambda_lower(x, 4)[0] == 0
     assert achiever == pool[0].flip_signs([1])
@@ -534,7 +534,7 @@ def test_thm1_pool_weights_and_bindings_match_the_reference():
             assert lam == 0
         if lam > 0:
             positive.append(e)
-    assert _on_face(10, sets) == positive
+    assert face_points(10, sets) == positive
     assert len(positive) == 2 and BAD4 in positive
 
 
@@ -550,14 +550,14 @@ def test_on_face_matches_the_fraction_sums(rng):
     for x, N in past:
         sets = one_sets(x)
         assert any(F[-1] > N for F in sets)
-        assert _on_face(N, sets) == _fraction_face(positive_extreme_points(N), sets)
+        assert face_points(N, sets) == _fraction_face(positive_extreme_points(N), sets)
     for N in range(4, 11):
         pool = positive_extreme_points(N)
         xs = [random_unit_vector(rng, max_index=N) for _ in range(6)]
         xs += rng.sample(pool, min(4, len(pool)))
         for x in xs:
             sets = one_sets(abs(x))
-            face = _on_face(N, sets)
+            face = face_points(N, sets)
             assert face == _fraction_face(pool, sets)
             if x in pool:
                 assert x in face

@@ -22,7 +22,7 @@ from schreier.serialize import (
     payload_to_vector,
     save_vector_file,
 )
-from schreier.vectors import Vector, covers_index, eps_gap, make_thm1_vector, one_sets
+from schreier.vectors import Vector, covers_index, eps_gap, make_thm1_vector, norm, one_sets
 
 
 def test_rational_parse_format_roundtrip():
@@ -265,6 +265,7 @@ def test_in_space_enumeration_stops_at_its_signed_cutoff_before_building(monkeyp
 
 def test_dual_norm_stops_at_its_window_cutoff_before_building(tmp_path, monkeypatch):
     assert dual_mod.dual_norm(Vector({1024: 1})) == 1
+    monkeypatch.setattr(dual_mod, "unit_box", _refuse_to_build)
     monkeypatch.setattr(dual_mod, "_indicator", _refuse_to_build)
     monkeypatch.setattr(dual_mod, "_Tableau", _refuse_to_build)
     for far in (1025, 1000000):
@@ -355,6 +356,27 @@ def test_cli_dual(tmp_path, capsys):
     assert run(["dual", "norm", xf]) == 2  # wrong space tag
 
 
+def test_cli_dual_norm_reports_its_witness(tmp_path, capsys):
+    # The support-8 dual norm input of query-mix seed 1 whose LP takes the
+    # most cuts (13), as CI runs it: the report carries the norming vector
+    # of the library, a primal unit-ball point that pairs to the value.
+    f = Vector({1: -5, 2: Fraction(-4, 9), 3: Fraction(5, 4), 4: Fraction(-17, 8),
+                5: Fraction(3, 2), 6: Fraction(2, 7), 7: Fraction(2, 3), 8: 2})
+    report_path = tmp_path / "cuts-norm.json"
+    assert run(["dual", "norm", _write(tmp_path, "cuts.json", f, SPACE_DUAL),
+                "--json", str(report_path)]) == 0
+    assert capsys.readouterr().out == "dual norm = 1639/216\n"
+    results = json.loads(report_path.read_text())["results"]
+    assert results["value"] == "1639/216"
+    assert set(results["witness"]) == {"space", "order", "coords"}
+    witness = payload_to_vector(results["witness"], SPACE_PRIMAL, 1)
+    third = Fraction(1, 3)
+    assert witness == Vector({1: -1, 2: -2 * third, 3: third, 4: -third, 5: third, 8: third})
+    assert (Fraction(results["value"]), witness) == dual_mod.dual_norm_witness(f)
+    assert norm(witness, 1).value <= 1
+    assert f.dot(witness) == Fraction(1639, 216)
+
+
 def test_cli_verify_thm1_reports_honest_failure(tmp_path, capsys):
     report_path = tmp_path / "thm1.json"
     assert run(["verify", "thm1", "--n", "4", "--json", str(report_path)]) == 1
@@ -398,6 +420,28 @@ def test_lambda_table_rows():
     assert lambda_table(4, 4)[0]["n"] == 4
     with pytest.raises(ValueError):
         lambda_table(3, 4)
+
+
+def test_lambda_table_asks_verify_thm1_for_its_cutoff(monkeypatch):
+    # Under SCHREIER_MAX_DIM=9 every pool window 2n + 2 >= 10 is past the
+    # cutoff: verify_thm1 refuses each n, and no row is computed.
+    asked = []
+    real = lambdas_mod.verify_thm1
+
+    def spied(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(lambdas_mod, "verify_thm1", spied)
+    monkeypatch.setenv("SCHREIER_MAX_DIM", "9")
+    rows = lambda_table(4, 6)
+    assert [row["max_pool_lambda"] for row in rows] == [None, None, None]
+    assert [row["bound"] for row in rows] == ["5/16", "6/25", "7/36"]
+    assert asked == [4, 5, 6]
+    with pytest.raises(CutoffExceeded, match="requested 10 exceeds cutoff 9"):
+        real(4)
+    monkeypatch.delenv("SCHREIER_MAX_DIM")
+    assert [row["max_pool_lambda"] for row in lambda_table(4, 6)] == ["15/32", "12/25", None]
 
 
 def test_cli_lambda_table_report(tmp_path, capsys):
