@@ -11,7 +11,7 @@ from string import whitespace
 from .errors import CutoffExceeded
 from .rationals import _INDEX_RE
 
-ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window and support walks alike
+ADMISSIBLE_ENUM_MAX = {0: 64, 1: 24, 2: 12}  # order 1 bounds window lists and every support walk
 ADMISSIBLE_ENUM_MAX_HIGHER = 10  # families of order >= 3
 VERTEX_ENUM_MAX = 6
 EXTREME_ENUM_MAX = 12  # the positive pool: verify thm1 --n 5 and lambda lower reach window 12

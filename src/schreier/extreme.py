@@ -65,7 +65,8 @@ class SignedConstraint:
 
         Nothing is checked: the caller guarantees one sign of +1 or -1 per
         index, which is what __post_init__ checks.  lambda_pair builds its
-        binding sets here, from the tight sets of its own walk.
+        binding sets here, from the tight sets of its residual's support
+        walk, signed like the residual.
         """
         c = object.__new__(cls)
         object.__setattr__(c, "indices", indices)

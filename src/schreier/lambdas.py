@@ -156,10 +156,6 @@ def _primal_solve(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
 def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     """Exact maximum lambda with ||x - lambda e|| <= 1 - lambda.
 
-    The Newton line runs on supp x | supp e, but the binding sets are
-    walked over the window [1, N] with its zeros, N the largest index of x
-    and e, so N is checked against the order-1 cutoff before anything else.
-
     x and e are cleared once, on S = supp x | supp e over one LCM L
     (``_cleared_pair``): x_i = X_i / L and e_i = E_i / L.  ||e|| = 1 is
     checked next, on that clearing: the greedy value of |E| is L ||e||, a
@@ -169,12 +165,19 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     (x - lambda e) / (1 - lambda): with lambda = p / q its coordinate i is
     (q X_i - p E_i) / (L (q - p)).  It comes from x and e themselves, not
     from the line, so a wrong lambda still fails the walk's norm check.
-    The walk's tight sets are lexicographic tuples of distinct indices,
-    signed here one sign of +1 or -1 per index, so the binding sets are
-    built unchecked (``SignedConstraint._of``).
+    The binding sets are walked on supp residual alone, whose size the
+    walk checks against the order-1 cutoff ("lambda_pair support size")
+    after its norm check, so a far index costs nothing.  They are exactly
+    the tight sets of any window [1, N] holding supp x | supp e that lie
+    inside supp residual, and every other tight set of the window is one
+    of them plus zeros of the residual: a subset of an admissible set is
+    admissible, and a zero adds nothing to the total.  So the zeros carry
+    no constraint of their own, and lambda, the residual and its
+    certificate are those of the window.  The walk's tight sets are
+    lexicographic tuples of distinct indices on which the residual is
+    nonzero, each signed like it, so the binding sets are built unchecked
+    (``SignedConstraint._of``).
     """
-    window = max(x.max_index, e.max_index)
-    cutoffs.check("lambda_pair window", window, cutoffs.admissible_enum_limit(1))
     pair = support, xs, es, L = _cleared_pair(x, e)
     value = _greedy({i: abs(b) for i, b in zip(support, es) if b})[0]
     if value != L:
@@ -194,10 +197,9 @@ def lambda_pair(x: Vector, e: Vector) -> LambdaResult:
     # walk checks from its root bounds before it lists a set.  v = x - lam e
     # sums to 1 - lam over F exactly when the residual sums to 1 over F.
     try:
-        tight = _pruned_walk(residual, range(1, window + 1))[1]
+        tight = _pruned_walk(residual, cutoff="lambda_pair support size")[1]
     except UnitNormRequired as err:
         raise RuntimeError(f"lambda verification failed at lambda = {lam}: {err}") from err
-    # Signs follow v; a zero of v gets +1.
     negative = {i for i, q in residual.items() if q < 0}
     binding = [SignedConstraint._of(F, tuple(-1 if i in negative else 1 for i in F))
                for F in tight]

@@ -8,14 +8,13 @@ window [1, max supp x].  The sums run on integers: |x| is cleared once by
 the LCM of its denominators, so a caller compares a total with that scale
 where it would compare a rational sum with 1.  _pruned_walk answers "sums
 to exactly 1" and "best sum below 1" in one pruned walk of the admissible
-subsets of a ground (the support, or a window with zeros) for a vector of
-norm at most 1: the 1-sets, coverage, the gap and the binding sets of a
-pair lambda.  Its root bounds are the same sweep over its ground, so
-their maximum is the norm: the walk checks the unit norm of the 1-set
-queries, and the norm of at most 1 of every other caller, before it
-visits a node, and those queries run no norm of their own.  A unit
-vector that is not walked, the e of lambda_pair, is checked by _greedy on
-its caller's own clearing.
+subsets of the support of a vector of norm at most 1: the 1-sets,
+coverage, the gap and the binding sets of a pair lambda.  Its root bounds
+are the same sweep over the support, so their maximum is the norm: the
+walk checks the unit norm of the 1-set queries, and the norm of at most 1
+of every other caller, before it visits a node, and those queries run no
+norm of their own.  A unit vector that is not walked, the e of
+lambda_pair, is checked by _greedy on its caller's own clearing.
 admissible_sums scans every set its caller names, for the questions a
 total alone does not prune: norms of order >= 2 and the slack bounds of a
 perturbation witness.  Also provides the decay-witness constructor used
@@ -250,10 +249,7 @@ def _root_bounds(ground: Sequence[int], sizes: list[int]) -> list[int]:
     sizes (all of them, if fewer are left).
 
     With ground = supp x and sizes = scale * |x| on it these are _greedy's
-    sums, and the largest is scale * ||x||.  A ground that also holds
-    zeros of x adds bounds at minima off the support, which never exceed
-    the greedy's maximum (the proof is in _greedy's docstring), since the
-    zeros add 0 to any sum; so the largest is still scale * ||x||.
+    sums, and the largest is scale * ||x||.
 
     One sweep from the right with a min-heap of later sizes and their
     total.  At q, with m = ground[q], it pops the smallest until the heap
@@ -271,8 +267,8 @@ def _root_bounds(ground: Sequence[int], sizes: list[int]) -> list[int]:
     kept in any order; the total does not change.
 
     Each size is pushed once and popped at most once, so the sweep costs
-    O(n log n) for any ground: with zeros, or with an index of 10^18,
-    where it pops nothing.
+    O(n log n) for any ground, also one with an index of 10^18, where it
+    pops nothing.
     """
     heap: list[int] = []  # the kept later sizes; total is their sum
     total = 0
@@ -305,12 +301,10 @@ def _top_table(sizes: list[int]) -> list[list[int]]:
 
 
 def _pruned_walk(
-    x: Vector, ground: Iterable[int], op: str | None = None, cutoff: str | None = None
+    x: Vector, op: str | None = None, cutoff: str | None = None
 ) -> tuple[int, list[IndexSet], int]:
-    """(scale, tight, below) over the admissible subsets of ``ground``, an
-    increasing sequence of positive integers that holds supp x and may hold
-    zeros of x.  A ground as long as supp x is supp x, and its sizes are
-    read off x's items in one pass.
+    """(scale, tight, below) over the admissible subsets of supp x, its
+    ground, whose sizes are read off x's items in one pass.
 
     Precondition: ||x|| <= 1, so no admissible set totals above scale.  The
     walk checks it before any node, from its root bounds (below).  A
@@ -320,10 +314,10 @@ def _pruned_walk(
     norm of their own.  Every other caller (the lambda_pair residual,
     lambda_lower, enumerate_vertices) gets ||x|| > 1 raised; lambda_pair
     checks its e, which it does not walk, with _greedy on the pair's
-    clearing.  ``cutoff``
-    names the check of len(ground) against the order-1 cutoff, made after
-    the norm check, so a vector off the sphere and past the cutoff raises
-    UnitNormRequired, and before the bound table is built.
+    clearing.  ``cutoff`` names the check of |supp x| against the order-1
+    cutoff, made after the norm check, so a vector off the sphere and past
+    the cutoff raises UnitNormRequired, and before the bound table is
+    built.
 
     scale is the LCM of the denominators of x and the totals are sums of
     the integer sizes scale * |x|, as in admissible_sums.  tight lists the
@@ -338,7 +332,7 @@ def _pruned_walk(
     admissible nonempty F is reached exactly once, by adding its elements
     in increasing order: each prefix keeps min F and has at most |F| <= m
     elements.  The recursion is as deep as the largest set, at most
-    len(ground), which every caller's cutoff holds to 24.
+    |supp x|, which every caller's cutoff holds to 24.
 
     Lexicographic order: a node comes before its descendants, which are
     its proper extensions and sort after it, and the subtree of an earlier
@@ -361,19 +355,14 @@ def _pruned_walk(
     Root bounds.  The bound of the singleton {ground[q]} is the best total
     of a subset of ground with that minimum, and the largest is
     scale * ||x||: _root_bounds, the order-1 norm's own heap sweep, so the
-    walk reads the norm off its own first step, in O(n log n) on a ground
-    of any length, and checks it before any node and before the cutoff.
+    walk reads the norm off its own first step, in O(n log n) on a support
+    of any size, and checks it before any node and before the cutoff.
     The bounds below the root read the table of _top_table, built after
     the checks.
     """
-    ground = tuple(ground)
-    items = x.items()
-    values, scale = cleared(q for _, q in items)
-    if len(ground) == len(items):
-        sizes = [abs(v) for v in values]
-    else:
-        size = dict(zip(x.support, map(abs, values)))
-        sizes = [size.get(i, 0) for i in ground]
+    ground = x.support
+    values, scale = cleared(q for _, q in x.items())
+    sizes = [abs(v) for v in values]
     n = len(ground)
     roots = _root_bounds(ground, sizes)
     value = max(roots, default=0)
@@ -427,7 +416,7 @@ def _one_sets(x: Vector, op: str | None = None) -> list[IndexSet]:
     UnitNormRequired naming op otherwise; without it x must have norm at
     most 1.  Either check comes first, then the support cutoff, before any
     subset is walked."""
-    return _pruned_walk(x, x.support, op, "one_sets support size")[1]
+    return _pruned_walk(x, op, "one_sets support size")[1]
 
 
 def covered_by(sets: list[IndexSet], i: int) -> bool:
@@ -449,7 +438,7 @@ def covers_index(x: Vector, i: int) -> bool:
 
 def eps_gap(x: Vector) -> Fraction:
     """1 minus the best admissible |x|-sum that falls strictly short of 1."""
-    scale, _, below = _pruned_walk(x, x.support, "eps_gap", "eps_gap support size")
+    scale, _, below = _pruned_walk(x, "eps_gap", "eps_gap support size")
     return 1 - Fraction(below, scale)
 
 

@@ -28,7 +28,7 @@ from schreier.dual import dual_norm_witness
 
 SEED = 20261021
 PER_KIND = 60
-DIGEST = "997bdd6e49ca8cd38bba28c191d3771000ad90e4e275522116fde32282b8c869"
+DIGEST = "e3660cec9f672e4a2186e056f70b0f9dbc83a0353e9a8ed3005bba60caae2e05"
 
 
 def _vector(rng, top: int, size: int) -> Vector:

@@ -30,7 +30,7 @@ from schreier.extreme import (
 from schreier.families import enumerate_admissible
 from schreier.lambdas import lambda_pair
 from schreier.linalg import nullspace_vector, rank
-from schreier.vectors import Vector, _pruned_walk, covered_by, make_thm1_vector, norm, one_sets
+from schreier.vectors import Vector, covered_by, make_thm1_vector, norm, one_sets
 
 from conftest import (
     canonical_key,
@@ -105,33 +105,21 @@ def test_extreme_certificates_scan_no_window(monkeypatch):
     embedded = embed(head, tail, (6, 8, 9, 11))
     calls = []
 
-    def spy(scan, on_window):
-        def counted(*args, **kwargs):
-            if on_window(*args):
-                calls.append(args)
-            return scan(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_admissible(*args, **kwargs)
 
-        return counted
-
-    # A window reaches the sums through the window list or a pruned walk
-    # whose ground is not the vector's support.  Every module imports them
-    # under its own name, so every binding under schreier is replaced.
-    spies = {
-        enumerate_admissible: spy(enumerate_admissible, lambda *args: True),
-        _pruned_walk: spy(_pruned_walk, lambda x, ground, *checks: tuple(ground) != x.support),
-    }
+    # A window reaches the sums through the window list; a pruned walk
+    # runs on its vector's support.  Every module imports the list under
+    # its own name, so every binding under schreier is replaced.
     patched = set()
     for name, module in list(sys.modules.items()):
         if name == "schreier" or name.startswith("schreier."):
             for attr, value in list(vars(module).items()):
-                if value is enumerate_admissible or value is _pruned_walk:
-                    monkeypatch.setattr(module, attr, spies[value])
-                    patched.add((name, value.__name__))
-    assert {
-        ("schreier.extreme", "enumerate_admissible"),
-        ("schreier.vectors", "enumerate_admissible"),
-        ("schreier.lambdas", "_pruned_walk"),
-    } <= patched
+                if value is enumerate_admissible:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add(name)
+    assert {"schreier.extreme", "schreier.vectors"} <= patched
     assert certify_extreme(E12).verdict == EXTREME
     assert certify_extreme(embedded).verdict == EXTREME
     assert calls == []
@@ -353,15 +341,20 @@ def test_enumerate_vertices_cutoff():
 
 def test_far_indices_certify_and_lambda_pair_stops_at_its_cutoff():
     # The rank rows live on the support and the covered zeros are counted,
-    # so a far support index or window is answered.  lambda_pair's Newton
-    # line is dense over its window, which stays under the order-1 cutoff.
+    # so a far support index or window is answered.  lambda_pair walks its
+    # residual's support, so a far index is answered too, and its cutoff
+    # refuses a residual on more support indices than the order-1 cutoff.
     beyond = admissible_enum_limit(1) + 1
     cert = certify_extreme(Vector({1: 1, beyond: 1}))
     assert (cert.verdict, cert.active_rank, cert.window) == (EXTREME, beyond, beyond)
     assert certify_extreme(Vector({1: 1, 10**18: 1})).active_rank == 10**18
     assert perturbation_witness(E12, beyond) is None
-    with pytest.raises(CutoffExceeded):
-        lambda_pair(E1, Vector({1: 1, beyond: 1}))
+    result = lambda_pair(E1, Vector({1: 1, beyond: 1}))
+    assert (result.lam, result.residual) == (Fraction(1, 2), Vector({1: 1, beyond: -1}))
+    assert [(c.indices, c.signs) for c in result.binding] == [((1,), (1,)), ((beyond,), (-1,))]
+    wide = Vector({i: Fraction(1, beyond) for i in range(beyond, 2 * beyond)})
+    with pytest.raises(CutoffExceeded, match="lambda_pair support size"):
+        lambda_pair(wide, E1)
     # e_12 (24 support coordinates on the window [1, 25]) and x_12 (on [1, 26]).
     e12 = Vector({1: 1, 2: Fraction(1, 6), 3: Fraction(5, 6),
                   **{i: Fraction(1, 12) for i in [*range(4, 13), *range(14, 26)]}})

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -98,8 +99,9 @@ def test_lambda_pair_requires_ball_and_sphere():
 
 def test_lambda_pair_checks_e_on_its_cleared_pair(rng, monkeypatch):
     # ||e|| = 1 is read off the greedy of the pair's own clearing: the
-    # message names e and its norm as vectors.norm gives it, e is checked
-    # before x (whose norm the line checks), and after the window cutoff.
+    # message names e and its norm as vectors.norm gives it, and e is
+    # checked before x (whose norm the line checks) and before the support
+    # cutoff, which the residual's walk checks last.
     bad = 0
     for _ in range(200):
         e = random_vector(rng, max_index=8, max_num=20, max_den=20)
@@ -114,8 +116,11 @@ def test_lambda_pair_checks_e_on_its_cleared_pair(rng, monkeypatch):
     assert bad > 150
     with pytest.raises(UnitNormRequired, match="lambda_pair e needs a unit vector; got norm 0$"):
         lambda_pair(Vector.zero(), Vector.zero())
-    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
-        lambda_pair(E1, Vector.unit(25) * 2)
+    wide = Vector({i: Fraction(1, 25) for i in range(25, 50)})  # lambda 0 against E1
+    with pytest.raises(UnitNormRequired, match="lambda_pair e needs a unit vector; got norm 2$"):
+        lambda_pair(wide, Vector.unit(25) * 2)
+    with pytest.raises(CutoffExceeded, match="lambda_pair support size: requested 25 exceeds cutoff 24"):
+        lambda_pair(wide, E1)
     # A unit e passes without a norm call of its own.
     norms, _, _ = spy_norm_work(monkeypatch)
     monkeypatch.setattr(lambdas_mod, "norm", norms.append)
@@ -128,7 +133,7 @@ def test_lambda_pair_bindings_equal_checked_constraints(rng):
     # constructor builds: equal, with equal hashes and reprs, one sign of
     # +1 or -1 per index.
     checked = 0
-    for n in range(150):
+    for n in range(300):
         x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
         e = _placed_extreme_point(rng, 8) if n % 2 else random_unit_vector(rng, max_index=7)
         for c in lambda_pair(x, e).binding:
@@ -408,7 +413,9 @@ def _placed_extreme_point(rng, index_max):
 
 def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
     # The binding sets are the sets of the window on which |x - lam e| sums
-    # to 1 - lam, signed like x - lam e with +1 at a zero.
+    # to 1 - lam that lie inside supp (x - lam e), signed like x - lam e:
+    # the window scan is the reference, so the support list is pinned
+    # against an independent listing of every set of the window.
     bound = 0
     for n in range(150):
         x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
@@ -420,9 +427,9 @@ def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
         v = x - result.lam * e
         window = max(x.max_index, e.max_index)
         expected = [
-            SignedConstraint(F, tuple(1 if v[i] >= 0 else -1 for i in F))
+            SignedConstraint(F, tuple(1 if v[i] > 0 else -1 for i in F))
             for F, total in reference_admissible_sums(v, window)
-            if total == 1 - result.lam
+            if total == 1 - result.lam and all(i in v for i in F)
         ]
         assert result.binding == expected
         bound += bool(expected)
@@ -432,8 +439,10 @@ def test_lambda_pair_bindings_are_the_fraction_tight_sets(rng):
 def test_lambda_pair_at_the_window_cutoff():
     # BAD4 and BAD5 continued to n = 11: 1, 2/n, 1 - 2/n, 1/n on [4, n], 0 at
     # n + 1 and 1/n on [n + 2, 2n + 1].  With x_11 the pair's window is 24,
-    # the order-1 cutoff.  The bindings are checked on integers against the
-    # window list: the Fraction reference over its 121,393 sets is slow.
+    # the order-1 cutoff, and its residual's support is 23 indices, all but
+    # 12.  The bindings are checked on integers against the window list,
+    # where no tight set holds 12: the Fraction reference over its 121,393
+    # sets is slow.
     n = 11
     x = make_thm1_vector(n)
     e = Vector({1: 1, 2: Fraction(2, n), 3: 1 - Fraction(2, n)}
@@ -684,20 +693,21 @@ def test_verify_thm1_report_is_frozen():
     assert verify_thm1(4, 10).claims["iii"] is False
 
 
-def test_lambda_pair_refuses_a_far_window_before_the_line(monkeypatch):
-    # The binding sets are walked over [1, max index of x and e], zeros
-    # included, so a window past the order-1 cutoff is refused before the
-    # line's first step, even for x = e, where the line would answer 1 at
-    # once and no binding walk would run.
-    def no_line(*args):
-        raise AssertionError("the Newton line ran")
-
-    monkeypatch.setattr(lambdas_mod, "max_feasible_weight", no_line)
+def test_lambda_pair_answers_a_far_pair_and_refuses_a_wide_residual():
+    # The binding sets are walked on the residual's support, so an index
+    # of 10^9 costs no more than a near one, and the cutoff bounds the
+    # size of that support, checked after the line, not the window.
     far = Vector({2: Fraction(1, 2), 10**9: Fraction(1, 2)})
-    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
-        lambda_pair(far, E1)
-    with pytest.raises(CutoffExceeded, match="lambda_pair window"):
-        lambda_pair(Vector.unit(25), Vector.unit(25))
+    result = lambda_pair(far, E1)
+    assert (result.lam, result.residual) == (0, far)
+    assert result.binding == [SignedConstraint((2, 10**9), (1, 1))]
+    assert lambda_pair(Vector.unit(10**9), Vector.unit(10**9)).lam == 1
+    # 1/25 on [25, 49] is a unit vector with lambda 0 against E1, and its
+    # residual, itself, has 25 support indices.
+    wide = Vector({i: Fraction(1, 25) for i in range(25, 50)})
+    assert max_feasible_weight(wide, E1, _primal_solve)[0] == 0
+    with pytest.raises(CutoffExceeded, match="lambda_pair support size: requested 25 exceeds cutoff 24"):
+        lambda_pair(wide, E1)
 
 
 def test_lambda_pair_rejects_a_lambda_above_the_line(monkeypatch):
@@ -730,8 +740,8 @@ def _sparse_extreme_point(rng, index_max):
 def _residual_pairs(rng) -> list[tuple[Vector, Vector]]:
     """600 pairs: signed x of norm 1/4 to 1 on [1, 7] against known extreme
     points and random unit vectors in [1, 8]; signed x of norm 1/4 to 1 on
-    1 to 4 indices of [1, 24] against extreme points with a far tail, the
-    window reaching the order-1 cutoff of 24; and 40 pairs with x = e."""
+    1 to 4 indices of [1, 24] against extreme points with a far tail,
+    with zeros of the residual between them; and 40 pairs with x = e."""
     pairs = []
     for n in range(500):
         x = random_unit_vector(rng, max_index=7) * Fraction(rng.randint(1, 4), 4)
@@ -751,8 +761,8 @@ def _residual_pairs(rng) -> list[tuple[Vector, Vector]]:
 def test_lambda_pair_residual_is_the_fraction_formula(rng):
     # The integer residual (q X - p E) / (L (q - p)) against
     # (x - lambda e) / (1 - lambda) in Fractions, and the binding against
-    # the tight sets of the walk over that Fraction residual, signed by it
-    # with +1 at a zero.  At lambda = 1 the residual is 0 with no binding.
+    # the tight sets of the walk over that Fraction residual, signed by it.
+    # At lambda = 1 the residual is 0 with no binding.
     kinds = {"zero": 0, "inner": 0, "one": 0, "far": 0}
     for x, e in _residual_pairs(rng):
         result = lambda_pair(x, e)
@@ -762,16 +772,37 @@ def test_lambda_pair_residual_is_the_fraction_formula(rng):
             kinds["one"] += 1
             continue
         residual = (x - lam * e) / (1 - lam)
-        sign = {i: -1 for i, q in residual.items() if q < 0}
         expected = [
-            SignedConstraint(F, tuple(sign.get(i, 1) for i in F))
-            for F in _pruned_walk(residual, range(1, window + 1))[1]
+            SignedConstraint(F, tuple(1 if residual[i] > 0 else -1 for i in F))
+            for F in _pruned_walk(residual)[1]
         ]
         assert result.residual == residual and result.residual.items() == residual.items()
         assert result.binding == expected
         kinds["zero" if lam == 0 else "inner"] += 1
         kinds["far"] += window > 12
     assert min(kinds.values()) >= 40, kinds
+
+
+def test_lambda_pair_binding_list_is_short_where_the_window_list_is_long():
+    # A unit x on four indices of [1, 24] against the extreme point e_1 + e_14:
+    # the residual has 17,712 tight sets in the window [1, 24], all but two
+    # of them holding zeros, and the binding list is those two, the
+    # brute-force list over the admissible subsets of its support.
+    x = Vector({2: Fraction(9, 25), 14: Fraction(4, 25), 15: Fraction(9, 25), 24: Fraction(12, 25)})
+    result = lambda_pair(x, E1 + Vector.unit(14))
+    v = result.residual
+    assert result.lam == Fraction(4, 25)
+    assert v == Vector({1: Fraction(-4, 21), 2: Fraction(3, 7), 15: Fraction(3, 7), 24: Fraction(4, 7)})
+    brute = [
+        SignedConstraint(F, tuple(1 if v[i] > 0 else -1 for i in F))
+        for r in range(1, len(v) + 1)
+        for F in combinations(v.support, r)
+        if is_admissible(F, 1) and sum(abs(v[i]) for i in F) == 1
+    ]
+    assert result.binding == sorted(brute, key=lambda c: c.indices)
+    assert [c.indices for c in result.binding] == [(2, 24), (15, 24)]
+    scale, sums = admissible_sums(v, enumerate_admissible(1, 24))
+    assert sum(total == scale for _, total in sums) == 17712
 
 
 def test_lambda_pair_rejects_a_lambda_just_above_the_line(rng, monkeypatch):
